@@ -59,63 +59,63 @@ impl Dfa {
     }
 
     /// Subset construction from an NFA; the result is complete.
+    ///
+    /// State sets are bitsets over NFA states and successor sets are
+    /// ORs of per-state ε-closures computed once up front. DFA states
+    /// are numbered in order of discovery (expanding states in id order,
+    /// symbols in alphabet order); the dead state — the empty set — is
+    /// interned on first miss like any other.
     pub fn from_nfa(nfa: &Nfa) -> Dfa {
         let n_symbols = nfa.n_symbols();
-        let mut table: Vec<StateId> = Vec::new();
-        let mut accepting: Vec<bool> = Vec::new();
-        let mut index: HashMap<Vec<u32>, StateId> = HashMap::new();
-        let mut worklist: Vec<Vec<u32>> = Vec::new();
-
-        let mut intern = |set: Vec<u32>,
-                          table: &mut Vec<StateId>,
-                          accepting: &mut Vec<bool>,
-                          worklist: &mut Vec<Vec<u32>>|
-         -> StateId {
-            if let Some(&id) = index.get(&set) {
-                return id;
-            }
-            let id = accepting.len() as StateId;
-            accepting.push(set.binary_search(&nfa.accept()).is_ok());
-            table.extend(std::iter::repeat_n(0, n_symbols));
-            index.insert(set.clone(), id);
-            worklist.push(set);
-            id
+        let (words, closures) = nfa.eps_closure_bits();
+        let closure = |s: u32| &closures[s as usize * words..][..words];
+        let mut subsets = Subsets {
+            n_symbols,
+            accept: nfa.accept() as usize,
+            sets: Vec::new(),
+            index: HashMap::new(),
+            table: Vec::new(),
+            accepting: Vec::new(),
         };
-
-        let start_set = nfa.eps_closure(&[nfa.start()]);
-        let start = intern(start_set, &mut table, &mut accepting, &mut worklist);
+        let start = subsets.intern(closure(nfa.start()));
         debug_assert_eq!(start, 0);
 
-        // The empty set (dead state) is interned lazily on first miss.
-        let mut processed = 0usize;
-        while processed < worklist.len() {
-            let set = worklist[processed].clone();
-            let from = processed as StateId;
-            processed += 1;
-
-            // Per-symbol successor sets. Wildcard transitions feed all
-            // columns; doing one pass over transitions keeps this
-            // O(|set| · out-degree + n_symbols).
-            let mut per_symbol: Vec<Vec<u32>> = vec![Vec::new(); n_symbols];
-            let mut any: Vec<u32> = Vec::new();
-            for &s in &set {
-                for t in nfa.transitions_from(s) {
-                    match t.label {
-                        Label::Eps => {}
-                        Label::Sym(sym) => per_symbol[sym.index()].push(t.to),
-                        Label::Any => any.push(t.to),
+        // Successor sets of the state being expanded, one row per
+        // symbol; wildcard targets feed every row.
+        let mut per_symbol = vec![0u64; n_symbols * words];
+        let mut any = vec![0u64; words];
+        let mut from = 0usize;
+        while from < subsets.accepting.len() {
+            per_symbol.fill(0);
+            any.fill(0);
+            for (w, &word) in subsets.sets[from * words..][..words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let s = (w * 64) as u32 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    for t in nfa.transitions_from(s) {
+                        let row = match t.label {
+                            Label::Eps => continue,
+                            Label::Sym(sym) => &mut per_symbol[sym.index() * words..][..words],
+                            Label::Any => &mut any[..],
+                        };
+                        for (r, c) in row.iter_mut().zip(closure(t.to)) {
+                            *r |= c;
+                        }
                     }
                 }
             }
-            for (sym, mut targets) in per_symbol.into_iter().enumerate() {
-                targets.extend_from_slice(&any);
-                let closure = nfa.eps_closure(&targets);
-                let to = intern(closure, &mut table, &mut accepting, &mut worklist);
-                table[from as usize * n_symbols + sym] = to;
+            for (sym, row) in per_symbol.chunks_exact_mut(words).enumerate() {
+                for (r, a) in row.iter_mut().zip(&any) {
+                    *r |= a;
+                }
+                let to = subsets.intern(row);
+                subsets.table[from * n_symbols + sym] = to;
             }
+            from += 1;
         }
 
-        Dfa::from_parts(n_symbols, table, start, accepting)
+        Dfa::from_parts(n_symbols, subsets.table, start, subsets.accepting)
     }
 
     /// Do the invariants [`Dfa::from_parts`] asserts hold? Serde
@@ -261,6 +261,33 @@ impl Dfa {
     pub fn equivalent(&self, other: &Dfa) -> bool {
         self.intersect(&other.complement()).is_empty()
             && other.intersect(&self.complement()).is_empty()
+    }
+}
+
+/// The DFA under subset construction: state id ↔ NFA state set.
+struct Subsets {
+    n_symbols: usize,
+    /// The NFA's accept state.
+    accept: usize,
+    /// The state sets back to back, in state order.
+    sets: Vec<u64>,
+    index: HashMap<Vec<u64>, StateId>,
+    table: Vec<StateId>,
+    accepting: Vec<bool>,
+}
+
+impl Subsets {
+    fn intern(&mut self, set: &[u64]) -> StateId {
+        if let Some(&id) = self.index.get(set) {
+            return id;
+        }
+        let id = self.accepting.len() as StateId;
+        self.accepting
+            .push(set[self.accept / 64] >> (self.accept % 64) & 1 == 1);
+        self.table.extend(std::iter::repeat_n(0, self.n_symbols));
+        self.index.insert(set.to_vec(), id);
+        self.sets.extend_from_slice(set);
+        id
     }
 }
 

@@ -43,9 +43,21 @@ impl Nfa {
     /// Panics if the regex mentions a symbol outside `0..n_symbols` —
     /// interning guarantees this for well-formed callers.
     pub fn from_regex(regex: &Regex, n_symbols: usize) -> Nfa {
+        Nfa::from_regex_renamed(regex, n_symbols, &|s| s)
+    }
+
+    /// [`Nfa::from_regex`] with every symbol of the regex passed through
+    /// `rename` first; `n_symbols` is the size of the *renamed* alphabet
+    /// (how [`crate::compile_minimal_dfa`] builds over symbol classes).
+    pub(crate) fn from_regex_renamed(
+        regex: &Regex,
+        n_symbols: usize,
+        rename: &dyn Fn(Symbol) -> Symbol,
+    ) -> Nfa {
         let mut b = Builder {
             transitions: Vec::new(),
             n_symbols,
+            rename,
         };
         let frag = b.build(regex);
         Nfa {
@@ -105,6 +117,31 @@ impl Nfa {
         out
     }
 
+    /// The ε-closure of every state as a bitset over states: `words`
+    /// `u64`s per state in one flat vector, returned with `words`.
+    /// Subset construction ORs these rows instead of walking ε-edges
+    /// per successor set.
+    pub(crate) fn eps_closure_bits(&self) -> (usize, Vec<u64>) {
+        let n = self.n_states();
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; n * words];
+        let mut stack = Vec::new();
+        for (s, row) in bits.chunks_exact_mut(words).enumerate() {
+            row[s / 64] |= 1 << (s % 64);
+            stack.push(s);
+            while let Some(x) = stack.pop() {
+                for t in &self.transitions[x] {
+                    let to = t.to as usize;
+                    if t.label == Label::Eps && row[to / 64] >> (to % 64) & 1 == 0 {
+                        row[to / 64] |= 1 << (to % 64);
+                        stack.push(to);
+                    }
+                }
+            }
+        }
+        (words, bits)
+    }
+
     /// Direct NFA word acceptance (used by tests as an oracle for the DFA).
     pub fn accepts(&self, word: &[Symbol]) -> bool {
         let mut current = self.eps_closure(&[self.start]);
@@ -136,12 +173,13 @@ struct Frag {
     accept: u32,
 }
 
-struct Builder {
+struct Builder<'a> {
     transitions: Vec<Vec<Transition>>,
     n_symbols: usize,
+    rename: &'a dyn Fn(Symbol) -> Symbol,
 }
 
-impl Builder {
+impl Builder<'_> {
     fn new_state(&mut self) -> u32 {
         self.transitions.push(Vec::new());
         (self.transitions.len() - 1) as u32
@@ -166,6 +204,7 @@ impl Builder {
                 Frag { start, accept }
             }
             Regex::Sym(s) => {
+                let s = (self.rename)(*s);
                 assert!(
                     s.index() < self.n_symbols,
                     "symbol {s:?} outside alphabet of size {}",
@@ -173,7 +212,7 @@ impl Builder {
                 );
                 let start = self.new_state();
                 let accept = self.new_state();
-                self.edge(start, Label::Sym(*s), accept);
+                self.edge(start, Label::Sym(s), accept);
                 Frag { start, accept }
             }
             Regex::Wildcard => {

@@ -1,6 +1,7 @@
 //! Fig. 13a — safety-check/planning overhead vs grammar size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rpq_bench::unsafe_ifq_rows;
 use rpq_core::plan_query;
 use rpq_workloads::{synthetic, QueryGen, SynthParams};
 
@@ -8,23 +9,23 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig13a_overhead_vs_grammar_size");
     group.sample_size(20);
     for &n_composite in &[40usize, 80, 120] {
-        let s = synthetic::generate(&SynthParams {
-            n_atomic: n_composite * 2,
-            n_composite,
-            n_self_cycles: n_composite / 4,
-            n_two_cycles: 0,
-            body_nodes: (4, 8),
-            extra_edge_prob: 0.2,
-            composite_ref_prob: 0.0,
-            n_tags: 20,
-            alt_production_per_mille: 0,
-            seed: 0xF13A,
-        });
+        let s = synthetic::generate(&SynthParams::fig13a(n_composite, 0xF13A));
         let mut qg = QueryGen::new(&s.spec, 1);
         let q = qg.ifq_over(&s.pool_tags, 3);
         group.bench_with_input(BenchmarkId::from_parameter(s.spec.size()), &q, |b, q| {
             b.iter(|| std::hint::black_box(plan_query(&s.spec, q).unwrap()))
         });
+    }
+    // The rows above are safe (pool tags): one DFA, one safety check.
+    // The tail of the overhead comes from unsafe queries, whose
+    // decomposition tries many segments — on the largest grammar:
+    let (spec, rows) = unsafe_ifq_rows();
+    for (k, q) in &rows {
+        group.bench_with_input(
+            BenchmarkId::new(format!("unsafe_ifq_k{k}"), spec.size()),
+            q,
+            |b, q| b.iter(|| std::hint::black_box(plan_query(&spec, q).unwrap())),
+        );
     }
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! Fig. 13b — planning overhead vs query size k on BioAID/QBLast.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpq_bench::Dataset;
+use rpq_bench::{unsafe_ifq_rows, Dataset};
 use rpq_core::{plan_query, Session};
 use rpq_workloads::QueryGen;
 
@@ -25,6 +25,15 @@ fn bench(c: &mut Criterion) {
                 |b, q| b.iter(|| std::hint::black_box(session.prepare_regex(q).unwrap())),
             );
         }
+    }
+    // Pool-tag IFQs are safe, so the rows above never decompose; these
+    // unsafe IFQs (all tags, fig13a's largest grammar) run the segment
+    // search, the shape the overhead's tail comes from.
+    let (spec, rows) = unsafe_ifq_rows();
+    for (k, q) in &rows {
+        group.bench_with_input(BenchmarkId::new("synthetic1200_unsafe", k), q, |b, q| {
+            b.iter(|| std::hint::black_box(plan_query(&spec, q).unwrap()))
+        });
     }
     group.finish();
 }

@@ -1,10 +1,13 @@
 //! Shared dataset handles for the experiments.
 
-use rpq_core::Session;
+use rpq_automata::Regex;
+use rpq_core::{plan_query, Session};
 use rpq_grammar::Specification;
 use rpq_labeling::Run;
 use rpq_relalg::TagIndex;
-use rpq_workloads::{bioaid_like, qblast_like, runs, RealisticSpec};
+use rpq_workloads::{
+    bioaid_like, qblast_like, runs, synthetic, QueryGen, RealisticSpec, SynthParams,
+};
 
 /// A named dataset: specification, a query [`Session`] over it, and
 /// run/index helpers.
@@ -70,9 +73,42 @@ impl Dataset {
     }
 }
 
+/// The planner's expensive shape, for the overhead benches: fig13a's
+/// largest grammar (120 composites, size ≈ 1200) with one *unsafe* IFQ
+/// per k ∈ {3, 6, 10}, drawn over all tags rather than the safe pool —
+/// so the segment search of the decomposition runs, which no pool-tag
+/// IFQ ever triggers.
+pub fn unsafe_ifq_rows() -> (Specification, Vec<(usize, Regex)>) {
+    let spec = synthetic::generate(&SynthParams::fig13a(120, 0xF13A)).spec;
+    let mut qg = QueryGen::new(&spec, 0x13AB);
+    let rows = [3usize, 6, 10]
+        .into_iter()
+        .map(|k| loop {
+            let q = qg.ifq(k);
+            if !plan_query(&spec, &q)
+                .expect("synthetic specs plan")
+                .is_safe()
+            {
+                break (k, q);
+            }
+        })
+        .collect();
+    (spec, rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unsafe_ifq_rows_decompose() {
+        let (spec, rows) = unsafe_ifq_rows();
+        assert_eq!(rows.len(), 3);
+        for (k, q) in &rows {
+            let plan = plan_query(&spec, q).unwrap();
+            assert!(!plan.is_safe() && plan.n_safe_subqueries() >= 1, "k = {k}");
+        }
+    }
 
     #[test]
     fn datasets_materialize() {

@@ -56,24 +56,12 @@ pub fn fig13a(scale: Scale) -> Table {
         // Scale composite/atomic counts to hit the size bucket; bodies
         // average ~6.5 nodes → size ≈ 7.5 · productions.
         let n_composite = (target_size / 10).max(4);
-        let n_self = (n_composite / 4).max(1);
         let mut avg_total = 0.0;
         let mut worst: f64 = 0.0;
         let mut n_measured = 0;
         let mut actual_size = 0usize;
         for g in 0..per_bucket {
-            let s = synthetic::generate(&SynthParams {
-                n_atomic: n_composite * 2,
-                n_composite,
-                n_self_cycles: n_self,
-                n_two_cycles: 0,
-                body_nodes: (4, 8),
-                extra_edge_prob: 0.2,
-                composite_ref_prob: 0.0,
-                n_tags: 20,
-                alt_production_per_mille: 0,
-                seed: 0xF13A + g as u64,
-            });
+            let s = synthetic::generate(&SynthParams::fig13a(n_composite, 0xF13A + g as u64));
             actual_size += s.spec.size();
             let mut qg = QueryGen::new(&s.spec, g as u64);
             for _ in 0..n_queries {

@@ -27,5 +27,5 @@ pub mod routerbench;
 pub mod servebench;
 pub mod timing;
 
-pub use datasets::Dataset;
+pub use datasets::{unsafe_ifq_rows, Dataset};
 pub use timing::{time_avg_secs, Table};

@@ -11,13 +11,15 @@
 
 use crate::allpairs::{all_pairs_filtered, all_pairs_nested};
 use crate::plan::{PlanError, SafeQueryPlan};
-use rpq_automata::{compile_minimal_dfa, Regex};
+use rpq_automata::{compile_minimal_dfa, Dfa, Regex};
 use rpq_grammar::{Specification, Tag};
 use rpq_labeling::{NodeId, Run};
 use rpq_relalg::{
     compose_in, transitive_closure_csr, transitive_closure_csr_shared, transitive_closure_in,
     CondensationCache, CsrIndex, NodePairSet, Relation, TagIndex,
 };
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How safe subqueries inside a decomposed plan are evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,8 +100,9 @@ pub enum PlanNode {
     /// original subexpression is kept so the cost model may fall back to
     /// relational evaluation when the subquery is estimated to be cheap
     /// (the paper's closing remark: "a very useful component in a
-    /// cost-based query optimizer").
-    SafeEval(Box<SafeQueryPlan>, Regex),
+    /// cost-based query optimizer"). Equal subexpressions of one query
+    /// (an IFQ's `⎵*` remainders) share one compiled plan.
+    SafeEval(Arc<SafeQueryPlan>, Regex),
     /// One edge tag: answered from the tag index.
     Sym(Tag),
     /// Any one edge: the full edge relation.
@@ -158,13 +161,13 @@ pub fn plan_query_with(
         spec,
         regex,
         policy,
-        compile_minimal_dfa(regex, spec.n_tags()),
+        &compile_minimal_dfa(regex, spec.n_tags()),
     )
 }
 
 /// [`plan_query_with`] when the caller already compiled the query's
-/// minimal DFA (it is the dominant planning cost; `Session::prepare`
-/// compiles it once for plan statistics and hands it in here).
+/// minimal DFA (`Session::prepare` compiles it once for plan statistics
+/// and hands it in here); it is copied only into a fully safe plan.
 ///
 /// `policy` must not be [`SubqueryPolicy::AlwaysRelational`] — that
 /// path never needs a DFA; use [`plan_query_with`].
@@ -172,7 +175,7 @@ pub fn plan_query_with_dfa(
     spec: &Specification,
     regex: &Regex,
     policy: SubqueryPolicy,
-    dfa: rpq_automata::Dfa,
+    dfa: &Dfa,
 ) -> Result<QueryPlan, PlanError> {
     debug_assert_ne!(policy, SubqueryPolicy::AlwaysRelational);
     if !spec.is_strictly_linear() {
@@ -180,13 +183,21 @@ pub fn plan_query_with_dfa(
     }
     // Leaf expressions are cheaper via the index even when safe.
     if !is_leaf(regex) {
-        match SafeQueryPlan::compile(spec, dfa) {
-            Ok(plan) => return Ok(QueryPlan::Safe(plan)),
+        match SafeQueryPlan::check(spec, dfa) {
+            Ok(lambda) => {
+                let plan = SafeQueryPlan::assemble(spec, dfa.clone(), lambda);
+                return Ok(QueryPlan::Safe(plan));
+            }
             Err(PlanError::Unsafe { .. }) => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(QueryPlan::Composite(plan_node(spec, regex)?, policy))
+    // The verdict on the whole query is in: decompose it directly.
+    let mut planner = Planner {
+        spec,
+        verdicts: HashMap::new(),
+    };
+    Ok(QueryPlan::Composite(planner.decompose(regex)?, policy))
 }
 
 /// Is the expression a leaf (answered from the tag index rather than a
@@ -198,78 +209,104 @@ pub(crate) fn is_leaf(re: &Regex) -> bool {
     )
 }
 
-fn try_safe(spec: &Specification, regex: &Regex) -> Result<SafeQueryPlan, PlanError> {
-    let dfa = compile_minimal_dfa(regex, spec.n_tags());
-    SafeQueryPlan::compile(spec, dfa)
+/// The planning context of one query: the top-down search tries many
+/// subexpressions, and equal ones (the `⎵*` remainders of an IFQ, a
+/// repeated factor) get one safety check and one compiled plan.
+struct Planner<'a> {
+    spec: &'a Specification,
+    /// The verdict on every subexpression tried so far: its plan when
+    /// safe, `None` when unsafe (or beyond the DFA size cap).
+    verdicts: HashMap<Regex, Option<Arc<SafeQueryPlan>>>,
 }
 
-fn plan_node(spec: &Specification, regex: &Regex) -> Result<PlanNode, PlanError> {
-    // Non-leaf safe subtree → stop descending (the "largest safe
-    // subtree" heuristic of Section IV-B).
-    if !is_leaf(regex) {
-        match try_safe(spec, regex) {
-            Ok(plan) => return Ok(PlanNode::SafeEval(Box::new(plan), regex.clone())),
-            Err(PlanError::Unsafe { .. } | PlanError::TooManyStates(_)) => {}
-            Err(e) => return Err(e),
+impl Planner<'_> {
+    /// The safe plan of a non-leaf `regex`, if it has one. An unsafe
+    /// candidate costs a class-alphabet DFA and the λ fixpoint, nothing
+    /// more ([`SafeQueryPlan::compile`] settles the verdict first).
+    fn try_safe(&mut self, regex: &Regex) -> Result<Option<Arc<SafeQueryPlan>>, PlanError> {
+        if let Some(verdict) = self.verdicts.get(regex) {
+            return Ok(verdict.clone());
         }
+        let dfa = compile_minimal_dfa(regex, self.spec.n_tags());
+        let verdict = match SafeQueryPlan::compile(self.spec, dfa) {
+            Ok(plan) => Some(Arc::new(plan)),
+            Err(PlanError::Unsafe { .. } | PlanError::TooManyStates(_)) => None,
+            Err(e) => return Err(e),
+        };
+        self.verdicts.insert(regex.clone(), verdict.clone());
+        Ok(verdict)
     }
-    Ok(match regex {
-        Regex::Empty => PlanNode::Empty,
-        Regex::Epsilon => PlanNode::Epsilon,
-        Regex::Sym(s) => PlanNode::Sym(Tag(s.0)),
-        Regex::Wildcard => PlanNode::Wildcard,
-        Regex::Concat(parts) => PlanNode::Concat(plan_concat_segments(spec, parts)?),
-        Regex::Alt(parts) => PlanNode::Alt(
-            parts
-                .iter()
-                .map(|p| plan_node(spec, p))
-                .collect::<Result<_, _>>()?,
-        ),
-        Regex::Star(inner) => PlanNode::Star(Box::new(plan_node(spec, inner)?)),
-        Regex::Plus(inner) => PlanNode::Plus(Box::new(plan_node(spec, inner)?)),
-        Regex::Optional(inner) => PlanNode::Optional(Box::new(plan_node(spec, inner)?)),
-    })
-}
 
-/// Plan a concatenation whose whole is unsafe: greedily group maximal
-/// *safe segments* of adjacent factors. This goes beyond the paper's
-/// per-subtree search (its "query rewriting" future work): `A B C` may
-/// be unsafe as a whole while `A B` is safe, and evaluating `A B` with
-/// one label-based subquery instead of two halves both the subquery
-/// count and the join fan-in.
-fn plan_concat_segments(spec: &Specification, parts: &[Regex]) -> Result<Vec<PlanNode>, PlanError> {
-    let mut nodes = Vec::new();
-    let mut i = 0;
-    while i < parts.len() {
-        let mut grouped = None;
-        // Longest safe segment of ≥ 2 factors starting at i.
-        for j in ((i + 2)..=parts.len()).rev() {
-            let seg = Regex::concat(parts[i..j].to_vec());
-            if is_leaf(&seg) {
-                continue;
+    fn plan_node(&mut self, regex: &Regex) -> Result<PlanNode, PlanError> {
+        // Non-leaf safe subtree → stop descending (the "largest safe
+        // subtree" heuristic of Section IV-B).
+        if !is_leaf(regex) {
+            if let Some(plan) = self.try_safe(regex)? {
+                return Ok(PlanNode::SafeEval(plan, regex.clone()));
             }
-            match try_safe(spec, &seg) {
-                Ok(plan) => {
-                    grouped = Some((j, plan));
+        }
+        self.decompose(regex)
+    }
+
+    /// Plan an expression already known to be a leaf or unsafe as a
+    /// whole: index leaves, and operators over separately planned
+    /// children.
+    fn decompose(&mut self, regex: &Regex) -> Result<PlanNode, PlanError> {
+        Ok(match regex {
+            Regex::Empty => PlanNode::Empty,
+            Regex::Epsilon => PlanNode::Epsilon,
+            Regex::Sym(s) => PlanNode::Sym(Tag(s.0)),
+            Regex::Wildcard => PlanNode::Wildcard,
+            Regex::Concat(parts) => PlanNode::Concat(self.plan_concat_segments(parts)?),
+            Regex::Alt(parts) => PlanNode::Alt(
+                parts
+                    .iter()
+                    .map(|p| self.plan_node(p))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Regex::Star(inner) => PlanNode::Star(Box::new(self.plan_node(inner)?)),
+            Regex::Plus(inner) => PlanNode::Plus(Box::new(self.plan_node(inner)?)),
+            Regex::Optional(inner) => PlanNode::Optional(Box::new(self.plan_node(inner)?)),
+        })
+    }
+
+    /// Plan a concatenation whose whole is unsafe: greedily group maximal
+    /// *safe segments* of adjacent factors. This goes beyond the paper's
+    /// per-subtree search (its "query rewriting" future work): `A B C` may
+    /// be unsafe as a whole while `A B` is safe, and evaluating `A B` with
+    /// one label-based subquery instead of two halves both the subquery
+    /// count and the join fan-in.
+    fn plan_concat_segments(&mut self, parts: &[Regex]) -> Result<Vec<PlanNode>, PlanError> {
+        let mut nodes = Vec::new();
+        let mut i = 0;
+        while i < parts.len() {
+            let mut grouped = None;
+            // Longest safe segment of ≥ 2 factors starting at i; all of
+            // `parts` is the concatenation the caller found unsafe.
+            let longest = parts.len() - usize::from(i == 0);
+            for j in ((i + 2)..=longest).rev() {
+                let seg = Regex::concat(parts[i..j].to_vec());
+                if is_leaf(&seg) {
+                    continue;
+                }
+                if let Some(plan) = self.try_safe(&seg)? {
+                    grouped = Some((j, PlanNode::SafeEval(plan, seg)));
                     break;
                 }
-                Err(PlanError::Unsafe { .. } | PlanError::TooManyStates(_)) => {}
-                Err(e) => return Err(e),
+            }
+            match grouped {
+                Some((j, node)) => {
+                    nodes.push(node);
+                    i = j;
+                }
+                None => {
+                    nodes.push(self.plan_node(&parts[i])?);
+                    i += 1;
+                }
             }
         }
-        match grouped {
-            Some((j, plan)) => {
-                let seg = Regex::concat(parts[i..j].to_vec());
-                nodes.push(PlanNode::SafeEval(Box::new(plan), seg));
-                i = j;
-            }
-            None => {
-                nodes.push(plan_node(spec, &parts[i])?);
-                i += 1;
-            }
-        }
+        Ok(nodes)
     }
-    Ok(nodes)
 }
 
 /// Everything a composite-plan evaluation ranges over: the compiled
@@ -671,13 +708,39 @@ mod tests {
         assert_eq!(plan.n_safe_subqueries(), 1);
     }
 
+    fn safe_evals<'a>(node: &'a PlanNode, out: &mut Vec<(&'a Arc<SafeQueryPlan>, &'a Regex)>) {
+        match node {
+            PlanNode::SafeEval(plan, regex) => out.push((plan, regex)),
+            PlanNode::Concat(cs) | PlanNode::Alt(cs) => cs.iter().for_each(|c| safe_evals(c, out)),
+            PlanNode::Star(c) | PlanNode::Plus(c) | PlanNode::Optional(c) => safe_evals(c, out),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn equal_subexpressions_share_one_plan() {
+        // ⎵* a ⎵* a ⎵* d ⎵* decomposes into [⎵* a][⎵* a][⎵*][d ⎵*]:
+        // the repeated segment is checked and compiled once.
+        let spec = fig2();
+        let plan = plan_query(&spec, &q(&spec, "_* a _* a _* d _*")).unwrap();
+        let QueryPlan::Composite(node, _) = &plan else {
+            panic!("expected a composite plan, got {plan:?}");
+        };
+        let mut safe = Vec::new();
+        safe_evals(node, &mut safe);
+        assert_eq!(safe.len(), 4);
+        assert_eq!(safe[0].1, safe[1].1);
+        assert!(Arc::ptr_eq(safe[0].0, safe[1].0));
+        assert!(!Arc::ptr_eq(safe[1].0, safe[2].0));
+    }
+
     #[test]
     fn unsafe_query_decomposes() {
         // ⎵* a ⎵* is unsafe for Fig. 2 (the paper's running example).
         let spec = fig2();
         let plan = plan_query(&spec, &q(&spec, "_* a _*")).unwrap();
         assert!(!plan.is_safe());
-        // Decomposition: [⎵*][a][⎵*] with two safe reachability parts.
+        // Decomposition: [⎵* a][⎵*], two safe parts.
         assert_eq!(plan.n_safe_subqueries(), 2);
     }
 
@@ -699,7 +762,7 @@ mod tests {
         let forced = QueryPlan::Composite(
             PlanNode::Concat(vec![
                 PlanNode::SafeEval(
-                    Box::new(
+                    Arc::new(
                         SafeQueryPlan::compile(
                             &spec,
                             compile_minimal_dfa(&q(&spec, "_*"), spec.n_tags()),
@@ -710,7 +773,7 @@ mod tests {
                 ),
                 PlanNode::Sym(spec.tag_by_name("e").unwrap()),
                 PlanNode::SafeEval(
-                    Box::new(
+                    Arc::new(
                         SafeQueryPlan::compile(
                             &spec,
                             compile_minimal_dfa(&q(&spec, "_*"), spec.n_tags()),

@@ -7,7 +7,8 @@
 //!
 //! 1. compile the query to its **minimal DFA** (`rpq-automata`);
 //! 2. **check safety** w.r.t. the workflow specification via the λ-matrix
-//!    fixpoint ([`safety`], Section III-C);
+//!    fixpoint ([`safety`], Section III-C) — the verdict first, the
+//!    port-graph closures only for a query found safe;
 //! 3. for safe queries, build the implicit **query-intersected
 //!    specification** `G_R` as per-production port-graph closures
 //!    ([`portgraph`], Section III-B) and compile a [`SafeQueryPlan`];
@@ -54,7 +55,7 @@ pub use lazy::{
 };
 pub use matrix::StateMatrix;
 pub use plan::{PlanError, SafeQueryPlan};
-pub use portgraph::BodyMatrices;
+pub use portgraph::{BodyMatrices, EdgeSteps};
 pub use request::{EvalMeta, IndexCacheUse, PlanKind, QueryOutcome, QueryRequest, QueryResult};
-pub use safety::{check_safety, SafetyOutcome};
+pub use safety::{body_matrices, check_safety, lambda_fixpoint, SafetyOutcome};
 pub use session::{PlanStats, PlanStore, PreparedQuery, Session, SessionStats};

@@ -55,6 +55,15 @@ impl StateMatrix {
         m
     }
 
+    /// A matrix from its row bitmasks.
+    pub(crate) fn from_rows(rows: &[u64]) -> StateMatrix {
+        assert!(rows.len() <= MAX_STATES, "DFA too large for StateMatrix");
+        StateMatrix {
+            n: rows.len() as u8,
+            rows: rows.to_vec(),
+        }
+    }
+
     /// Dimension.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -82,20 +91,17 @@ impl StateMatrix {
     /// Boolean matrix product (relation composition): first `self`'s
     /// step, then `other`'s.
     pub fn mul(&self, other: &StateMatrix) -> StateMatrix {
-        debug_assert_eq!(self.n, other.n);
-        let n = self.dim();
-        let mut out = StateMatrix::zero(n);
-        for i in 0..n {
-            let mut bits = self.rows[i];
-            let mut acc = 0u64;
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                acc |= other.rows[j];
-            }
-            out.rows[i] = acc;
-        }
+        let mut out = StateMatrix::zero(self.dim());
+        self.mul_into(other, &mut out);
         out
+    }
+
+    /// `out = self · other`, overwriting `out` without allocating.
+    pub fn mul_into(&self, other: &StateMatrix, out: &mut StateMatrix) {
+        debug_assert!(self.n == other.n && self.n == out.n);
+        for (o, &row) in out.rows.iter_mut().zip(&self.rows) {
+            *o = other.row_mul(row);
+        }
     }
 
     /// Element-wise OR (relation union).
@@ -113,6 +119,15 @@ impl StateMatrix {
         debug_assert_eq!(self.n, other.n);
         for (r, o) in self.rows.iter_mut().zip(other.rows.iter()) {
             *r |= o;
+        }
+    }
+
+    /// `self |= a · b`, without allocating: the accumulate step of the
+    /// port-graph closures.
+    pub fn or_mul_assign(&mut self, a: &StateMatrix, b: &StateMatrix) {
+        debug_assert!(self.n == a.n && a.n == b.n);
+        for (out, &row) in self.rows.iter_mut().zip(&a.rows) {
+            *out |= b.row_mul(row);
         }
     }
 

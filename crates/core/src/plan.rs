@@ -35,7 +35,7 @@
 
 use crate::matrix::StateMatrix;
 use crate::portgraph::BodyMatrices;
-use crate::safety::{check_safety, SafetyOutcome};
+use crate::safety::{body_matrices, lambda_fixpoint};
 use rpq_automata::Dfa;
 use rpq_grammar::{ProductionId, Specification};
 use rpq_labeling::{Label, LabelEntry, NodeId, Run};
@@ -73,8 +73,9 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Number of precomputed period-power levels (`2^47` unfoldings — far
-/// beyond any materializable run).
+/// Cap on precomputed period-power levels (`2^47` unfoldings — far
+/// beyond any materializable run). A table ends earlier at its first
+/// idempotent power: every higher power equals it.
 const POW_LEVELS: usize = 48;
 
 /// Per-cycle decoding tables.
@@ -94,7 +95,8 @@ struct CyclePlan {
     /// Per phase φ: out(rec position) → body-output (one ascent step).
     asc_step: Vec<StateMatrix>,
     /// `desc_pows[p][k]` = (product of one descent period starting at
-    /// phase `p`)^(2^k).
+    /// phase `p`)^(2^k), up to the first idempotent level (see
+    /// [`power_table`]).
     #[serde(skip)]
     desc_pows: Vec<Vec<StateMatrix>>,
     /// `asc_pows[p][k]` = (product of one ascent period starting at
@@ -106,7 +108,7 @@ struct CyclePlan {
 impl CyclePlan {
     /// (Re)compute the period-product power tables from the step
     /// matrices: one descent/ascent period per starting phase, then
-    /// [`POW_LEVELS`] repeated squarings. Called at compile time and
+    /// repeated squarings ([`power_table`]). Called at compile time and
     /// again after deserialization (the tables are `#[serde(skip)]`).
     fn rebuild_pows(&mut self, n: usize) {
         let len = self.len;
@@ -119,16 +121,8 @@ impl CyclePlan {
                 dp = dp.mul(&self.desc_step[(p + i) % len]);
                 ap = ap.mul(&self.asc_step[(p + len - i % len) % len]);
             }
-            let mut dpow = Vec::with_capacity(POW_LEVELS);
-            let mut apow = Vec::with_capacity(POW_LEVELS);
-            for _ in 0..POW_LEVELS {
-                dpow.push(dp.clone());
-                apow.push(ap.clone());
-                dp = dp.mul(&dp);
-                ap = ap.mul(&ap);
-            }
-            self.desc_pows.push(dpow);
-            self.asc_pows.push(apow);
+            self.desc_pows.push(power_table(dp));
+            self.asc_pows.push(power_table(ap));
         }
     }
 
@@ -233,37 +227,56 @@ impl CyclePlan {
     }
 }
 
-/// `P^q` from a binary power table (powers of one matrix commute, so
-/// application order is free).
-fn pow_from_table(pows: &[StateMatrix], q: u64, n: usize) -> StateMatrix {
-    let mut m = StateMatrix::identity(n);
-    for (k, p) in pows.iter().enumerate() {
-        if q >> k & 1 == 1 {
-            m = m.mul(p);
+/// `[P, P², P⁴, …]` by repeated squaring, ending at the first idempotent
+/// power (or at [`POW_LEVELS`]). Boolean matrix powers of a safe query's
+/// period product settle within a few squarings, so tables hold a
+/// handful of levels instead of 48.
+fn power_table(period: StateMatrix) -> Vec<StateMatrix> {
+    let mut pows = vec![period];
+    while pows.len() < POW_LEVELS {
+        let last = pows.last().expect("starts non-empty");
+        let square = last.mul(last);
+        if square == *last {
+            break;
         }
+        pows.push(square);
     }
-    debug_assert!(q < (1u64 << pows.len().min(63)), "period power overflow");
-    m
+    pows
+}
+
+/// The factors of `P^q` in a [`power_table`]: the levels of `q`'s set
+/// bits below the last level, and the last level once if any bit at or
+/// above it is set — exact for an idempotent last level, and for a full
+/// table while `q < 2^POW_LEVELS`. Powers of one matrix commute, so
+/// application order is free.
+fn pow_factors(pows: &[StateMatrix], q: u64) -> impl Iterator<Item = &StateMatrix> {
+    let last = pows.len() - 1;
+    debug_assert!(
+        last < POW_LEVELS - 1 || q >> POW_LEVELS == 0,
+        "period power overflow"
+    );
+    let saturated = (q >> last != 0).then(|| &pows[last]);
+    pows[..last]
+        .iter()
+        .enumerate()
+        .filter(move |(k, _)| q >> k & 1 == 1)
+        .map(|(_, p)| p)
+        .chain(saturated)
+}
+
+/// `P^q` from a binary power table.
+fn pow_from_table(pows: &[StateMatrix], q: u64, n: usize) -> StateMatrix {
+    pow_factors(pows, q).fold(StateMatrix::identity(n), |m, p| m.mul(p))
 }
 
 /// `row · P^q` via the power table.
-fn row_pow(pows: &[StateMatrix], q: u64, mut row: u64) -> u64 {
-    for (k, p) in pows.iter().enumerate() {
-        if q >> k & 1 == 1 {
-            row = p.row_mul(row);
-        }
-    }
-    row
+fn row_pow(pows: &[StateMatrix], q: u64, row: u64) -> u64 {
+    pow_factors(pows, q).fold(row, |row, p| p.row_mul(row))
 }
 
 /// `P^q · col` via the power table.
-fn col_pow(pows: &[StateMatrix], q: u64, mut col: u64) -> u64 {
-    for (k, p) in pows.iter().enumerate() {
-        if q >> k & 1 == 1 {
-            col = p.col_mul(col);
-        }
-    }
-    col
+fn col_pow(pows: &[StateMatrix], q: u64, col: u64) -> u64 {
+    pow_factors(pows, q).fold(col, |col, p| p.col_mul(col))
 }
 
 /// A compiled plan for one safe query against one specification.
@@ -294,19 +307,35 @@ pub struct Bridge {
 impl SafeQueryPlan {
     /// Compile a plan from a *minimal* DFA. Checks strict linearity and
     /// safety; on success the plan answers pairwise queries in constant
-    /// time w.r.t. run size.
+    /// time w.r.t. run size. An unsafe query is rejected by the λ
+    /// fixpoint alone — port-graph closures and cycle tables are built
+    /// only once the verdict is in.
     pub fn compile(spec: &Specification, dfa: Dfa) -> Result<SafeQueryPlan, PlanError> {
+        let lambda = SafeQueryPlan::check(spec, &dfa)?;
+        Ok(SafeQueryPlan::assemble(spec, dfa, lambda))
+    }
+
+    /// The checks of [`SafeQueryPlan::compile`] — size, linearity, the λ
+    /// fixpoint — without building a plan: λ(M) per module when they
+    /// pass.
+    pub(crate) fn check(spec: &Specification, dfa: &Dfa) -> Result<Vec<StateMatrix>, PlanError> {
         if dfa.n_states() > crate::matrix::MAX_STATES {
             return Err(PlanError::TooManyStates(dfa.n_states()));
         }
         if !spec.is_strictly_linear() {
             return Err(PlanError::NotStrictlyLinear);
         }
-        let (lambda, bodies) = match check_safety(spec, &dfa) {
-            SafetyOutcome::Safe { lambda, bodies } => (lambda, bodies),
-            SafetyOutcome::Unsafe { witness } => return Err(PlanError::Unsafe { witness }),
-        };
+        lambda_fixpoint(spec, dfa).map_err(|witness| PlanError::Unsafe { witness })
+    }
 
+    /// Build the plan of a query [`SafeQueryPlan::check`] passed, from
+    /// the λ it returned.
+    pub(crate) fn assemble(
+        spec: &Specification,
+        dfa: Dfa,
+        lambda: Vec<StateMatrix>,
+    ) -> SafeQueryPlan {
+        let bodies = body_matrices(spec, &dfa, &lambda);
         let n = dfa.n_states();
         let cycles = spec
             .recursion()
@@ -345,7 +374,7 @@ impl SafeQueryPlan {
                 accepting_mask |= 1 << q;
             }
         }
-        Ok(SafeQueryPlan {
+        SafeQueryPlan {
             start_state: dfa.start() as usize,
             accepting_mask,
             epsilon: dfa.accepts_epsilon(),
@@ -353,7 +382,7 @@ impl SafeQueryPlan {
             bodies,
             cycles,
             dfa,
-        })
+        }
     }
 
     /// Validate a deserialized plan against `spec` and rebuild the

@@ -16,10 +16,103 @@
 //! * `head`: from body input to body output — the candidate λ of the
 //!   production's head module.
 
-use crate::matrix::StateMatrix;
-use rpq_automata::{Dfa, Symbol};
-use rpq_grammar::SimpleWorkflow;
+use crate::matrix::{StateMatrix, MAX_STATES};
+use rpq_automata::{Dfa, StateId, Symbol};
+use rpq_grammar::{ModuleId, SimpleWorkflow, Tag};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+
+/// The one-symbol step matrices of a DFA, one per *symbol class*.
+///
+/// Tags with equal DFA columns step every state alike, and a query DFA
+/// has only a few distinct columns (the symbols it mentions, plus one
+/// for the rest of Γ), so one safety check builds a handful of
+/// matrices however many edges the specification's bodies have.
+pub struct EdgeSteps {
+    dim: usize,
+    class_of: Vec<u32>,
+    steps: Vec<StateMatrix>,
+}
+
+impl EdgeSteps {
+    /// Group the DFA's symbols by column and build one step matrix per
+    /// group.
+    pub fn new(dfa: &Dfa) -> EdgeSteps {
+        let mut classes: HashMap<Vec<StateId>, u32> = HashMap::new();
+        let mut steps = Vec::new();
+        let mut column = Vec::with_capacity(dfa.n_states());
+        let class_of = (0..dfa.n_symbols())
+            .map(|a| {
+                let a = Symbol(a as u32);
+                column.clear();
+                column.extend((0..dfa.n_states()).map(|q| dfa.next(q as StateId, a)));
+                if let Some(&class) = classes.get(&column) {
+                    return class;
+                }
+                steps.push(StateMatrix::from_dfa_symbol(dfa, a));
+                classes.insert(column.clone(), steps.len() as u32 - 1);
+                steps.len() as u32 - 1
+            })
+            .collect();
+        EdgeSteps {
+            dim: dfa.n_states(),
+            class_of,
+            steps,
+        }
+    }
+
+    /// Number of DFA states the matrices range over.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The step matrix of an edge tagged `tag`.
+    #[inline]
+    pub fn of(&self, tag: Tag) -> &StateMatrix {
+        &self.steps[self.class_of[tag.index()] as usize]
+    }
+}
+
+/// The candidate λ of a production's head — body input → body output —
+/// by one forward sweep from the body's source, keeping nothing else.
+/// Equals [`BodyMatrices::head`] of the full closure computation.
+///
+/// `lambda_of` must be defined for every module occurring in `body`.
+pub(crate) fn head_candidate<'a>(
+    body: &SimpleWorkflow,
+    steps: &EdgeSteps,
+    lambda_of: impl Fn(ModuleId) -> &'a StateMatrix,
+    scratch: &mut Vec<u64>,
+) -> StateMatrix {
+    let q = steps.dim();
+    let n = body.n_nodes();
+    // Row-major `through[j]`: body input → out(j). Nodes are
+    // topologically ordered, so every edge into j leaves a finished row.
+    scratch.clear();
+    scratch.resize(n * q, 0);
+    for j in 0..n {
+        // body input → in(j).
+        let mut into = [0u64; MAX_STATES];
+        if j == body.source() {
+            for (state, row) in into[..q].iter_mut().enumerate() {
+                *row = 1 << state;
+            }
+        } else {
+            for e in body.edges_into(j) {
+                let step = steps.of(e.tag);
+                let through = &scratch[e.src as usize * q..][..q];
+                for (row, &t) in into.iter_mut().zip(through) {
+                    *row |= step.row_mul(t);
+                }
+            }
+        }
+        let lambda = lambda_of(body.node(j));
+        for (out, &row) in scratch[j * q..][..q].iter_mut().zip(&into) {
+            *out = lambda.row_mul(row);
+        }
+    }
+    StateMatrix::from_rows(&scratch[body.sink() * q..][..q])
+}
 
 /// All port-to-port closures of one production body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,40 +129,38 @@ pub struct BodyMatrices {
 }
 
 impl BodyMatrices {
-    /// Compute closures for `body`, given the λ matrix of every module
-    /// (λ must already be defined for all modules occurring in `body`).
-    ///
-    /// `lambda_of` maps a body position's module to its λ matrix.
+    /// Compute closures for `body` under the DFA behind `steps`, given
+    /// the λ matrix of every module, indexed by module id (λ must be
+    /// final for all modules occurring in `body`).
     pub fn compute(
         body: &SimpleWorkflow,
-        dfa: &Dfa,
-        lambda_of: &dyn Fn(rpq_grammar::ModuleId) -> StateMatrix,
+        steps: &EdgeSteps,
+        lambda: &[StateMatrix],
     ) -> BodyMatrices {
         let n = body.n_nodes();
-        let q = dfa.n_states();
-        let lambdas: Vec<StateMatrix> = body.nodes().iter().map(|&m| lambda_of(m)).collect();
-
-        // Edge transition matrices, shared per distinct tag on demand.
-        let edge_matrix = |tag: rpq_grammar::Tag| StateMatrix::from_dfa_symbol(dfa, Symbol(tag.0));
+        let q = steps.dim();
+        let lambdas: Vec<&StateMatrix> = body.nodes().iter().map(|m| &lambda[m.index()]).collect();
 
         // between[i][j] over increasing j (nodes are topologically
-        // ordered, so all edges go forward).
-        let mut between = vec![StateMatrix::zero(q); n * n];
+        // ordered, so all edges go forward). `through[m]` is
+        // out(i) → out(m) for the current i: between[i][m] · λ(m).
+        let mut between = Vec::with_capacity(n * n);
+        let mut through = vec![StateMatrix::zero(q); n];
         for i in 0..n {
-            for j in (i + 1)..n {
+            for j in 0..n {
                 let mut acc = StateMatrix::zero(q);
-                for e in body.edges_into(j) {
-                    let m = e.src as usize;
-                    let step = edge_matrix(e.tag);
-                    if m == i {
-                        acc.or_assign(&step);
-                    } else if m > i {
-                        // out(i) → in(m), through m's λ, over the edge.
-                        let via = between[i * n + m].mul(&lambdas[m]).mul(&step);
-                        acc.or_assign(&via);
+                if j > i {
+                    for e in body.edges_into(j) {
+                        let m = e.src as usize;
+                        if m == i {
+                            acc.or_assign(steps.of(e.tag));
+                        } else if m > i {
+                            acc.or_mul_assign(&through[m], steps.of(e.tag));
+                        }
                     }
+                    acc.mul_into(lambdas[j], &mut through[j]);
                 }
-                between[i * n + j] = acc;
+                between.push(acc);
             }
         }
 
@@ -81,7 +172,7 @@ impl BodyMatrices {
                 if i == sink {
                     StateMatrix::identity(q)
                 } else {
-                    between[i * n + sink].mul(&lambdas[sink])
+                    between[i * n + sink].mul(lambdas[sink])
                 }
             })
             .collect();
@@ -101,7 +192,7 @@ impl BodyMatrices {
         } else {
             lambdas[source]
                 .mul(&between[source * n + sink])
-                .mul(&lambdas[sink])
+                .mul(lambdas[sink])
         };
 
         BodyMatrices {
@@ -182,6 +273,19 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Closures of the first production, every module's λ the identity
+    /// (all body modules are atomic).
+    fn compute_atomic(spec: &Specification, dfa: &Dfa) -> BodyMatrices {
+        let lambda = vec![StateMatrix::identity(dfa.n_states()); spec.n_modules()];
+        let body = &spec.productions()[0].body;
+        let steps = EdgeSteps::new(dfa);
+        let bm = BodyMatrices::compute(body, &steps, &lambda);
+        // The verdict phase's forward sweep computes the same head.
+        let head = head_candidate(body, &steps, |m| &lambda[m.index()], &mut Vec::new());
+        assert_eq!(&head, bm.head());
+        bm
+    }
+
     #[test]
     fn chain_matrices_track_dfa_states() {
         let spec = chain_spec();
@@ -189,9 +293,8 @@ mod tests {
         let e = Symbol(spec.tag_by_name("e").unwrap().0);
         let dfa = compile_minimal_dfa(&Regex::ifq(&[e]), spec.n_tags());
         assert_eq!(dfa.n_states(), 2);
-        let body = &spec.productions()[0].body;
         let id = StateMatrix::identity(2);
-        let bm = BodyMatrices::compute(body, &dfa, &|_| id.clone());
+        let bm = compute_atomic(&spec, &dfa);
 
         // out(x) → in(y): one e-edge, so q0 → qf and qf → qf.
         let b01 = bm.between(0, 1);
@@ -246,9 +349,7 @@ mod tests {
         // Query ⎵* left ⎵*: paths via p transition to accept, via q not.
         let left = Symbol(spec.tag_by_name("left").unwrap().0);
         let dfa = compile_minimal_dfa(&Regex::ifq(&[left]), spec.n_tags());
-        let body = &spec.productions()[0].body;
-        let id = StateMatrix::identity(dfa.n_states());
-        let bm = BodyMatrices::compute(body, &dfa, &|_| id.clone());
+        let bm = compute_atomic(&spec, &dfa);
 
         // out(s) → in(t): the union of both branches: q0 can reach qf
         // (via left) and also stay in q0 (via right).
@@ -263,9 +364,7 @@ mod tests {
     fn no_path_gives_zero_matrix() {
         let spec = chain_spec();
         let dfa = compile_minimal_dfa(&Regex::any_star(), spec.n_tags());
-        let body = &spec.productions()[0].body;
-        let id = StateMatrix::identity(1);
-        let bm = BodyMatrices::compute(body, &dfa, &|_| id.clone());
+        let bm = compute_atomic(&spec, &dfa);
         // Backwards: out(z) → in(x) has no path.
         assert!(bm.between(2, 0).is_zero());
         // Reachability forward is total for the 1-state DFA.

@@ -17,9 +17,18 @@
 //! final consistency sweep compares every production's candidate against
 //! the fixed λ, so any divergent execution is caught at its topmost
 //! divergent production.
+//!
+//! The check runs in two phases. [`lambda_fixpoint`] is the verdict: the
+//! fixpoint needs only each production's *head* candidate, which one
+//! forward sweep over the body yields without retaining a matrix.
+//! [`body_matrices`] then computes the full port-graph closures a plan
+//! decodes with — from the final λ, and only for a query found safe. A
+//! planner decomposing an unsafe query rejects dozens of candidate
+//! segments for every one it keeps, so the verdict is what it pays for
+//! most.
 
 use crate::matrix::StateMatrix;
-use crate::portgraph::BodyMatrices;
+use crate::portgraph::{head_candidate, BodyMatrices, EdgeSteps};
 use rpq_automata::Dfa;
 use rpq_grammar::{ModuleKind, ProductionId, Specification};
 
@@ -48,32 +57,47 @@ impl SafetyOutcome {
     }
 }
 
-/// Check safety of `dfa` w.r.t. `spec` (Definition 12, via the λ
-/// fixpoint).
+/// Check safety of `dfa` w.r.t. `spec` (Definition 12): the verdict
+/// ([`lambda_fixpoint`]), then — only for a safe query — the port-graph
+/// closures of every production ([`body_matrices`]).
 pub fn check_safety(spec: &Specification, dfa: &Dfa) -> SafetyOutcome {
-    let q = dfa.n_states();
-    let n_modules = spec.n_modules();
-    let mut lambda: Vec<Option<StateMatrix>> = vec![None; n_modules];
-    for (i, m) in spec.modules().iter().enumerate() {
-        if m.kind == ModuleKind::Atomic {
-            lambda[i] = Some(StateMatrix::identity(q));
-        }
+    match lambda_fixpoint(spec, dfa) {
+        Ok(lambda) => SafetyOutcome::Safe {
+            bodies: body_matrices(spec, dfa, &lambda),
+            lambda,
+        },
+        Err(witness) => SafetyOutcome::Unsafe { witness },
     }
+}
 
-    let n_prods = spec.productions().len();
-    let mut bodies: Vec<Option<BodyMatrices>> = vec![None; n_prods];
-    let mut verified = vec![false; n_prods];
+/// Phase 1 of the safety check — the verdict. Runs the λ fixpoint
+/// computing only each production's head candidate (one forward sweep
+/// over its body, nothing retained) and returns λ(M) per module, or the
+/// first production whose candidate contradicts the λ of its head.
+///
+/// This is all a planner needs to *reject* a candidate, and rejections
+/// are most of what decomposing an unsafe query does.
+pub fn lambda_fixpoint(spec: &Specification, dfa: &Dfa) -> Result<Vec<StateMatrix>, ProductionId> {
+    let q = dfa.n_states();
+    let steps = EdgeSteps::new(dfa);
+    let mut lambda: Vec<Option<StateMatrix>> = spec
+        .modules()
+        .iter()
+        .map(|m| (m.kind == ModuleKind::Atomic).then(|| StateMatrix::identity(q)))
+        .collect();
+
+    let mut verified = vec![false; spec.productions().len()];
+    let mut scratch = Vec::new();
 
     // Worklist fixpoint: try to verify productions whose bodies are fully
     // λ-defined; defining a new λ may unlock more productions. At most
     // |Σ| rounds define something new.
     loop {
         let mut progressed = false;
-        for pi in 0..n_prods {
+        for (pi, prod) in spec.productions().iter().enumerate() {
             if verified[pi] {
                 continue;
             }
-            let prod = &spec.productions()[pi];
             let ready = prod
                 .body
                 .nodes()
@@ -82,20 +106,19 @@ pub fn check_safety(spec: &Specification, dfa: &Dfa) -> SafetyOutcome {
             if !ready {
                 continue;
             }
-            let bm = BodyMatrices::compute(&prod.body, dfa, &|m| {
-                lambda[m.index()].clone().expect("checked ready")
-            });
-            let candidate = bm.head().clone();
-            bodies[pi] = Some(bm);
+            let candidate = head_candidate(
+                &prod.body,
+                &steps,
+                |m| lambda[m.index()].as_ref().expect("checked ready"),
+                &mut scratch,
+            );
             verified[pi] = true;
             progressed = true;
             match &lambda[prod.head.index()] {
                 None => lambda[prod.head.index()] = Some(candidate),
                 Some(existing) => {
                     if *existing != candidate {
-                        return SafetyOutcome::Unsafe {
-                            witness: ProductionId(pi as u32),
-                        };
+                        return Err(ProductionId(pi as u32));
                     }
                 }
             }
@@ -108,12 +131,22 @@ pub fn check_safety(spec: &Specification, dfa: &Dfa) -> SafetyOutcome {
     // Productivity (enforced at spec validation) guarantees every module
     // eventually gets a λ and every production gets verified.
     debug_assert!(verified.iter().all(|&v| v), "unverified production");
-    debug_assert!(lambda.iter().all(Option::is_some), "λ left undefined");
+    Ok(lambda
+        .into_iter()
+        .map(|l| l.expect("productive specifications define every λ"))
+        .collect())
+}
 
-    SafetyOutcome::Safe {
-        lambda: lambda.into_iter().map(|l| l.expect("defined")).collect(),
-        bodies: bodies.into_iter().map(|b| b.expect("verified")).collect(),
-    }
+/// Phase 2 of the safety check: the port-graph closures of every
+/// production, from the final λ of a safe query. A λ never changes once
+/// defined, so these are the matrices the fixpoint would have built
+/// along the way.
+pub fn body_matrices(spec: &Specification, dfa: &Dfa, lambda: &[StateMatrix]) -> Vec<BodyMatrices> {
+    let steps = EdgeSteps::new(dfa);
+    spec.productions()
+        .iter()
+        .map(|p| BodyMatrices::compute(&p.body, &steps, lambda))
+        .collect()
 }
 
 #[cfg(test)]

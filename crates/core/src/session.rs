@@ -522,12 +522,7 @@ impl Session {
                 match store.load(&key.canon, policy) {
                     Some(plan) => QueryPlan::Safe(plan),
                     None => {
-                        let plan = general::plan_query_with_dfa(
-                            &self.spec,
-                            regex,
-                            policy,
-                            (*dfa).clone(),
-                        )?;
+                        let plan = general::plan_query_with_dfa(&self.spec, regex, policy, &dfa)?;
                         if let QueryPlan::Safe(safe) = &plan {
                             store.store(&key.canon, &source, policy, safe);
                         }
@@ -535,18 +530,19 @@ impl Session {
                     }
                 }
             }
-            _ => general::plan_query_with_dfa(&self.spec, regex, policy, (*dfa).clone())?,
+            _ => general::plan_query_with_dfa(&self.spec, regex, policy, &dfa)?,
         };
         // Definition-13 safety is a property of the query, not of the
         // chosen plan: a non-leaf plan under a label-aware policy
         // settles it, but naive plans (always composite) and index-
-        // answered leaves need an explicit probe.
+        // answered leaves need an explicit probe — the verdict alone,
+        // no plan is built to read it.
         let safe = match &plan {
             QueryPlan::Safe(_) => true,
             QueryPlan::Composite(..)
                 if policy == SubqueryPolicy::AlwaysRelational || general::is_leaf(regex) =>
             {
-                SafeQueryPlan::compile(&self.spec, (*dfa).clone()).is_ok()
+                SafeQueryPlan::check(&self.spec, &dfa).is_ok()
             }
             QueryPlan::Composite(..) => false,
         };
@@ -583,7 +579,8 @@ impl Session {
 
     /// Is `regex` safe w.r.t. the specification (Definition 13)?
     pub fn is_safe(&self, regex: &Regex) -> bool {
-        self.plan_safe(regex).is_ok()
+        let dfa = compile_minimal_dfa(regex, self.spec.n_tags());
+        SafeQueryPlan::check(&self.spec, &dfa).is_ok()
     }
 
     /// Compile strictly as a safe plan, erroring when decomposition

@@ -54,6 +54,27 @@ pub struct SynthParams {
     pub seed: u64,
 }
 
+impl SynthParams {
+    /// The recipe of the overhead experiments (Fig. 13a): bodies average
+    /// ~6.5 nodes, so `n_composite` composites — a quarter of them
+    /// self-recursive — give a grammar of size ≈ 10 · `n_composite`
+    /// (120 composites for the largest bucket, ~1200).
+    pub fn fig13a(n_composite: usize, seed: u64) -> SynthParams {
+        SynthParams {
+            n_atomic: n_composite * 2,
+            n_composite,
+            n_self_cycles: (n_composite / 4).max(1),
+            n_two_cycles: 0,
+            body_nodes: (4, 8),
+            extra_edge_prob: 0.2,
+            composite_ref_prob: 0.0,
+            n_tags: 20,
+            alt_production_per_mille: 0,
+            seed,
+        }
+    }
+}
+
 impl Default for SynthParams {
     fn default() -> SynthParams {
         SynthParams {

@@ -8,7 +8,7 @@
 //! This facade crate re-exports the whole workspace so applications can
 //! depend on a single crate:
 //!
-//! * [`automata`] — regexes, NFAs, DFAs, Hopcroft minimization.
+//! * [`automata`] — regexes, NFAs, DFAs, Moore minimization.
 //! * [`grammar`] — context-free graph-grammar workflow specifications.
 //! * [`labeling`] — runs, derivation, compressed parse trees and the
 //!   derivation-based reachability labels of Bao et al. (PVLDB 2012).

@@ -23,6 +23,84 @@ fn regex_strategy() -> impl Strategy<Value = Regex> {
     })
 }
 
+/// Alphabet sizes of the sparse-alphabet strategy: a query names a
+/// handful of a specification's tags, or all of a toy one's.
+const ALPHABETS: [usize; 5] = [1, 2, 3, 40, 200];
+
+/// A regex mentioning at most four symbols of an alphabet drawn from
+/// [`ALPHABETS`] — none of them (`_*`), some (a "rest" class exists) or
+/// all (it does not) — with `Empty` and `Epsilon` among the leaves.
+fn sparse_regex_strategy() -> impl Strategy<Value = (Regex, usize)> {
+    let leaf = prop_oneof![
+        (0u32..4).prop_map(|slot| Regex::Sym(Symbol(slot))),
+        Just(Regex::Wildcard),
+        Just(Regex::any_star()),
+        Just(Regex::Epsilon),
+        Just(Regex::Empty),
+    ];
+    // Raw constructors, so ε and ∅ survive inside composites instead
+    // of being normalized away.
+    let shape = leaf.prop_recursive(3, 24, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 2..4).prop_map(Regex::Concat),
+            prop::collection::vec(inner.clone(), 2..4).prop_map(Regex::Alt),
+            inner.clone().prop_map(|r| Regex::Star(Box::new(r))),
+            inner.clone().prop_map(|r| Regex::Plus(Box::new(r))),
+            inner.prop_map(|r| Regex::Optional(Box::new(r))),
+        ]
+    });
+    let picks = prop::collection::vec(0u32..200, 4..5);
+    (shape, 0usize..ALPHABETS.len(), picks).prop_map(|(shape, alphabet, picks)| {
+        let n = ALPHABETS[alphabet];
+        (place(&shape, &|slot| Symbol(picks[slot] % n as u32)), n)
+    })
+}
+
+/// `shape` with symbol slot `i` replaced by `symbol_of(i)`.
+fn place(shape: &Regex, symbol_of: &dyn Fn(usize) -> Symbol) -> Regex {
+    let all = |parts: &[Regex]| parts.iter().map(|p| place(p, symbol_of)).collect();
+    match shape {
+        Regex::Sym(slot) => Regex::Sym(symbol_of(slot.index())),
+        Regex::Concat(parts) => Regex::Concat(all(parts)),
+        Regex::Alt(parts) => Regex::Alt(all(parts)),
+        Regex::Star(inner) => Regex::Star(Box::new(place(inner, symbol_of))),
+        Regex::Plus(inner) => Regex::Plus(Box::new(place(inner, symbol_of))),
+        Regex::Optional(inner) => Regex::Optional(Box::new(place(inner, symbol_of))),
+        leaf => leaf.clone(),
+    }
+}
+
+/// The pipeline over the whole alphabet, from the public building
+/// blocks: what `compile_minimal_dfa` must equal state for state.
+fn referee_minimal_dfa(re: &Regex, n_symbols: usize) -> Dfa {
+    minimize(&Dfa::from_nfa(&Nfa::from_regex(re, n_symbols)))
+}
+
+#[test]
+fn class_alphabet_corner_cases_equal_the_referee() {
+    for n in ALPHABETS {
+        let last = Symbol(n as u32 - 1);
+        let every_symbol = Regex::alt((0..n as u32).map(|i| Regex::Sym(Symbol(i))).collect());
+        for re in [
+            Regex::any_star(),
+            Regex::Wildcard,
+            Regex::Empty,
+            Regex::Epsilon,
+            Regex::Sym(last),
+            Regex::ifq(&[last, Symbol(0)]),
+            // No rest class: every symbol is mentioned.
+            Regex::star(every_symbol.clone()),
+            Regex::concat(vec![every_symbol, Regex::Sym(last)]),
+        ] {
+            assert_eq!(
+                compile_minimal_dfa(&re, n),
+                referee_minimal_dfa(&re, n),
+                "{re:?} over {n} symbols"
+            );
+        }
+    }
+}
+
 fn all_words(max_len: usize) -> Vec<Vec<Symbol>> {
     let mut words: Vec<Vec<Symbol>> = vec![vec![]];
     let mut frontier = vec![Vec::new()];
@@ -59,6 +137,13 @@ proptest! {
         prop_assert!(min.n_states() <= dfa.n_states());
         prop_assert_eq!(min.start(), 0);
         prop_assert_eq!(min.accepts_epsilon(), re.nullable());
+    }
+
+    /// The class-alphabet compile equals the full-alphabet pipeline on
+    /// the dense 3-symbol alphabet of the other properties.
+    #[test]
+    fn dense_compile_equals_the_referee(re in regex_strategy()) {
+        prop_assert_eq!(compile_minimal_dfa(&re, N_SYMS), referee_minimal_dfa(&re, N_SYMS));
     }
 
     /// Minimization is idempotent and canonical.
@@ -139,5 +224,21 @@ proptest! {
             (None, found) => prop_assert_eq!(found, None),
             _ => {}
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The class-alphabet compile is structurally equal — states,
+    /// numbering, table, accepting — to the full-alphabet pipeline.
+    #[test]
+    fn class_alphabet_compile_equals_the_referee(case in sparse_regex_strategy()) {
+        let (re, n_symbols) = case;
+        prop_assert_eq!(
+            compile_minimal_dfa(&re, n_symbols),
+            referee_minimal_dfa(&re, n_symbols),
+            "{:?} over {} symbols", re, n_symbols
+        );
     }
 }

@@ -18,9 +18,9 @@
 
 use crate::timing::{fmt_secs, time_avg_secs, Table};
 use rpq_relalg::{
-    compose_pairs_bits, compose_pairs_kernel, transitive_closure_bits, transitive_closure_csr,
+    compose_pairs_bits, compose_pairs_kernel, transitive_closure_bits,
     transitive_closure_csr_shared, transitive_closure_pairs, transitive_closure_scc,
-    CondensationCache, CsrRelation, NodePairSet, RowOpsMode,
+    transitive_closure_scc_csr, CondensationCache, CsrRelation, NodePairSet,
 };
 use rpq_workloads::runs::{cyclic_core_relation, deep_chain_relation, wide_dag_relation};
 
@@ -192,181 +192,6 @@ pub fn measure(full: bool) -> Vec<KernelMeasurement> {
     out
 }
 
-/// One row-ops A/B timing: the same bit-kernel operator under the
-/// blocked (4×u64) word loops vs the scalar referee loops
-/// (`RPQ_RELALG_ROWOPS`). Both modes compute identical results (pinned
-/// by proptest); the sweep records what the unroll is worth.
-#[derive(Debug, Clone)]
-pub struct RowOpsMeasurement {
-    /// `transitive_closure` or `compose`.
-    pub op: &'static str,
-    /// Workload shape (`deep_chain` / `layered` / `random`).
-    pub workload: &'static str,
-    /// Universe size.
-    pub n_nodes: usize,
-    /// Input pair count (left operand for compose).
-    pub n_pairs: usize,
-    /// Seconds per call with the blocked loops forced.
-    pub blocked_secs: f64,
-    /// Seconds per call with the scalar loops forced.
-    pub scalar_secs: f64,
-}
-
-impl RowOpsMeasurement {
-    /// How many times faster the blocked loops ran than the scalar
-    /// loops (the row-ops acceptance metric: ≥ 1.0 means the unroll
-    /// never loses).
-    pub fn blocked_speedup(&self) -> f64 {
-        self.scalar_secs / self.blocked_secs.max(1e-12)
-    }
-}
-
-/// Time one op under both forced row-ops modes. The modes alternate
-/// rep by rep (rather than one mode's block after the other's) and the
-/// best rep per mode is kept, so clock drift over a long sweep cannot
-/// masquerade as a kernel difference.
-fn measure_rowops_one(
-    op: &'static str,
-    workload: &'static str,
-    n: usize,
-    n_pairs: usize,
-    reps: usize,
-    mut body: impl FnMut(),
-) -> RowOpsMeasurement {
-    let mut scalar_secs = f64::INFINITY;
-    let mut blocked_secs = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        rpq_relalg::set_row_ops_mode(RowOpsMode::Scalar);
-        scalar_secs = scalar_secs.min(time_avg_secs(&mut body, 1));
-        rpq_relalg::set_row_ops_mode(RowOpsMode::Blocked);
-        blocked_secs = blocked_secs.min(time_avg_secs(&mut body, 1));
-    }
-    RowOpsMeasurement {
-        op,
-        workload,
-        n_nodes: n,
-        n_pairs,
-        blocked_secs,
-        scalar_secs,
-    }
-}
-
-/// The blocked-vs-scalar row-ops sweep over the closure and compose
-/// shapes whose inner loops the rowops module carries.
-pub fn measure_rowops(full: bool) -> Vec<RowOpsMeasurement> {
-    let sizes: &[usize] = if full {
-        &[1024, 2048, 4096]
-    } else {
-        &[1024, 2048]
-    };
-    let reps = if full { 5 } else { 3 };
-    let before = rpq_relalg::row_ops_mode();
-    let mut out = Vec::new();
-    for &n in sizes {
-        let chain = deep_chain_relation(n, 0xDC + n as u64);
-        out.push(measure_rowops_one(
-            "transitive_closure",
-            "deep_chain",
-            n,
-            chain.len(),
-            reps,
-            || {
-                std::hint::black_box(transitive_closure_bits(&chain, n));
-            },
-        ));
-        // Narrower layers than the kernel A/B/C sweep (n/64 per layer,
-        // so ~64 semi-naive rounds): more rounds per closure weights
-        // the fixpoint writeback (`claim_new`) — the primitive the
-        // blocked spelling accelerates — against the memory-bound row
-        // gather, matching the deep-provenance regime.
-        let layered = layered_relation(n, (n / 64).max(2), 2, 0xC105 + n as u64);
-        // Layered closures finish in tens of milliseconds — like the
-        // compose rows below, triple the interleaved reps so best-of
-        // sits below the container's timing jitter.
-        out.push(measure_rowops_one(
-            "transitive_closure",
-            "layered",
-            n,
-            layered.len(),
-            reps * 3,
-            || {
-                std::hint::black_box(transitive_closure_bits(&layered, n));
-            },
-        ));
-        let a = random_relation(n, 4 * n, 0xA11CE + n as u64);
-        let b = random_relation(n, 4 * n, 0xB0B + n as u64);
-        // Time the row-OR gather itself (`BitRelation::compose_csr`),
-        // with the pair↔CSR/bitset conversions hoisted out of the
-        // body: the conversions cost the same in both modes and would
-        // dilute the loop ratio this sweep exists to record. Compose
-        // calls are ~1000× cheaper than the closures above, so triple
-        // the interleaved reps as well.
-        let a_csr = CsrRelation::from_pairs(&a, n);
-        let b_bits = rpq_relalg::BitRelation::from_pairs(&b, n);
-        out.push(measure_rowops_one(
-            "compose",
-            "random",
-            n,
-            a.len(),
-            reps * 3,
-            || {
-                std::hint::black_box(rpq_relalg::BitRelation::compose_csr(&a_csr, &b_bits));
-            },
-        ));
-    }
-    rpq_relalg::set_row_ops_mode(before);
-    out
-}
-
-/// Paper-style table of the row-ops sweep.
-pub fn rowops_table(measurements: &[RowOpsMeasurement]) -> Table {
-    let mut table = Table::new(
-        "row-ops A/B: blocked 4xu64 loops vs scalar referee (bit kernel)",
-        &[
-            "op",
-            "workload",
-            "nodes",
-            "in pairs",
-            "blocked",
-            "scalar",
-            "blocked/scalar",
-        ],
-    );
-    for m in measurements {
-        table.row(vec![
-            m.op.to_owned(),
-            m.workload.to_owned(),
-            format!("{}", m.n_nodes),
-            format!("{}", m.n_pairs),
-            fmt_secs(m.blocked_secs),
-            fmt_secs(m.scalar_secs),
-            format!("{:.2}x", m.blocked_speedup()),
-        ]);
-    }
-    table
-}
-
-/// The `rowops_sweep` JSON section of `BENCH_relalg.json`.
-pub fn rowops_to_json(measurements: &[RowOpsMeasurement]) -> String {
-    let mut out = String::from("[\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"workload\": \"{}\", \"n_nodes\": {}, \"n_pairs\": {}, \
-             \"blocked_secs\": {:.9}, \"scalar_secs\": {:.9}, \"blocked_speedup\": {:.3}}}{}\n",
-            m.op,
-            m.workload,
-            m.n_nodes,
-            m.n_pairs,
-            m.blocked_secs,
-            m.scalar_secs,
-            m.blocked_speedup(),
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]");
-    out
-}
-
 /// One condensation-reuse timing: a k-closure evaluation's SCC-kernel
 /// work with a Tarjan walk per closure (the pre-sharing behavior) vs
 /// one walk over the run's full adjacency reused by every closure
@@ -405,8 +230,6 @@ pub fn measure_condensation(full: bool) -> Vec<CondensationMeasurement> {
     };
     let reps = if full { 5 } else { 3 };
     let n_closures = 6;
-    let before = rpq_relalg::kernel_mode();
-    rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::ForceScc);
     let mut out = Vec::new();
     for &n in sizes {
         // Sparse per-tag bases (≤ n/2 edges each), DAG-oriented like
@@ -435,20 +258,21 @@ pub fn measure_condensation(full: bool) -> Vec<CondensationMeasurement> {
         for base in &bases {
             let cache = CondensationCache::new();
             assert_eq!(
-                transitive_closure_csr(base),
+                transitive_closure_scc_csr(base),
                 transitive_closure_csr_shared(base, &whole, &cache),
                 "shared condensation disagrees with the per-closure walk"
             );
         }
         // Interleave the two schedules rep by rep and keep the best of
-        // each (same drift-proofing as the row-ops A/B).
+        // each, so clock drift over a long sweep cannot masquerade as a
+        // schedule difference.
         let mut fresh_secs = f64::INFINITY;
         let mut shared_secs = f64::INFINITY;
         for _ in 0..reps.max(1) {
             fresh_secs = fresh_secs.min(time_avg_secs(
                 || {
                     for base in &bases {
-                        std::hint::black_box(transitive_closure_csr(base));
+                        std::hint::black_box(transitive_closure_scc_csr(base));
                     }
                 },
                 1,
@@ -471,7 +295,6 @@ pub fn measure_condensation(full: bool) -> Vec<CondensationMeasurement> {
             shared_secs,
         });
     }
-    rpq_relalg::set_kernel_mode(before);
     out
 }
 
@@ -588,13 +411,12 @@ pub fn to_json(measurements: &[KernelMeasurement]) -> String {
     out
 }
 
-/// Run every sweep — the kernel A/B/C, the blocked-vs-scalar row-ops
-/// A/B, the condensation-reuse A/B and the session-level strategy A/B —
-/// write the combined baseline to `path`, and return the rendered
-/// tables (kernels first, in sweep order).
+/// Run every sweep — the kernel A/B/C, the condensation-reuse A/B and
+/// the session-level strategy A/B — write the combined baseline to
+/// `path`, and return the rendered tables (kernels first, in sweep
+/// order).
 pub fn run_and_record(full: bool, path: &str) -> std::io::Result<Vec<Table>> {
     let measurements = measure(full);
-    let rowops = measure_rowops(full);
     let condensations = measure_condensation(full);
     let strategies = crate::lazybench::measure(full);
     let mut json = to_json(&measurements);
@@ -602,16 +424,13 @@ pub fn run_and_record(full: bool, path: &str) -> std::io::Result<Vec<Table>> {
     debug_assert!(json.ends_with(closer));
     json.truncate(json.len() - closer.len());
     json.push_str(&format!(
-        "  ],\n  \"rowops_sweep\": {},\n  \"condensation_sweep\": {},\n  \
-         \"strategy_sweep\": {}\n}}\n",
-        rowops_to_json(&rowops),
+        "  ],\n  \"condensation_sweep\": {},\n  \"strategy_sweep\": {}\n}}\n",
         condensation_to_json(&condensations),
         crate::lazybench::to_json(&strategies)
     ));
     std::fs::write(path, json)?;
     Ok(vec![
         table(&measurements),
-        rowops_table(&rowops),
         condensation_table(&condensations),
         crate::lazybench::table(&strategies),
     ])
@@ -670,18 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn rowops_and_condensation_json_sections_are_well_formed() {
-        let rowops = vec![RowOpsMeasurement {
-            op: "compose",
-            workload: "random",
-            n_nodes: 10,
-            n_pairs: 40,
-            blocked_secs: 5e-7,
-            scalar_secs: 1e-6,
-        }];
-        let json = rowops_to_json(&rowops);
-        assert!(json.contains("\"blocked_speedup\": 2.000"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    fn condensation_json_section_is_well_formed() {
         let conds = vec![CondensationMeasurement {
             n_nodes: 10,
             n_closures: 6,
@@ -695,21 +503,8 @@ mod tests {
     }
 
     #[test]
-    fn rowops_sweep_restores_the_process_mode() {
-        let before = rpq_relalg::row_ops_mode();
-        let m = measure_rowops_one("compose", "random", 64, 10, 1, || {
-            std::hint::black_box(0u64);
-        });
-        assert!(m.blocked_secs > 0.0 && m.scalar_secs > 0.0);
-        assert_eq!(rpq_relalg::row_ops_mode(), RowOpsMode::Blocked);
-        rpq_relalg::set_row_ops_mode(before);
-    }
-
-    #[test]
     fn condensation_sweep_cross_checks_and_reports() {
-        // One tiny size through the real measurement loop.
-        let before = rpq_relalg::kernel_mode();
-        rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::ForceScc);
+        // One tiny size through the sweep's cross-check.
         let bases: Vec<CsrRelation> = (0..4)
             .map(|i| CsrRelation::from_pairs(&random_relation(64, 32, i), 64))
             .collect();
@@ -721,11 +516,10 @@ mod tests {
         let cache = CondensationCache::new();
         for base in &bases {
             assert_eq!(
-                transitive_closure_csr(base),
+                transitive_closure_scc_csr(base),
                 transitive_closure_csr_shared(base, &whole, &cache)
             );
         }
-        rpq_relalg::set_kernel_mode(before);
     }
 
     #[test]

@@ -349,11 +349,6 @@ fn measure_obs_guard(
         .zip(&off_slices)
         .map(|(&on, &off)| (off - on) / off.max(1e-9) * 100.0)
         .collect();
-    if std::env::var_os("RPQ_OBS_GUARD_DEBUG").is_some() {
-        eprintln!("obs_guard on:  {on_slices:.0?}");
-        eprintln!("obs_guard off: {off_slices:.0?}");
-        eprintln!("obs_guard deltas: {deltas:.1?}");
-    }
     ObsGuard {
         workers: 1,
         runs_per_arm: pairs,

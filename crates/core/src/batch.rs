@@ -208,11 +208,8 @@ impl Session {
         let slots: Vec<Mutex<Option<BatchItem>>> = (0..n).map(|_| Mutex::new(None)).collect();
         // Safe plans decode labels only: never pull (or, on a cold
         // store, derive and persist) index artifacts a plan cannot
-        // read. Except under a forced-lazy strategy, where every plan
-        // runs the product search over the CSR arena — seed it, or
-        // each worker would derive its own.
-        let wants_artifacts = query.stats().kind == PlanKind::Composite
-            || crate::lazy::eval_strategy() == crate::lazy::EvalStrategy::Lazy;
+        // read.
+        let wants_artifacts = query.stats().kind == PlanKind::Composite;
 
         let worker = || loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -139,9 +139,7 @@ impl CostModel {
     /// `n`-row output write — which is why it dominates on deep sparse
     /// graphs whose closures dwarf their bases. The dispatcher in
     /// `rpq_relalg::kernel` picks the cheapest strategy at evaluation
-    /// time, so the model charges the minimum of the three under auto
-    /// mode — and the forced kernel's cost under an override, keeping
-    /// the cost-based policy honest in `--kernel` A/B runs.
+    /// time, so the model charges the minimum of the three.
     pub fn closure_op_work(&self, base_est: f64) -> f64 {
         let closure = self.closure_estimate(base_est);
         let pair_work = PAIR_CLOSURE_FACTOR * closure;
@@ -155,15 +153,7 @@ impl CostModel {
         // and the Tarjan walk at roughly one pair touch per node+edge.
         let scc_work = WORD_VS_PAIR_DISCOUNT * wpr * (base_est + 2.0 * self.n_nodes)
             + 0.25 * (self.n_nodes + base_est);
-        // Under a forced mode, charge the kernel that will actually
-        // run — the auto minimum would mislead the policy choice in
-        // `--kernel pairs` A/B runs.
-        match rpq_relalg::kernel_mode() {
-            rpq_relalg::KernelMode::ForcePairs => pair_work,
-            rpq_relalg::KernelMode::ForceBits => bit_work,
-            rpq_relalg::KernelMode::ForceScc => scc_work,
-            rpq_relalg::KernelMode::Auto => pair_work.min(bit_work).min(scc_work),
-        }
+        pair_work.min(bit_work).min(scc_work)
     }
 
     /// Optimal association order for composing a concatenation chain:

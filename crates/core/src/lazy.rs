@@ -24,21 +24,22 @@
 //! * `TargetStar` runs the same search over the *transposed* CSR and
 //!   the reversed (now nondeterministic) transition relation.
 //!
-//! Strategy selection mirrors the relational kernel dispatch: a
-//! process-wide [`EvalStrategy`] (env `RPQ_EVAL_STRATEGY`, CLI
-//! `--strategy`, or [`set_eval_strategy`]), resolved per request by the
-//! cost model under `auto` — see `Session::evaluate`.
+//! Strategy selection is per call: `Session::evaluate` lets the cost
+//! model pick per request ([`EvalStrategy::Auto`]); a caller that wants
+//! one engine names it through `Session::evaluate_with_strategy` (or
+//! the serve protocol's `QuerySpec::strategy`). There is no
+//! process-wide setting.
 
 use rpq_automata::{Dfa, StateId, Symbol};
 use rpq_grammar::Tag;
 use rpq_labeling::NodeId;
 use rpq_relalg::CsrIndex;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Evaluation strategy override mode, settable per process (and per
-/// request through `Session::evaluate_with_strategy` / the serve
-/// protocol's `QuerySpec::strategy`).
+/// Evaluation strategy: the explicit per-call argument of
+/// `Session::evaluate_with_strategy` and the wire value of the serve
+/// protocol's `QuerySpec::strategy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalStrategy {
     /// Cost-model choice per request (default): lazy for frontier-bound
@@ -52,11 +53,11 @@ pub enum EvalStrategy {
 }
 
 impl EvalStrategy {
-    /// Every CLI/env name, in display order.
+    /// Every CLI/wire name, in display order.
     pub const NAMES: [&'static str; 3] = ["auto", "lazy", "materialized"];
 
     /// Parse a strategy name (`auto` / `lazy` / `materialized`), as
-    /// accepted by both the env var and the CLI flag.
+    /// accepted by the CLI flag and the wire field.
     pub fn from_name(name: &str) -> Option<EvalStrategy> {
         match name {
             "auto" => Some(EvalStrategy::Auto),
@@ -74,82 +75,6 @@ impl EvalStrategy {
             EvalStrategy::Materialized => "materialized",
         }
     }
-
-    /// Validate a raw `RPQ_EVAL_STRATEGY` environment value.
-    ///
-    /// Unset is handled by the caller; an empty (or all-whitespace)
-    /// value means "no preference" and resolves to `auto`. Anything
-    /// else must be a recognized strategy name — unrecognized values
-    /// return an error naming the valid choices instead of being
-    /// silently coerced (the env reader warns and falls back to
-    /// `auto`; CLIs can surface the message as a hard error).
-    pub fn from_env_value(raw: &str) -> Result<EvalStrategy, String> {
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            return Ok(EvalStrategy::Auto);
-        }
-        EvalStrategy::from_name(trimmed).ok_or_else(|| {
-            format!(
-                "unrecognized RPQ_EVAL_STRATEGY value {trimmed:?}: \
-                 valid values are auto, lazy, materialized"
-            )
-        })
-    }
-}
-
-const STRATEGY_UNSET: u8 = 0;
-const STRATEGY_AUTO: u8 = 1;
-const STRATEGY_LAZY: u8 = 2;
-const STRATEGY_MATERIALIZED: u8 = 3;
-
-/// Process-wide strategy: runtime override wins, else the env var,
-/// else auto.
-static STRATEGY: AtomicU8 = AtomicU8::new(STRATEGY_UNSET);
-
-fn strategy_from_env() -> EvalStrategy {
-    match std::env::var("RPQ_EVAL_STRATEGY") {
-        Err(_) => EvalStrategy::Auto,
-        Ok(raw) => strategy_from_raw(&raw),
-    }
-}
-
-/// Resolve a raw `RPQ_EVAL_STRATEGY` value with the same
-/// warn-and-fall-back contract as `RPQ_RELALG_KERNEL`, through the same
-/// [`rpq_relalg::warn_config_fallback`] helper: the first evaluation is
-/// a poor place to abort, so warn once (the strategy is cached after
-/// this read), fall back to the default — and leave a trackable trace
-/// in the shared config-warning counter so stats/metrics scrapes
-/// surface it.
-fn strategy_from_raw(raw: &str) -> EvalStrategy {
-    EvalStrategy::from_env_value(raw).unwrap_or_else(|message| {
-        rpq_relalg::warn_config_fallback(&message, "auto");
-        EvalStrategy::Auto
-    })
-}
-
-/// The evaluation strategy in force for this process.
-pub fn eval_strategy() -> EvalStrategy {
-    match STRATEGY.load(Ordering::Relaxed) {
-        STRATEGY_AUTO => EvalStrategy::Auto,
-        STRATEGY_LAZY => EvalStrategy::Lazy,
-        STRATEGY_MATERIALIZED => EvalStrategy::Materialized,
-        _ => {
-            let strategy = strategy_from_env();
-            set_eval_strategy(strategy);
-            strategy
-        }
-    }
-}
-
-/// Override the evaluation strategy (the CLI `--strategy` flag; also
-/// used by the A/B bench harness).
-pub fn set_eval_strategy(strategy: EvalStrategy) {
-    let raw = match strategy {
-        EvalStrategy::Auto => STRATEGY_AUTO,
-        EvalStrategy::Lazy => STRATEGY_LAZY,
-        EvalStrategy::Materialized => STRATEGY_MATERIALIZED,
-    };
-    STRATEGY.store(raw, Ordering::Relaxed);
 }
 
 /// Process-wide lazy-engine totals (service stats and metrics scrapes);
@@ -495,47 +420,6 @@ mod tests {
             assert!(EvalStrategy::NAMES.contains(&strategy.name()));
         }
         assert_eq!(EvalStrategy::from_name("eager"), None);
-    }
-
-    #[test]
-    fn env_values_are_validated() {
-        assert_eq!(EvalStrategy::from_env_value("lazy"), Ok(EvalStrategy::Lazy));
-        assert_eq!(
-            EvalStrategy::from_env_value(" materialized\n"),
-            Ok(EvalStrategy::Materialized)
-        );
-        assert_eq!(EvalStrategy::from_env_value(""), Ok(EvalStrategy::Auto));
-        assert_eq!(EvalStrategy::from_env_value("  "), Ok(EvalStrategy::Auto));
-        for bad in ["eager", "LAZY", "lazy,materialized", "1"] {
-            let err = EvalStrategy::from_env_value(bad).unwrap_err();
-            assert!(err.contains("RPQ_EVAL_STRATEGY"), "{err}");
-            assert!(
-                err.contains("auto") && err.contains("lazy") && err.contains("materialized"),
-                "error must name the valid values: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_strategy_value_counts_as_config_warning() {
-        // Regression: the `RPQ_EVAL_STRATEGY` warn-and-fall-back path
-        // must feed the shared config-warning counters exactly like
-        // `RPQ_RELALG_KERNEL` does (both now route through
-        // `rpq_relalg::warn_config_fallback`). It used to print the
-        // warning without recording it, leaving metrics scrapes blind
-        // to strategy typos.
-        let before = rpq_relalg::config_warnings();
-        assert_eq!(strategy_from_raw("eager"), EvalStrategy::Auto);
-        assert_eq!(rpq_relalg::config_warnings(), before + 1);
-        let last = rpq_relalg::last_config_warning()
-            .expect("a config warning must be recorded, not just printed");
-        assert!(last.contains("RPQ_EVAL_STRATEGY"), "{last}");
-        assert!(last.contains("eager"), "{last}");
-
-        // Valid and empty values must not count as warnings.
-        assert_eq!(strategy_from_raw("lazy"), EvalStrategy::Lazy);
-        assert_eq!(strategy_from_raw(""), EvalStrategy::Auto);
-        assert_eq!(rpq_relalg::config_warnings(), before + 1);
     }
 
     #[test]

@@ -22,13 +22,11 @@
 //! [`Session`] is the high-level entry point: it owns the
 //! specification, caches compiled plans ([`PreparedQuery`]) and per-run
 //! tag indexes, and answers [`QueryRequest`]s with [`QueryOutcome`]s.
-//! Every failure mode surfaces as the single [`RpqError`] enum. The
-//! old [`RpqEngine`] facade is deprecated and delegates here.
+//! Every failure mode surfaces as the single [`RpqError`] enum.
 
 pub mod allpairs;
 pub mod batch;
 pub mod cost;
-pub mod engine;
 pub mod error;
 pub mod general;
 pub mod lazy;
@@ -42,17 +40,12 @@ pub mod session;
 pub use allpairs::{all_pairs_filtered, all_pairs_nested, all_pairs_reachability};
 pub use batch::{BatchItem, BatchOptions, BatchOutcome, RunRef, RunSource};
 pub use cost::{ChainOrder, CostModel};
-#[allow(deprecated)]
-pub use engine::RpqEngine;
 pub use error::RpqError;
 pub use general::{
     all_pairs, all_pairs_csr, eval_node, pairwise, pairwise_csr, plan_query, plan_query_with,
     relational_node, EvalCtx, PlanNode, QueryPlan, SubqueryPolicy,
 };
-pub use lazy::{
-    eval_strategy, lazy_counts, set_eval_strategy, thread_expansions, EvalStrategy, LazyCounts,
-    LazyEval,
-};
+pub use lazy::{lazy_counts, thread_expansions, EvalStrategy, LazyCounts, LazyEval};
 pub use matrix::StateMatrix;
 pub use plan::{PlanError, SafeQueryPlan};
 pub use portgraph::{BodyMatrices, EdgeSteps};

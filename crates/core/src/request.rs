@@ -88,15 +88,10 @@ pub struct EvalMeta {
     pub plan_kind: PlanKind,
     /// Per-run tag-index cache interaction.
     pub index_cache: IndexCacheUse,
-    /// The relational kernel mode in force during the evaluation
-    /// (`auto` dispatches per operator on density; `pairs`/`bits`/`scc`
-    /// are the A/B overrides — see `rpq_relalg::kernel`). Safe plans
-    /// never touch the relational kernels regardless.
-    pub kernel: rpq_relalg::KernelMode,
     /// Which closure algorithm(s) actually executed during this
-    /// evaluation — the mode above is intent, this is fact (e.g. `auto`
-    /// may have condensed one fixpoint and run another semi-naive).
-    /// All-zero for safe plans and closure-free composite plans.
+    /// evaluation (the per-operator dispatch may condense one fixpoint
+    /// and run another semi-naive). All-zero for safe plans and
+    /// closure-free composite plans.
     pub closures: rpq_relalg::ClosureCounts,
     /// How the SCC-kernel closures above sourced their Tarjan
     /// condensation: `computed` counts fresh condensations of the run's

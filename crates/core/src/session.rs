@@ -675,19 +675,16 @@ impl Session {
 
     /// The cached CSR arena when `plan` can consume it (it contains a
     /// closure over an index leaf) and the kernel dispatch can take the
-    /// bit path for this run; `None` otherwise — forced-pairs A/B runs,
-    /// closure-free plans and universes past the bit-kernel memory
-    /// guard never pay the arena build.
+    /// bit path for this run; `None` otherwise — closure-free plans and
+    /// universes past the bit-kernel memory guard never pay the arena
+    /// build.
     fn csr_if_useful(
         &self,
         run: &Run,
         index: &TagIndex,
         plan: &QueryPlan,
     ) -> Option<Arc<CsrIndex>> {
-        if rpq_relalg::kernel_mode() == rpq_relalg::KernelMode::ForcePairs
-            || !rpq_relalg::kernel::bits_representable(run.n_nodes())
-            || !general::plan_uses_csr(plan)
-        {
+        if !rpq_relalg::kernel::bits_representable(run.n_nodes()) || !general::plan_uses_csr(plan) {
             return None;
         }
         Some(self.csr_with(run, index).0)
@@ -733,17 +730,16 @@ impl Session {
     ///
     /// Safe plans never touch the tag index; composite plans fetch it
     /// from the per-run cache (building it at most once per run).
-    /// The evaluation strategy is the process-wide default
-    /// ([`crate::eval_strategy`], settable via `RPQ_EVAL_STRATEGY` or
-    /// [`crate::set_eval_strategy`]); use
-    /// [`Session::evaluate_with_strategy`] for a per-request override.
+    /// The cost model picks the evaluation strategy per request
+    /// ([`EvalStrategy::Auto`]); use [`Session::evaluate_with_strategy`]
+    /// to name one.
     pub fn evaluate(
         &self,
         query: &PreparedQuery,
         run: &Run,
         request: &QueryRequest,
     ) -> QueryOutcome {
-        self.evaluate_with_strategy(query, run, request, lazy::eval_strategy())
+        self.evaluate_with_strategy(query, run, request, EvalStrategy::Auto)
     }
 
     /// [`Session::evaluate`] with an explicit evaluation strategy:
@@ -798,8 +794,8 @@ impl Session {
         let kind = query.inner.stats.kind;
         // Composite evaluation needs the per-run index; safe plans
         // decode labels only. The CSR arena rides along only when the
-        // plan actually closes over an index leaf and the kernel mode
-        // allows the bit path — never pay the build for dead weight.
+        // plan actually closes over an index leaf and the universe fits
+        // the bit path — never pay the build for dead weight.
         let (index, csr, index_cache) = match plan {
             QueryPlan::Safe(_) => (None, None, IndexCacheUse::NotNeeded),
             QueryPlan::Composite(..) => {
@@ -862,7 +858,6 @@ impl Session {
             meta: EvalMeta {
                 plan_kind: kind,
                 index_cache,
-                kernel: rpq_relalg::kernel_mode(),
                 closures: rpq_relalg::thread_closure_counts().since(closures_before),
                 condensations: rpq_relalg::thread_condensation_counts().since(condensations_before),
                 nodes_touched,
@@ -973,7 +968,6 @@ impl Session {
             meta: EvalMeta {
                 plan_kind: query.inner.stats.kind,
                 index_cache,
-                kernel: rpq_relalg::kernel_mode(),
                 closures: rpq_relalg::thread_closure_counts().since(closures_before),
                 condensations: rpq_relalg::thread_condensation_counts().since(condensations_before),
                 nodes_touched,
@@ -1142,19 +1136,8 @@ mod tests {
         assert_eq!(session.stats().csr_misses, 0);
     }
 
-    /// Serializes tests that flip the process-wide kernel mode (they
-    /// would otherwise race each other's assertions; unrelated tests
-    /// only see outcome-equivalent kernels, so they are unaffected).
-    static KERNEL_MODE_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn csr_arena_is_built_once_and_only_for_closure_plans() {
-        let _guard = KERNEL_MODE_LOCK.lock().expect("kernel mode lock");
-        // Pin the dispatch mode: under a forced-pairs environment (the
-        // CI kernel matrix) the arena would legitimately never be
-        // built, which is not what this test pins down.
-        let before = rpq_relalg::kernel_mode();
-        rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::Auto);
         let session = Session::from_spec(spec());
         let run = RunBuilder::new(session.spec())
             .seed(4)
@@ -1182,13 +1165,10 @@ mod tests {
         session.clear_run_cache();
         session.evaluate_with_strategy(&q, &run, &star, forced);
         assert_eq!(session.stats().csr_misses, 2);
-        rpq_relalg::set_kernel_mode(before);
     }
 
     #[test]
     fn closure_algorithms_surface_in_eval_meta() {
-        let _guard = KERNEL_MODE_LOCK.lock().expect("kernel mode lock");
-        let before = rpq_relalg::kernel_mode();
         let session = Session::from_spec(spec());
         let run = RunBuilder::new(session.spec())
             .seed(6)
@@ -1203,35 +1183,22 @@ mod tests {
         // Forced materialized throughout: closure counters are a
         // relational-path fact, and `Auto` would pick lazy here.
         let forced = EvalStrategy::Materialized;
-        // Forced condensation: the one closure of `go+` runs scc and
-        // the meta says so.
-        rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::ForceScc);
+        // A small run with a handful of `go` edges is a shape the
+        // dispatch condenses: the one closure of `go+` runs scc and the
+        // meta says so.
         let outcome = session.evaluate_with_strategy(&q, &run, &star, forced);
-        assert_eq!(outcome.meta.kernel, rpq_relalg::KernelMode::ForceScc);
         assert_eq!(outcome.meta.closures.scc, 1, "{:?}", outcome.meta.closures);
         assert_eq!(outcome.meta.closures.total(), 1);
         assert_eq!(outcome.meta.strategy, EvalStrategy::Materialized);
         assert_eq!(outcome.meta.product_states, 0);
-        // Forced pairs: same query, same closure count, other column.
-        rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::ForcePairs);
-        let outcome = session.evaluate_with_strategy(&q, &run, &star, forced);
-        assert_eq!(
-            outcome.meta.closures.pairs, 1,
-            "{:?}",
-            outcome.meta.closures
-        );
         // Safe plans never touch the relational kernels.
         let safe = session.prepare("_*").unwrap();
         let outcome = session.evaluate(&safe, &run, &QueryRequest::entry_exit());
         assert_eq!(outcome.meta.closures, rpq_relalg::ClosureCounts::default());
-        rpq_relalg::set_kernel_mode(before);
     }
 
     #[test]
     fn k_tag_closures_condense_exactly_once() {
-        let _guard = KERNEL_MODE_LOCK.lock().expect("kernel mode lock");
-        let before = rpq_relalg::kernel_mode();
-        rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::ForceScc);
         let session = Session::from_spec(spec());
         let run = RunBuilder::new(session.spec())
             .seed(6)
@@ -1271,7 +1238,6 @@ mod tests {
             outcome.meta.condensations,
             rpq_relalg::CondensationCounts::default()
         );
-        rpq_relalg::set_kernel_mode(before);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! product-graph engine must agree **byte-identically** with the
 //! materialized relational pipeline (and with the auto cost model,
 //! whichever side it picks) on every request mode, under both subquery
-//! policies, under all three forced relational kernels, and across run
-//! shapes from plain acyclic simulations to deep recursive unfoldings
-//! and streamed-in cyclic / multi-SCC graphs.
+//! policies, and across run shapes from plain acyclic simulations to
+//! deep recursive unfoldings and streamed-in cyclic / multi-SCC graphs.
 //!
 //! The referee is test-local and deliberately primitive: one DFS per
 //! source over the product space `(dfa_state, node)`, reading
@@ -17,7 +16,8 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use rpq_automata::Symbol;
 use rpq_core::{EvalStrategy, PreparedQuery, QueryRequest, QueryResult, Session, SubqueryPolicy};
-use rpq_labeling::{EventBatch, NodeId, Run, RunEdge};
+use rpq_labeling::{NodeId, Run};
+use rpq_workloads::runs::with_back_edges;
 
 /// Full matching-pair relation by brute-force product search: for each
 /// source `u`, walk `(state, node)` pairs depth-first from
@@ -189,29 +189,6 @@ proptest! {
     }
 }
 
-/// Append back-edges to a simulated run through the streaming-ingestion
-/// path, turning interior stretches into cycles. Edges are chosen so
-/// the run keeps a unique source and sink (entry keeps no incoming
-/// edge, exit no outgoing one), which `Run::assemble` requires.
-fn with_back_edges(run: &Run, every: usize) -> Run {
-    let mut back = Vec::new();
-    for (i, e) in run.edges().iter().enumerate() {
-        if i % every == 0 && e.src != run.entry() && e.dst != run.exit() {
-            back.push(RunEdge {
-                src: e.dst,
-                dst: e.src,
-                tag: e.tag,
-            });
-        }
-    }
-    assert!(!back.is_empty(), "corpus too small to seed cycles");
-    run.apply_events(&EventBatch {
-        nodes: Vec::new(),
-        edges: back,
-    })
-    .expect("back-edge batch re-assembles")
-}
-
 /// Cyclic and multi-SCC graphs: closures stop being path counting and
 /// the lazy visited-set must terminate. One reversed edge per stretch
 /// of five yields several disjoint nontrivial SCCs.
@@ -240,29 +217,4 @@ fn strategies_agree_on_deep_two_phase_chains() {
             assert_differential(&session, query, SubqueryPolicy::CostBased, &run);
         }
     }
-}
-
-/// The strategy × kernel matrix: force each relational closure kernel
-/// and check lazy against materialized under it. Lazy never touches
-/// the kernels — which is exactly the point: its answers must not
-/// depend on which kernel the materialized side (and the auto cost
-/// model's fallback path) happens to run.
-#[test]
-fn strategies_agree_under_every_forced_kernel() {
-    let before = rpq_relalg::kernel_mode();
-    let session = Session::from_spec(rpq_workloads::paper_examples::fig2_spec());
-    let run = rpq_workloads::runs::simulate(session.spec(), 150, 11).expect("derivable");
-    let cyclic = with_back_edges(&run, 6);
-    for mode in [
-        rpq_relalg::KernelMode::ForcePairs,
-        rpq_relalg::KernelMode::ForceBits,
-        rpq_relalg::KernelMode::ForceScc,
-    ] {
-        rpq_relalg::set_kernel_mode(mode);
-        for query in &["_*", "_* a _*", "(a | e)+"] {
-            assert_differential(&session, query, SubqueryPolicy::AlwaysRelational, &run);
-            assert_differential(&session, query, SubqueryPolicy::AlwaysRelational, &cyclic);
-        }
-    }
-    rpq_relalg::set_kernel_mode(before);
 }

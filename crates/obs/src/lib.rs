@@ -15,7 +15,7 @@
 //!   stage breakdowns with self-time accounting, which
 //!   `rpq_core::Session::evaluate` lands in `EvalMeta`;
 //! * [`slowlog`] — a bounded ring buffer of [`SlowQuery`] captures
-//!   (query text, run fingerprint, kernel/closure counts, stage
+//!   (query text, run fingerprint, closure counts, stage
 //!   timings) for requests over a `--slow-ms` threshold.
 //!
 //! The paper's decomposition pipeline makes query cost highly

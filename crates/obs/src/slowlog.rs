@@ -2,7 +2,7 @@
 //!
 //! Queries whose total latency clears a configurable threshold are
 //! captured with enough context to explain *why* they were slow: the
-//! query text, the run fingerprint it evaluated over, the kernel and
+//! query text, the run fingerprint it evaluated over, the per-kernel
 //! closure counts, and the per-stage timing breakdown. The ring keeps
 //! the most recent `capacity` entries; older ones fall off the front.
 
@@ -20,8 +20,6 @@ pub struct SlowQuery {
     /// Fingerprint of the run it evaluated over (hex, as displayed by
     /// `rpq request runs`).
     pub fingerprint: String,
-    /// The kernel mode that evaluated it.
-    pub kernel: String,
     /// Closure executions by kernel: `[pairs, bits, scc]`.
     pub closures: [u64; 3],
     /// `(stage, µs)` breakdown from the query's trace.
@@ -109,7 +107,6 @@ mod tests {
         SlowQuery {
             query: format!("q{i}"),
             fingerprint: format!("{i:016x}"),
-            kernel: "auto".to_owned(),
             closures: [i, 0, 0],
             stages: vec![("eval".to_owned(), i)],
             total_micros: 1_000 + i,

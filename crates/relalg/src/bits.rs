@@ -204,7 +204,7 @@ impl BitRelation {
         let mut delta = self.clone();
         let mut next = vec![0u64; wpr];
         // Row starts of the current row's gather sources, batched so
-        // the blocked mode can consume them in pairs (one `next` pass
+        // the gather can consume them in pairs (one `next` pass
         // per two base rows — see [`rowops::or_gather_into`]).
         let mut gather: Vec<usize> = Vec::new();
         // Worklist of rows whose delta is non-empty: per-round cost is

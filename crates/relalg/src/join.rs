@@ -49,7 +49,7 @@ pub fn compose_pairs_bits(a: &NodePairSet, b: &NodePairSet, n_nodes: usize) -> N
 }
 
 /// Composition of pair sets over an `n_nodes` universe, dispatching on
-/// density (or the `RPQ_RELALG_KERNEL` override).
+/// density.
 pub fn compose_pairs_in(a: &NodePairSet, b: &NodePairSet, n_nodes: usize) -> NodePairSet {
     if a.is_empty() || b.is_empty() {
         return NodePairSet::new();
@@ -151,10 +151,9 @@ pub fn transitive_closure_scc_csr(base: &CsrRelation) -> NodePairSet {
 }
 
 /// Transitive closure over an `n_nodes` universe, dispatching on
-/// density (or the `RPQ_RELALG_KERNEL` override).
+/// density.
 pub fn transitive_closure_in(r: &NodePairSet, n_nodes: usize) -> NodePairSet {
-    // A 0/1-pair base is its own closure; don't let a forced bits
-    // mode allocate n×⌈n/64⌉ matrices for it.
+    // A 0/1-pair base is its own closure.
     if r.len() < 2 {
         return r.clone();
     }
@@ -196,7 +195,7 @@ pub fn transitive_closure_csr(base: &CsrRelation) -> NodePairSet {
 /// adjacency (a super-graph of every per-tag `base`) — and the closure
 /// is scheduled off the cached component DAG
 /// ([`crate::scc::transitive_closure_scc_with`]). The non-SCC kernels
-/// are untouched, so a forced-`bits`/`pairs` A/B run never pays the
+/// are untouched, so a closure dispatched to them never pays the
 /// condensation.
 pub fn transitive_closure_csr_shared(
     base: &CsrRelation,
@@ -221,7 +220,7 @@ pub fn transitive_closure_csr_shared(
 /// [`BitRelation`] — the shape live delta maintenance keeps warm
 /// ([`BitRelation::extend_closure`] seeds its delta rounds off it).
 /// Dispatches through [`choose_closure`] like every other closure
-/// entry point, so an auto-eligible sparse graph condenses instead of
+/// entry point, so an SCC-eligible sparse graph condenses instead of
 /// paying the semi-naive fixpoint. A `Pairs` verdict still runs the
 /// bit fixpoint (the caller's maintained structure is bit-shaped by
 /// definition) and is counted as the bits closure it actually is.
@@ -276,7 +275,7 @@ pub fn select_pairs_bits(
 }
 
 /// Endpoint selection over an `n_nodes` universe, dispatching on
-/// density (or the `RPQ_RELALG_KERNEL` override). As with the other
+/// density. As with the other
 /// `_in` entry points, `n_nodes` must bound every node id of `r`;
 /// list entries at or past it simply never match.
 pub fn select_pairs_in(

@@ -1,28 +1,20 @@
 //! Kernel selection: pair-based vs bit-parallel operators.
 //!
 //! Every dispatching operator in [`crate::join`] picks a kernel per
-//! call from a density heuristic, overridable for A/B measurement via
-//! the `RPQ_RELALG_KERNEL` environment variable (read once) or
-//! [`set_kernel_mode`] (the CLI's `--kernel` flag):
-//!
-//! * `bits` — always use the blocked-bitset kernel (when the universe
-//!   fits the memory guard);
-//! * `pairs` — always use the sorted-pair/hash kernel;
-//! * `scc` — force the condensation closure (Tarjan + one
-//!   reverse-topological bit pass, [`crate::scc`]) for every transitive
-//!   closure; non-closure operators keep the density choice (SCC is a
-//!   closure strategy, not a join kernel);
-//! * `auto` — the default density-based choice.
+//! call from the operand sizes it observes — [`choose_closure`],
+//! [`choose_compose`] and [`choose_select`] are pure functions of
+//! those sizes. There is no process-wide override: a test or bench
+//! that wants one specific kernel calls it directly
+//! (`transitive_closure_{pairs,bits,scc}`, `compose_pairs_{kernel,bits}`,
+//! `select_pairs_{kernel,bits}`).
 //!
 //! Every *dispatched* transitive closure also bumps a pair of
 //! closure-algorithm counters — process-wide totals for service stats
 //! and a thread-local view the session snapshots into `EvalMeta` — so
-//! A/B runs can see which algorithm actually executed, not just which
-//! mode was requested.
+//! an operator can see which algorithm actually executed.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which kernel family executes a relational operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,65 +26,6 @@ pub enum Kernel {
     /// Tarjan condensation + reverse-topological bit pass — closure
     /// operators only (see [`crate::scc`]).
     Scc,
-}
-
-/// Kernel override mode, settable per process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelMode {
-    /// Density-based per-operator choice (default).
-    Auto,
-    /// Force the pair kernel everywhere.
-    ForcePairs,
-    /// Force the bit kernel wherever the memory guard allows.
-    ForceBits,
-    /// Force the condensation closure wherever the memory guard allows;
-    /// joins and selections keep the density-based choice.
-    ForceScc,
-}
-
-impl KernelMode {
-    /// Parse a mode name (`auto` / `pairs` / `bits` / `scc`), as
-    /// accepted by both the env var and the CLI flag.
-    pub fn from_name(name: &str) -> Option<KernelMode> {
-        match name {
-            "auto" => Some(KernelMode::Auto),
-            "pairs" => Some(KernelMode::ForcePairs),
-            "bits" => Some(KernelMode::ForceBits),
-            "scc" => Some(KernelMode::ForceScc),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (inverse of [`KernelMode::from_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Auto => "auto",
-            KernelMode::ForcePairs => "pairs",
-            KernelMode::ForceBits => "bits",
-            KernelMode::ForceScc => "scc",
-        }
-    }
-
-    /// Validate a raw `RPQ_RELALG_KERNEL` environment value.
-    ///
-    /// Unset is handled by the caller; an empty (or all-whitespace)
-    /// value means "no preference" and resolves to `auto`. Anything
-    /// else must be a recognized mode name — unrecognized values
-    /// return an error naming the valid choices instead of being
-    /// silently coerced (the env reader warns and falls back to
-    /// `auto`; CLIs can surface the message as a hard error).
-    pub fn from_env_value(raw: &str) -> Result<KernelMode, String> {
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            return Ok(KernelMode::Auto);
-        }
-        KernelMode::from_name(trimmed).ok_or_else(|| {
-            format!(
-                "unrecognized RPQ_RELALG_KERNEL value {trimmed:?}: \
-                 valid values are auto, bits, pairs, scc"
-            )
-        })
-    }
 }
 
 /// Universes larger than this never use the bit kernel: three `n × n/64`
@@ -107,104 +40,13 @@ pub const HASH_OP_COST: f64 = 12.0;
 /// Modeled cost of touching one `u64` word in the bit kernel.
 pub const WORD_OP_COST: f64 = 1.0;
 
-const MODE_UNSET: u8 = 0;
-const MODE_AUTO: u8 = 1;
-const MODE_PAIRS: u8 = 2;
-const MODE_BITS: u8 = 3;
-const MODE_SCC: u8 = 4;
-
-/// Process-wide mode: runtime override wins, else the env var, else auto.
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-fn mode_from_env() -> KernelMode {
-    match std::env::var("RPQ_RELALG_KERNEL") {
-        Err(_) => KernelMode::Auto,
-        Ok(raw) => KernelMode::from_env_value(&raw).unwrap_or_else(|message| {
-            warn_config_fallback(&message, "auto");
-            KernelMode::Auto
-        }),
-    }
-}
-
-// Configuration warnings (currently: rejected RPQ_RELALG_KERNEL
-// values). A counter plus the most recent message, queryable by the
-// service stats path so misconfiguration is visible in a scrape, not
-// just in a long-gone stderr line.
-static CONFIG_WARNINGS: AtomicU64 = AtomicU64::new(0);
-static LAST_CONFIG_WARNING: Mutex<Option<String>> = Mutex::new(None);
-
-/// Record one rejected configuration value: bump the process-wide
-/// warning counter and remember the message for stats/metrics
-/// snapshots. Public because other crates with env-tunable knobs
-/// (`RPQ_EVAL_STRATEGY` in `rpq-core`) funnel their fallback warnings
-/// through the same counter, so one `config_warnings` figure covers
-/// every knob.
-pub fn record_config_warning(message: &str) {
-    CONFIG_WARNINGS.fetch_add(1, Ordering::Relaxed);
-    *LAST_CONFIG_WARNING.lock().expect("warning slot poisoned") = Some(message.to_owned());
-}
-
-/// The one warn-and-fallback path for every env-tunable knob
-/// (`RPQ_RELALG_KERNEL`, `RPQ_RELALG_ROWOPS`, `RPQ_EVAL_STRATEGY`):
-/// record the rejected value for stats/metrics snapshots *and* print
-/// the transient stderr line. The first dispatch that reads a knob is
-/// a poor place to abort the process, so callers fall back to
-/// `fallback` after this — stderr scrolls away, but the counter and
-/// last-warning text stay queryable in a scrape.
-pub fn warn_config_fallback(message: &str, fallback: &str) {
-    record_config_warning(message);
-    eprintln!("warning: {message}; falling back to `{fallback}`");
-}
-
-/// How many configuration warnings this process has emitted
-/// (monotonic).
-pub fn config_warnings() -> u64 {
-    CONFIG_WARNINGS.load(Ordering::Relaxed)
-}
-
-/// The most recent configuration warning message, if any.
-pub fn last_config_warning() -> Option<String> {
-    LAST_CONFIG_WARNING
-        .lock()
-        .expect("warning slot poisoned")
-        .clone()
-}
-
-/// The kernel mode in force for this process.
-pub fn kernel_mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_AUTO => KernelMode::Auto,
-        MODE_PAIRS => KernelMode::ForcePairs,
-        MODE_BITS => KernelMode::ForceBits,
-        MODE_SCC => KernelMode::ForceScc,
-        _ => {
-            let mode = mode_from_env();
-            set_kernel_mode(mode);
-            mode
-        }
-    }
-}
-
-/// Override the kernel mode (the CLI `--kernel` flag; also used by the
-/// A/B bench harness).
-pub fn set_kernel_mode(mode: KernelMode) {
-    let raw = match mode {
-        KernelMode::Auto => MODE_AUTO,
-        KernelMode::ForcePairs => MODE_PAIRS,
-        KernelMode::ForceBits => MODE_BITS,
-        KernelMode::ForceScc => MODE_SCC,
-    };
-    MODE.store(raw, Ordering::Relaxed);
-}
-
 /// Can the bit kernel represent an `n_nodes` universe at all?
 #[inline]
 pub fn bits_representable(n_nodes: usize) -> bool {
     n_nodes > 0 && n_nodes <= MAX_BITS_NODES
 }
 
-/// How many dispatched transitive closures each algorithm executed —
-/// requested modes are intent, these are fact.
+/// How many dispatched transitive closures each algorithm executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ClosureCounts {
     /// Closures run by the hashed semi-naive pair fixpoint.
@@ -362,17 +204,13 @@ pub fn thread_condensation_counts() -> CondensationCounts {
     THREAD_CONDENSATIONS.with(Cell::get)
 }
 
-fn resolve(auto_choice: Kernel, n_nodes: usize) -> Kernel {
-    if !bits_representable(n_nodes) {
-        return Kernel::Pairs;
-    }
-    match kernel_mode() {
-        // SCC is a closure strategy only: joins and selections under
-        // `scc` keep the density-based choice (closure dispatch handles
-        // ForceScc before reaching here).
-        KernelMode::Auto | KernelMode::ForceScc => auto_choice,
-        KernelMode::ForcePairs => Kernel::Pairs,
-        KernelMode::ForceBits => Kernel::Bits,
+/// The memory guard: universes the bit kernels cannot represent stay
+/// on pairs whatever the density says.
+fn guarded(choice: Kernel, n_nodes: usize) -> Kernel {
+    if bits_representable(n_nodes) {
+        choice
+    } else {
+        Kernel::Pairs
     }
 }
 
@@ -394,16 +232,16 @@ pub fn choose_compose(n_nodes: usize, a_len: usize, b_len: usize) -> Kernel {
     let bits_cost = WORD_OP_COST * wpr * (a_len as f64 + 3.0 * n);
     let pairs_cost =
         HASH_OP_COST * (a_len as f64 + b_len as f64 + est_out) + est_out * est_out.max(2.0).log2();
-    let auto = if bits_cost < pairs_cost {
+    let choice = if bits_cost < pairs_cost {
         Kernel::Bits
     } else {
         Kernel::Pairs
     };
-    resolve(auto, n_nodes)
+    guarded(choice, n_nodes)
 }
 
 /// Base relations at most this many times denser than their universe
-/// (`|R| ≤ factor · n`) take the condensation closure under `auto`.
+/// (`|R| ≤ factor · n`) take the condensation closure.
 ///
 /// Measured on the `repro -- relalg` sweep (see `BENCH_relalg.json`):
 /// the condensation pass does `O((E_cond + n) · n/64)` word work versus
@@ -432,14 +270,11 @@ pub const SCC_DENSITY_FACTOR: usize = 64;
 /// [`SCC_DENSITY_FACTOR`] edges per node) take the condensation pass,
 /// whose word work scales with the *base* rather than the closure.
 pub fn choose_closure(n_nodes: usize, base_len: usize) -> Kernel {
-    if kernel_mode() == KernelMode::ForceScc && bits_representable(n_nodes) && base_len >= 2 {
-        return Kernel::Scc;
-    }
     // Closure-size estimate matching `rpq-core`'s cost model: √n
     // expansion, capped at all pairs.
     let n = n_nodes as f64;
     let est_closure = ((base_len as f64) * n.max(1.0).sqrt()).min(n * n);
-    let auto = if base_len >= 2 && est_closure * 4.0 >= n {
+    let choice = if base_len >= 2 && est_closure * 4.0 >= n {
         if base_len <= SCC_DENSITY_FACTOR * n_nodes {
             Kernel::Scc
         } else {
@@ -450,7 +285,7 @@ pub fn choose_closure(n_nodes: usize, base_len: usize) -> Kernel {
         // to stay below ~n/4 pairs never amortize the matrix zeroing.
         Kernel::Pairs
     };
-    resolve(auto, n_nodes)
+    guarded(choice, n_nodes)
 }
 
 /// Kernel choice for an endpoint selection `R ↾ l1 × l2` over
@@ -475,30 +310,17 @@ pub fn choose_select(n_nodes: usize, rel_len: usize, n_sources: usize, n_targets
     let pairs_cost =
         HASH_OP_COST * 0.5 * (rel_len as f64 + matched * (n_targets.max(2) as f64).log2());
     let bits_cost = WORD_OP_COST * ((n + n_sources as f64) * wpr + rel_len as f64);
-    let auto = if bits_cost < pairs_cost {
+    let choice = if bits_cost < pairs_cost {
         Kernel::Bits
     } else {
         Kernel::Pairs
     };
-    resolve(auto, n_nodes)
+    guarded(choice, n_nodes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_names_round_trip() {
-        for mode in [
-            KernelMode::Auto,
-            KernelMode::ForcePairs,
-            KernelMode::ForceBits,
-            KernelMode::ForceScc,
-        ] {
-            assert_eq!(KernelMode::from_name(mode.name()), Some(mode));
-        }
-        assert_eq!(KernelMode::from_name("fastest"), None);
-    }
 
     #[test]
     fn closure_counters_accumulate_per_thread_and_globally() {
@@ -536,77 +358,33 @@ mod tests {
     }
 
     #[test]
-    fn config_warnings_are_counted_with_last_text() {
-        let before = config_warnings();
-        record_config_warning("first bad value");
-        record_config_warning("second bad value");
-        assert_eq!(config_warnings() - before, 2);
-        assert_eq!(last_config_warning().as_deref(), Some("second bad value"));
-    }
-
-    #[test]
-    fn env_values_are_validated() {
-        // Valid names (whitespace-tolerant) parse to their mode.
-        assert_eq!(
-            KernelMode::from_env_value("bits"),
-            Ok(KernelMode::ForceBits)
-        );
-        assert_eq!(
-            KernelMode::from_env_value("  pairs\n"),
-            Ok(KernelMode::ForcePairs)
-        );
-        assert_eq!(KernelMode::from_env_value("auto"), Ok(KernelMode::Auto));
-        // Empty / whitespace means "no preference".
-        assert_eq!(KernelMode::from_env_value(""), Ok(KernelMode::Auto));
-        assert_eq!(KernelMode::from_env_value("   "), Ok(KernelMode::Auto));
-        // Anything else is an explicit error naming the valid values —
-        // never a silent coercion.
-        assert_eq!(KernelMode::from_env_value("scc"), Ok(KernelMode::ForceScc));
-        for bad in ["quantum", "BITS", "bits,pairs", "1"] {
-            let err = KernelMode::from_env_value(bad).unwrap_err();
-            assert!(err.contains("RPQ_RELALG_KERNEL"), "{err}");
-            assert!(
-                err.contains("auto")
-                    && err.contains("bits")
-                    && err.contains("pairs")
-                    && err.contains("scc"),
-                "error must name the valid values: {err}"
-            );
-            assert!(err.contains(bad.trim()), "{err}");
+    fn choices_are_pure_functions_of_sizes() {
+        // Same sizes ⇒ same kernel, call after call: nothing but the
+        // arguments feeds the decision.
+        for &(n, len) in &[
+            (1024, 5000),
+            (1024, 1),
+            (10_000, 2),
+            (MAX_BITS_NODES + 1, 5000),
+        ] {
+            assert_eq!(choose_closure(n, len), choose_closure(n, len));
+            assert_eq!(choose_compose(n, len, len), choose_compose(n, len, len));
+            assert_eq!(choose_select(n, len, n, n), choose_select(n, len, n, n));
         }
-    }
-
-    #[test]
-    fn overrides_and_guards() {
-        // Single test mutating the process-wide mode (avoids races with
-        // parallel tests in this binary).
-        let before = kernel_mode();
-
-        set_kernel_mode(KernelMode::ForcePairs);
-        assert_eq!(choose_closure(1024, 5000), Kernel::Pairs);
-        assert_eq!(choose_compose(1024, 5000, 5000), Kernel::Pairs);
-
-        set_kernel_mode(KernelMode::ForceBits);
-        assert_eq!(choose_closure(1024, 5000), Kernel::Bits);
-        assert_eq!(choose_compose(1024, 2, 2), Kernel::Bits);
-        // The memory guard beats the override.
-        assert_eq!(choose_closure(MAX_BITS_NODES + 1, 5000), Kernel::Pairs);
-
-        set_kernel_mode(KernelMode::ForceScc);
-        assert_eq!(choose_closure(1024, 5000), Kernel::Scc);
-        // ... even past the auto density cutoff.
+        // The memory guard beats density: shapes that go word-parallel
+        // inside the guard stay on pairs just past it.
+        assert_eq!(choose_closure(MAX_BITS_NODES, 50_000), Kernel::Scc);
+        assert_eq!(choose_closure(MAX_BITS_NODES + 1, 50_000), Kernel::Pairs);
+        let dense = 40 * MAX_BITS_NODES;
+        assert_eq!(choose_compose(MAX_BITS_NODES, dense, dense), Kernel::Bits);
         assert_eq!(
-            choose_closure(1024, SCC_DENSITY_FACTOR * 1024 + 1),
-            Kernel::Scc
+            choose_compose(MAX_BITS_NODES + 1, dense, dense),
+            Kernel::Pairs
         );
-        // Trivial bases and over-guard universes still bail to pairs.
-        assert_eq!(choose_closure(1024, 1), Kernel::Pairs);
-        assert_eq!(choose_closure(MAX_BITS_NODES + 1, 5000), Kernel::Pairs);
-        // Non-closure operators keep the density choice under `scc`.
-        assert_eq!(choose_compose(10_000, 3, 3), Kernel::Pairs);
-        assert_eq!(choose_compose(512, 4000, 4000), Kernel::Bits);
+        let (n, big) = (MAX_BITS_NODES, 100 * MAX_BITS_NODES);
+        assert_eq!(choose_select(n, big, n, n), Kernel::Bits);
+        assert_eq!(choose_select(n + 1, big, n + 1, n + 1), Kernel::Pairs);
 
-        set_kernel_mode(KernelMode::Auto);
         // Dense-enough closures leave the pair kernel; among the dense
         // strategies, sparse/deep bases condense and only very dense
         // bases stay semi-naive. Trivial bases stay on pairs, as do
@@ -630,7 +408,5 @@ mod tests {
         assert_eq!(choose_select(512, 100_000, 512, 512), Kernel::Bits);
         assert_eq!(choose_select(512, 40, 512, 512), Kernel::Pairs);
         assert_eq!(choose_select(10_000, 500, 2, 2), Kernel::Pairs);
-
-        set_kernel_mode(before);
     }
 }

@@ -18,9 +18,8 @@
 //!   [`CsrRelation`] adjacency arenas and [`BitRelation`] blocked-bitset
 //!   rows) and transitive closure in **three** (those two plus the
 //!   condensation pass of [`scc`]: iterative Tarjan SCC + one
-//!   reverse-topological bit sweep), dispatched per operator on density
-//!   (override with `RPQ_RELALG_KERNEL={auto,bits,pairs,scc}` or
-//!   [`set_kernel_mode`]);
+//!   reverse-topological bit sweep), dispatched per operator from the
+//!   operand sizes ([`kernel`]) — there is nothing to configure;
 //! * [`TagIndex`] — the per-edge-tag inverted index the paper stores on
 //!   disk for baseline G3 ("an index maps an edge tag γ ∈ Γ to a list of
 //!   node pairs that are connected by an edge tagged γ"), plus
@@ -46,10 +45,8 @@ pub use join::{
     transitive_closure_scc, transitive_closure_scc_csr,
 };
 pub use kernel::{
-    closure_counts, condensation_counts, config_warnings, kernel_mode, last_config_warning,
-    record_config_warning, set_kernel_mode, thread_closure_counts, thread_condensation_counts,
-    warn_config_fallback, ClosureCounts, CondensationCounts, Kernel, KernelMode,
+    closure_counts, condensation_counts, thread_closure_counts, thread_condensation_counts,
+    ClosureCounts, CondensationCounts, Kernel,
 };
 pub use relation::{NodePairSet, Relation};
-pub use rowops::{row_ops_mode, set_row_ops_mode, RowOpsMode};
 pub use scc::{Condensation, CondensationCache};

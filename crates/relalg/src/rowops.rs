@@ -4,148 +4,26 @@
 //! Every word loop in [`crate::bits`] — row ORs in compose, the
 //! `new = next & !seen` writeback of the semi-naive fixpoint, the
 //! accelerated `base | closure` gather of delta maintenance — funnels
-//! through this module. Each primitive exists in two spellings:
+//! through this module, one function per primitive. The pure OR/AND
+//! loops are an explicit 4-words-at-a-time unroll (`chunks_exact(4)` +
+//! scalar remainder), giving the backend an unambiguous 256-bit unit;
+//! the fixpoint writebacks ([`claim_new`] / [`claim_new_accum`]) keep
+//! the straight-line zip shape and hoist the loop-carried
+//! `changed`/`grew` accumulator into one OR-reduced word (a manual
+//! unroll measurably pessimizes the backend's own, wider unroll
+//! there). No unstable features, no intrinsics.
 //!
-//! * **blocked** — the vectorization-friendly spelling: an explicit
-//!   4-words-at-a-time unroll (`chunks_exact(4)` + scalar remainder)
-//!   for the pure OR/AND loops, giving the backend an unambiguous
-//!   256-bit unit; the fixpoint writebacks ([`claim_new`] /
-//!   [`claim_new_accum`]) instead keep the straight-line zip shape and
-//!   hoist the loop-carried `changed`/`grew` accumulator into one
-//!   OR-reduced word (a manual unroll measurably pessimizes the
-//!   backend's own, wider unroll there). No unstable features, no
-//!   intrinsics.
-//! * **scalar** — the straightforward one-word-at-a-time loop, kept as
-//!   the differential referee (proptests pin blocked == scalar) and as
-//!   an A/B baseline for the criterion sweep.
-//!
-//! The dispatching wrappers pick per process via `RPQ_RELALG_ROWOPS`
-//! (`auto` | `blocked` | `scalar`, read once) or [`set_row_ops_mode`];
-//! `auto` resolves to blocked. The mode is a measurement knob like
-//! `RPQ_RELALG_KERNEL`, not a correctness switch — both paths compute
-//! identical results.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which row-op implementation the bit kernel's word loops run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RowOpsMode {
-    /// Pick for speed (currently: blocked).
-    Auto,
-    /// Force the 4×u64 unrolled loops.
-    Blocked,
-    /// Force the one-word-at-a-time referee loops.
-    Scalar,
-}
-
-impl RowOpsMode {
-    /// Parse a mode name (`auto` / `blocked` / `scalar`), as accepted
-    /// by both the env var and the CLI flag.
-    pub fn from_name(name: &str) -> Option<RowOpsMode> {
-        match name {
-            "auto" => Some(RowOpsMode::Auto),
-            "blocked" => Some(RowOpsMode::Blocked),
-            "scalar" => Some(RowOpsMode::Scalar),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (inverse of [`RowOpsMode::from_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            RowOpsMode::Auto => "auto",
-            RowOpsMode::Blocked => "blocked",
-            RowOpsMode::Scalar => "scalar",
-        }
-    }
-
-    /// Validate a raw `RPQ_RELALG_ROWOPS` environment value; same
-    /// contract as `KernelMode::from_env_value` (empty means "no
-    /// preference", anything unrecognized is an error naming the valid
-    /// choices).
-    pub fn from_env_value(raw: &str) -> Result<RowOpsMode, String> {
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            return Ok(RowOpsMode::Auto);
-        }
-        RowOpsMode::from_name(trimmed).ok_or_else(|| {
-            format!(
-                "unrecognized RPQ_RELALG_ROWOPS value {trimmed:?}: \
-                 valid values are auto, blocked, scalar"
-            )
-        })
-    }
-}
-
-const MODE_UNSET: u8 = 0;
-const MODE_AUTO: u8 = 1;
-const MODE_BLOCKED: u8 = 2;
-const MODE_SCALAR: u8 = 3;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-fn mode_from_env() -> RowOpsMode {
-    match std::env::var("RPQ_RELALG_ROWOPS") {
-        Err(_) => RowOpsMode::Auto,
-        Ok(raw) => RowOpsMode::from_env_value(&raw).unwrap_or_else(|message| {
-            crate::kernel::warn_config_fallback(&message, "auto");
-            RowOpsMode::Auto
-        }),
-    }
-}
-
-/// The row-ops mode in force for this process.
-pub fn row_ops_mode() -> RowOpsMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_AUTO => RowOpsMode::Auto,
-        MODE_BLOCKED => RowOpsMode::Blocked,
-        MODE_SCALAR => RowOpsMode::Scalar,
-        _ => {
-            let mode = mode_from_env();
-            set_row_ops_mode(mode);
-            mode
-        }
-    }
-}
-
-/// Override the row-ops mode (A/B benches, the CI matrix legs).
-pub fn set_row_ops_mode(mode: RowOpsMode) {
-    let raw = match mode {
-        RowOpsMode::Auto => MODE_AUTO,
-        RowOpsMode::Blocked => MODE_BLOCKED,
-        RowOpsMode::Scalar => MODE_SCALAR,
-    };
-    MODE.store(raw, Ordering::Relaxed);
-}
-
-#[inline]
-fn blocked() -> bool {
-    !matches!(row_ops_mode(), RowOpsMode::Scalar)
-}
+//! The one-word-at-a-time spelling these replaced (1.07–1.15× slower
+//! on every measured shape) survives only in this file's test module,
+//! as the referee the unrolled loops are compared against on every
+//! remainder length.
 
 // ---------------------------------------------------------------------
 // dst |= src
 // ---------------------------------------------------------------------
 
 /// `dst |= src`, word-wise. Slices must have equal length.
-#[inline]
 pub fn or_into(dst: &mut [u64], src: &[u64]) {
-    if blocked() {
-        or_into_blocked(dst, src)
-    } else {
-        or_into_scalar(dst, src)
-    }
-}
-
-/// Scalar referee for [`or_into`].
-pub fn or_into_scalar(dst: &mut [u64], src: &[u64]) {
-    for (a, &b) in dst.iter_mut().zip(src) {
-        *a |= b;
-    }
-}
-
-/// 4×u64 blocked [`or_into`].
-pub fn or_into_blocked(dst: &mut [u64], src: &[u64]) {
     let mut d = dst.chunks_exact_mut(4);
     let mut s = src.chunks_exact(4);
     for (dc, sc) in (&mut d).zip(&mut s) {
@@ -164,29 +42,9 @@ pub fn or_into_blocked(dst: &mut [u64], src: &[u64]) {
 // ---------------------------------------------------------------------
 
 /// `dst |= src`, returning whether any bit of `dst` flipped.
-#[inline]
+/// The change accumulator is a single OR-reduced word, checked once at
+/// the end — no per-word branch.
 pub fn or_into_changed(dst: &mut [u64], src: &[u64]) -> bool {
-    if blocked() {
-        or_into_changed_blocked(dst, src)
-    } else {
-        or_into_changed_scalar(dst, src)
-    }
-}
-
-/// Scalar referee for [`or_into_changed`].
-pub fn or_into_changed_scalar(dst: &mut [u64], src: &[u64]) -> bool {
-    let mut changed = false;
-    for (a, &b) in dst.iter_mut().zip(src) {
-        let next = *a | b;
-        changed |= next != *a;
-        *a = next;
-    }
-    changed
-}
-
-/// 4×u64 blocked [`or_into_changed`]. The change accumulator is a
-/// single OR-reduced word, checked once at the end — no per-word branch.
-pub fn or_into_changed_blocked(dst: &mut [u64], src: &[u64]) -> bool {
     let mut diff = 0u64;
     let mut d = dst.chunks_exact_mut(4);
     let mut s = src.chunks_exact(4);
@@ -214,24 +72,7 @@ pub fn or_into_changed_blocked(dst: &mut [u64], src: &[u64]) -> bool {
 // ---------------------------------------------------------------------
 
 /// `dst &= !src`, word-wise (set difference on rows).
-#[inline]
 pub fn andnot_into(dst: &mut [u64], src: &[u64]) {
-    if blocked() {
-        andnot_into_blocked(dst, src)
-    } else {
-        andnot_into_scalar(dst, src)
-    }
-}
-
-/// Scalar referee for [`andnot_into`].
-pub fn andnot_into_scalar(dst: &mut [u64], src: &[u64]) {
-    for (a, &b) in dst.iter_mut().zip(src) {
-        *a &= !b;
-    }
-}
-
-/// 4×u64 blocked [`andnot_into`].
-pub fn andnot_into_blocked(dst: &mut [u64], src: &[u64]) {
     let mut d = dst.chunks_exact_mut(4);
     let mut s = src.chunks_exact(4);
     for (dc, sc) in (&mut d).zip(&mut s) {
@@ -252,24 +93,7 @@ pub fn andnot_into_blocked(dst: &mut [u64], src: &[u64]) {
 /// `dst |= a | b` — the accelerated gather of delta maintenance
 /// (`base[w] | closure_old[w]` in one pass). All three slices must have
 /// equal length.
-#[inline]
 pub fn or2_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    if blocked() {
-        or2_into_blocked(dst, a, b)
-    } else {
-        or2_into_scalar(dst, a, b)
-    }
-}
-
-/// Scalar referee for [`or2_into`].
-pub fn or2_into_scalar(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    for (d, (&x, &y)) in dst.iter_mut().zip(a.iter().zip(b)) {
-        *d |= x | y;
-    }
-}
-
-/// 4×u64 blocked [`or2_into`].
-pub fn or2_into_blocked(dst: &mut [u64], a: &[u64], b: &[u64]) {
     let mut d = dst.chunks_exact_mut(4);
     let mut ac = a.chunks_exact(4);
     let mut bc = b.chunks_exact(4);
@@ -294,31 +118,22 @@ pub fn or2_into_blocked(dst: &mut [u64], a: &[u64], b: &[u64]) {
 // ---------------------------------------------------------------------
 
 /// OR every `src` row into `dst` (the compose/closure gather:
-/// many source rows accumulated into one destination). Blocked mode
-/// consumes the sources in *pairs* through [`or2_into_blocked`] — one
-/// read+write pass over `dst` per two gathered rows, the row-level
-/// blocking that halves destination traffic and per-row dispatch.
-/// Scalar mode is the historical one-row-at-a-time referee. Both
-/// spellings compute the same union (pinned by the mode-equality
-/// proptests). All rows must share `dst`'s length.
+/// many source rows accumulated into one destination). The sources are
+/// consumed in *pairs* through [`or2_into`] — one read+write pass over
+/// `dst` per two gathered rows, the row-level blocking that halves
+/// destination traffic. All rows must share `dst`'s length.
 pub fn or_gather_into<'a, I>(dst: &mut [u64], srcs: I)
 where
     I: IntoIterator<Item = &'a [u64]>,
 {
     let mut srcs = srcs.into_iter();
-    if blocked() {
-        while let Some(first) = srcs.next() {
-            match srcs.next() {
-                Some(second) => or2_into_blocked(dst, first, second),
-                None => {
-                    or_into_blocked(dst, first);
-                    break;
-                }
+    while let Some(first) = srcs.next() {
+        match srcs.next() {
+            Some(second) => or2_into(dst, first, second),
+            None => {
+                or_into(dst, first);
+                break;
             }
-        }
-    } else {
-        for src in srcs {
-            or_into_scalar(dst, src);
         }
     }
 }
@@ -330,35 +145,14 @@ where
 /// The semi-naive writeback: per word, `new = next & !seen`,
 /// `seen |= new`, `delta = new` (overwriting the consumed delta row).
 /// Returns whether any new bit was claimed.
-#[inline]
+///
+/// Unlike the two-slice primitives, the fastest spelling here is *not*
+/// a manual 4-wide unroll: three zipped streams already vectorize
+/// cleanly, and hand-unrolling them pessimizes the backend's own
+/// (wider) unroll. What matters is the `grew` accumulator as one
+/// OR-reduced word — a per-word `new != 0` compare is the loop-carried
+/// dependency that keeps the loop from vectorizing.
 pub fn claim_new(next: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
-    if blocked() {
-        claim_new_blocked(next, seen, delta)
-    } else {
-        claim_new_scalar(next, seen, delta)
-    }
-}
-
-/// Scalar referee for [`claim_new`].
-pub fn claim_new_scalar(next: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
-    let mut grew = false;
-    for (k, &nx) in next.iter().enumerate() {
-        let new = nx & !seen[k];
-        seen[k] |= new;
-        delta[k] = new;
-        grew |= new != 0;
-    }
-    grew
-}
-
-/// Blocked [`claim_new`]. Unlike the two-slice primitives, the fastest
-/// spelling here is *not* a manual 4-wide unroll: three zipped streams
-/// already vectorize cleanly, and hand-unrolling them pessimizes the
-/// backend's own (wider) unroll. What the blocked spelling contributes
-/// is the `grew` accumulator as one OR-reduced word — the scalar
-/// referee's per-word `new != 0` compare is the loop-carried dependency
-/// that keeps it from vectorizing.
-pub fn claim_new_blocked(next: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
     let mut grew = 0u64;
     for ((&nx, sw), dw) in next.iter().zip(seen.iter_mut()).zip(delta.iter_mut()) {
         let new = nx & !*sw;
@@ -376,30 +170,9 @@ pub fn claim_new_blocked(next: &[u64], seen: &mut [u64], delta: &mut [u64]) -> b
 /// The seeding writeback of delta maintenance: like [`claim_new`] but
 /// the delta row *accumulates* (`delta |= new`) — one source row can be
 /// seeded by several Δ groups before the propagation rounds consume it.
-#[inline]
+/// Same shape as [`claim_new`]: straight-line triple zip, `grew` as
+/// one OR-reduced word.
 pub fn claim_new_accum(step: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
-    if blocked() {
-        claim_new_accum_blocked(step, seen, delta)
-    } else {
-        claim_new_accum_scalar(step, seen, delta)
-    }
-}
-
-/// Scalar referee for [`claim_new_accum`].
-pub fn claim_new_accum_scalar(step: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
-    let mut grew = false;
-    for (k, &sw) in step.iter().enumerate() {
-        let new = sw & !seen[k];
-        seen[k] |= new;
-        delta[k] |= new;
-        grew |= new != 0;
-    }
-    grew
-}
-
-/// Blocked [`claim_new_accum`] — same shape as [`claim_new_blocked`]:
-/// straight-line triple zip, `grew` as one OR-reduced word.
-pub fn claim_new_accum_blocked(step: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
     let mut grew = 0u64;
     for ((&sw, se), dw) in step.iter().zip(seen.iter_mut()).zip(delta.iter_mut()) {
         let new = sw & !*se;
@@ -413,6 +186,59 @@ pub fn claim_new_accum_blocked(step: &[u64], seen: &mut [u64], delta: &mut [u64]
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The one-word-at-a-time referees: the spelling every primitive
+    // above must agree with.
+
+    fn or_into_scalar(dst: &mut [u64], src: &[u64]) {
+        for (a, &b) in dst.iter_mut().zip(src) {
+            *a |= b;
+        }
+    }
+
+    fn or_into_changed_scalar(dst: &mut [u64], src: &[u64]) -> bool {
+        let mut changed = false;
+        for (a, &b) in dst.iter_mut().zip(src) {
+            let next = *a | b;
+            changed |= next != *a;
+            *a = next;
+        }
+        changed
+    }
+
+    fn andnot_into_scalar(dst: &mut [u64], src: &[u64]) {
+        for (a, &b) in dst.iter_mut().zip(src) {
+            *a &= !b;
+        }
+    }
+
+    fn or2_into_scalar(dst: &mut [u64], a: &[u64], b: &[u64]) {
+        for (d, (&x, &y)) in dst.iter_mut().zip(a.iter().zip(b)) {
+            *d |= x | y;
+        }
+    }
+
+    fn claim_new_scalar(next: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
+        let mut grew = false;
+        for (k, &nx) in next.iter().enumerate() {
+            let new = nx & !seen[k];
+            seen[k] |= new;
+            delta[k] = new;
+            grew |= new != 0;
+        }
+        grew
+    }
+
+    fn claim_new_accum_scalar(step: &[u64], seen: &mut [u64], delta: &mut [u64]) -> bool {
+        let mut grew = false;
+        for (k, &sw) in step.iter().enumerate() {
+            let new = sw & !seen[k];
+            seen[k] |= new;
+            delta[k] |= new;
+            grew |= new != 0;
+        }
+        grew
+    }
 
     fn words(seed: u64, len: usize) -> Vec<u64> {
         // Deterministic splitmix64 stream — enough entropy to exercise
@@ -430,25 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_names_round_trip() {
-        for mode in [RowOpsMode::Auto, RowOpsMode::Blocked, RowOpsMode::Scalar] {
-            assert_eq!(RowOpsMode::from_name(mode.name()), Some(mode));
-        }
-        assert_eq!(RowOpsMode::from_name("simd"), None);
-        assert_eq!(RowOpsMode::from_env_value(""), Ok(RowOpsMode::Auto));
-        assert_eq!(
-            RowOpsMode::from_env_value(" blocked "),
-            Ok(RowOpsMode::Blocked)
-        );
-        let err = RowOpsMode::from_env_value("avx512").unwrap_err();
-        assert!(err.contains("RPQ_RELALG_ROWOPS"), "{err}");
-        assert!(
-            err.contains("auto") && err.contains("blocked") && err.contains("scalar"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn blocked_matches_scalar_on_every_length() {
         // Lengths 0..=17 cover empty, sub-block, exact-block and
         // remainder shapes.
@@ -459,28 +266,28 @@ mod tests {
 
             let mut d1 = words(4, len);
             let mut d2 = d1.clone();
-            or_into_blocked(&mut d1, &src);
+            or_into(&mut d1, &src);
             or_into_scalar(&mut d2, &src);
             assert_eq!(d1, d2, "or_into len={len}");
 
             let mut d1 = words(5, len);
             let mut d2 = d1.clone();
-            let c1 = or_into_changed_blocked(&mut d1, &src);
+            let c1 = or_into_changed(&mut d1, &src);
             let c2 = or_into_changed_scalar(&mut d2, &src);
             // Idempotent re-OR reports no change.
             let mut d3 = d2.clone();
-            assert!(!or_into_changed_blocked(&mut d3, &src));
+            assert!(!or_into_changed(&mut d3, &src));
             assert_eq!((d1, c1), (d2, c2), "or_into_changed len={len}");
 
             let mut d1 = words(6, len);
             let mut d2 = d1.clone();
-            andnot_into_blocked(&mut d1, &src);
+            andnot_into(&mut d1, &src);
             andnot_into_scalar(&mut d2, &src);
             assert_eq!(d1, d2, "andnot_into len={len}");
 
             let mut d1 = words(7, len);
             let mut d2 = d1.clone();
-            or2_into_blocked(&mut d1, &src, &b2);
+            or2_into(&mut d1, &src, &b2);
             or2_into_scalar(&mut d2, &src, &b2);
             assert_eq!(d1, d2, "or2_into len={len}");
 
@@ -488,7 +295,7 @@ mod tests {
             let mut seen2 = seen1.clone();
             let mut delta1 = words(9, len);
             let mut delta2 = delta1.clone();
-            let g1 = claim_new_blocked(&next, &mut seen1, &mut delta1);
+            let g1 = claim_new(&next, &mut seen1, &mut delta1);
             let g2 = claim_new_scalar(&next, &mut seen2, &mut delta2);
             assert_eq!(
                 (seen1, delta1, g1),
@@ -500,7 +307,7 @@ mod tests {
             let mut seen2 = seen1.clone();
             let mut delta1 = words(11, len);
             let mut delta2 = delta1.clone();
-            let g1 = claim_new_accum_blocked(&next, &mut seen1, &mut delta1);
+            let g1 = claim_new_accum(&next, &mut seen1, &mut delta1);
             let g2 = claim_new_accum_scalar(&next, &mut seen2, &mut delta2);
             assert_eq!(
                 (seen1, delta1, g1),

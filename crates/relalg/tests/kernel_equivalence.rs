@@ -2,8 +2,7 @@
 //! pair-based referee operators on random relations, and all **three**
 //! closure kernels (pairs referee, semi-naive bits, Tarjan
 //! condensation) are byte-identical on every graph shape — random,
-//! DAG, cyclic, multi-SCC — both at the operator level and through the
-//! full `Session` composite pipeline.
+//! DAG, cyclic, multi-SCC, and the relations a simulated run yields.
 //!
 //! The referee is the seed implementation (`compose_pairs_kernel`,
 //! `transitive_closure_pairs`) kept verbatim in `join.rs`; the subject
@@ -11,12 +10,13 @@
 //! operators (which must agree with both, whichever kernel they pick).
 
 use proptest::prelude::*;
+use rpq_grammar::Tag;
 use rpq_labeling::NodeId;
 use rpq_relalg::{
     compose_pairs_bits, compose_pairs_in, compose_pairs_kernel, select_pairs_bits, select_pairs_in,
     select_pairs_kernel, transitive_closure_bits, transitive_closure_in, transitive_closure_pairs,
     transitive_closure_scc, transitive_closure_scc_csr, BitRelation, Condensation, CsrRelation,
-    NodePairSet,
+    NodePairSet, TagIndex,
 };
 use rpq_workloads::runs::{
     cyclic_core_relation, deep_chain_relation, multi_scc_relation, wide_dag_relation,
@@ -165,52 +165,6 @@ proptest! {
         prop_assert_eq!(&maintained, &merged_bits.transitive_closure());
     }
 
-    // Row-ops differential: every bit-kernel operator must be
-    // byte-identical under the blocked (4×u64) and scalar word loops,
-    // and both must match the pairs referee. Covers all six rowops
-    // primitives through their real call sites: compose (`or_into`),
-    // closure (`claim_new` / `or_into_changed`), union (`or_into`),
-    // difference (`andnot_into`) and delta maintenance (`or2_into` /
-    // `claim_new_accum`).
-    #[test]
-    fn row_ops_modes_agree_with_the_pairs_referee(
-        a in relation(90, 120),
-        b in relation(90, 120),
-        delta in relation(96, 40),
-    ) {
-        let before = rpq_relalg::row_ops_mode();
-        let compose_ref = compose_pairs_kernel(&a, &b);
-        let closure_ref = transitive_closure_pairs(&a);
-        let union_ref = a.union(&b);
-        let diff_ref: NodePairSet =
-            a.iter().filter(|&(u, v)| !b.contains(u, v)).collect();
-        let merged = a.union(&delta);
-        for mode in [rpq_relalg::RowOpsMode::Blocked, rpq_relalg::RowOpsMode::Scalar] {
-            rpq_relalg::set_row_ops_mode(mode);
-            let name = mode.name();
-            prop_assert_eq!(
-                &compose_pairs_bits(&a, &b, 90), &compose_ref, "compose under {}", name);
-            prop_assert_eq!(
-                &transitive_closure_bits(&a, 90), &closure_ref, "closure under {}", name);
-            let ab = BitRelation::from_pairs(&a, 90);
-            let bb = BitRelation::from_pairs(&b, 90);
-            prop_assert_eq!(&ab.union(&bb).to_pairs(), &union_ref, "union under {}", name);
-            prop_assert_eq!(
-                &ab.difference(&bb).to_pairs(), &diff_ref, "difference under {}", name);
-            let merged_bits = BitRelation::from_pairs(&merged, 96);
-            let maintained = ab
-                .transitive_closure()
-                .grow(96)
-                .extend_closure(&merged_bits, &delta);
-            prop_assert_eq!(
-                &maintained,
-                &merged_bits.transitive_closure(),
-                "extend_closure under {}", name
-            );
-        }
-        rpq_relalg::set_row_ops_mode(before);
-    }
-
     #[test]
     fn csr_and_bits_round_trip(r in relation(100, 150)) {
         prop_assert_eq!(&CsrRelation::from_pairs(&r, 100).to_pairs(), &r);
@@ -278,48 +232,41 @@ fn closure_of_self_loop_forest_in_every_kernel() {
 }
 
 // ---------------------------------------------------------------------
-// The full composite pipeline: `Session` all-pairs evaluations must be
-// identical under every forced kernel mode (the per-operator dispatch
-// is invisible in results, only in speed).
+// Run-derived relations: the shapes a `Session` composite evaluation
+// actually feeds the operators — a simulated Fig. 2 run's merged edge
+// relation and each per-tag relation, acyclic and with appended
+// back-edges — through every kernel of every operator.
 // ---------------------------------------------------------------------
 
 #[test]
-fn session_composite_all_pairs_agrees_across_kernel_modes() {
-    use rpq_core::{QueryRequest, Session, SubqueryPolicy};
-
-    let before = rpq_relalg::kernel_mode();
+fn kernels_agree_on_run_derived_relations() {
     let spec = rpq_workloads::paper_examples::fig2_spec();
-    let session = Session::from_spec(spec);
-    let run = rpq_workloads::runs::simulate(session.spec(), 180, 11).expect("derivable");
-    let all: Vec<NodeId> = run.node_ids().collect();
-
-    // Closure-heavy queries, planned relationally so the kernels run.
-    for query_text in ["_*", "_* a _*", "(a | e)+", "a* e a*"] {
-        let query = session
-            .prepare_with(query_text, SubqueryPolicy::AlwaysRelational)
-            .expect("prepares");
-        let mut outcomes = Vec::new();
-        for mode in [
-            rpq_relalg::KernelMode::ForcePairs,
-            rpq_relalg::KernelMode::ForceBits,
-            rpq_relalg::KernelMode::ForceScc,
-            rpq_relalg::KernelMode::Auto,
-        ] {
-            rpq_relalg::set_kernel_mode(mode);
-            let outcome = session.evaluate(
-                &query,
-                &run,
-                &QueryRequest::all_pairs(all.clone(), all.clone()),
-            );
-            outcomes.push((mode.name(), outcome.result));
-        }
-        for (name, result) in &outcomes[1..] {
-            assert_eq!(
-                result, &outcomes[0].1,
-                "{query_text}: {name} disagrees with {}",
-                outcomes[0].0
-            );
+    for edges in [150, 180] {
+        let base = rpq_workloads::runs::simulate(&spec, edges, 11).expect("derivable");
+        let cyclic = rpq_workloads::runs::with_back_edges(&base, 6);
+        assert!(!cyclic.is_acyclic(), "back-edges must create cycles");
+        for run in [&base, &cyclic] {
+            let n = run.n_nodes();
+            let index = TagIndex::build(run, spec.n_tags());
+            let all: Vec<NodeId> = run.node_ids().collect();
+            let some: Vec<NodeId> = all.iter().copied().step_by(3).collect();
+            let whole = index.all_edges();
+            let per_tag = (0..index.n_tags()).map(|t| index.edges(Tag(t as u32)));
+            for r in std::iter::once(whole).chain(per_tag) {
+                assert_three_way(r, n);
+                let closure = transitive_closure_pairs(r);
+                assert_eq!(
+                    compose_pairs_bits(&closure, whole, n),
+                    compose_pairs_kernel(&closure, whole)
+                );
+                assert_eq!(compose_pairs_bits(r, r, n), compose_pairs_kernel(r, r));
+                for (l1, l2) in [(&all, &all), (&some, &all), (&all, &some)] {
+                    assert_eq!(
+                        select_pairs_bits(&closure, l1, l2, n),
+                        select_pairs_kernel(&closure, l1, l2)
+                    );
+                }
+            }
         }
     }
-    rpq_relalg::set_kernel_mode(before);
 }

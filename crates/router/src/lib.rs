@@ -1200,7 +1200,6 @@ fn add_stats(total: &mut WireStatsReply, s: &WireStatsReply) {
     total.append_rebuilds += s.append_rebuilds;
     total.subscriptions += s.subscriptions;
     total.retries += s.retries;
-    total.config_warnings += s.config_warnings;
     total.strategy_lazy += s.strategy_lazy;
     total.strategy_materialized += s.strategy_materialized;
     total.lazy_expansions += s.lazy_expansions;

@@ -232,11 +232,15 @@ fn pump_faulty(mut from: TcpStream, mut to: TcpStream, shared: Arc<Shared>) {
             // Re-read the mode per slice: a frame larger than the
             // cut-off must be truncated inside this read, not after.
             match shared.mode.load(Ordering::Relaxed) {
+                // Every arm counts *before* it writes: a reader that has
+                // seen the bytes must also see them counted. A failed
+                // write ends the pump, so an over-count is never
+                // observed.
                 MODE_NONE => {
+                    shared.forwarded.fetch_add(n - sent, Ordering::Relaxed);
                     if to.write_all(&buf[sent..n]).is_err() {
                         return;
                     }
-                    shared.forwarded.fetch_add(n - sent, Ordering::Relaxed);
                     sent = n;
                 }
                 MODE_TRUNCATE | MODE_STALL => {
@@ -245,10 +249,10 @@ fn pump_faulty(mut from: TcpStream, mut to: TcpStream, shared: Arc<Shared>) {
                     let budget = cut.saturating_sub(done);
                     let take = budget.min(n - sent);
                     if take > 0 {
+                        shared.forwarded.fetch_add(take, Ordering::Relaxed);
                         if to.write_all(&buf[sent..sent + take]).is_err() {
                             return;
                         }
-                        shared.forwarded.fetch_add(take, Ordering::Relaxed);
                         sent += take;
                     }
                     if sent < n {
@@ -265,10 +269,10 @@ fn pump_faulty(mut from: TcpStream, mut to: TcpStream, shared: Arc<Shared>) {
                     let chunk = shared.chunk.load(Ordering::Relaxed).max(1);
                     let delay = shared.delay_ms.load(Ordering::Relaxed) as u64;
                     let take = chunk.min(n - sent);
+                    shared.forwarded.fetch_add(take, Ordering::Relaxed);
                     if to.write_all(&buf[sent..sent + take]).is_err() {
                         return;
                     }
-                    shared.forwarded.fetch_add(take, Ordering::Relaxed);
                     sent += take;
                     if sent < n {
                         std::thread::sleep(Duration::from_millis(delay));

@@ -43,7 +43,7 @@ pub const MAGIC: [u8; 4] = *b"RPQN";
 /// observability surface — [`WireRequest::Metrics`] answered by
 /// [`WireResponse::Metrics`] with a mergeable registry snapshot and
 /// the slow-query ring, the per-request stage breakdown in
-/// [`WireOutcome::stages`], and the retry / config-warning counters in
+/// [`WireOutcome::stages`], and the retry counter in
 /// [`WireStatsReply`]; v6 added the lazy product-graph evaluation
 /// strategy — [`QuerySpec::strategy`], the resolved
 /// [`WireOutcome::strategy`] / [`WireOutcome::product_states`], the
@@ -55,8 +55,11 @@ pub const MAGIC: [u8; 4] = *b"RPQN";
 /// [`WireOutcome::condensations_reused`] per request plus their
 /// process-wide twins in [`WireStatsReply`] — and the persisted
 /// plan-cache counters [`WireStatsReply::plan_reloads`] /
-/// [`WireStatsReply::plan_rebuilds`].)
-pub const VERSION: u8 = 7;
+/// [`WireStatsReply::plan_rebuilds`]; v8 removed what only the deleted
+/// process-wide mode switches fed — the `kernel` field of
+/// [`WireOutcome`] and [`WireSlowQuery`], and
+/// `WireStatsReply::config_warnings`.)
+pub const VERSION: u8 = 8;
 
 /// Hard cap on one frame's payload (64 MiB) — bounds the allocation a
 /// length prefix can demand before a single payload byte is read.
@@ -137,8 +140,7 @@ pub struct QuerySpec {
     /// means the server's default.
     pub policy: String,
     /// Evaluation strategy by CLI name (`auto` / `lazy` /
-    /// `materialized`); empty means the server's process-wide default
-    /// (its `RPQ_EVAL_STRATEGY` / `--strategy` setting).
+    /// `materialized`); empty means `auto` — the cost model picks.
     pub strategy: String,
     /// Which stored run to evaluate over.
     pub run: RunAddr,
@@ -286,9 +288,6 @@ pub struct WireOutcome {
     pub plan_kind: String,
     /// `hit` / `miss` / `none` — the per-run index-cache interaction.
     pub index_cache: String,
-    /// Relational kernel mode in force (`auto` / `bits` / `pairs` /
-    /// `scc`).
-    pub kernel: String,
     /// Transitive closures this evaluation ran through the semi-naive
     /// pair fixpoint.
     pub closure_pairs: u64,
@@ -338,7 +337,6 @@ impl WireOutcome {
                 IndexCacheUse::Miss => "miss",
             }
             .to_owned(),
-            kernel: outcome.meta.kernel.name().to_owned(),
             closure_pairs: outcome.meta.closures.pairs,
             closure_bits: outcome.meta.closures.bits,
             closure_scc: outcome.meta.closures.scc,
@@ -480,10 +478,6 @@ pub struct WireStatsReply {
     /// clients (`connect_with_retry` pauses plus router failover
     /// re-dispatches).
     pub retries: u64,
-    /// Configuration values that failed to parse and fell back to a
-    /// default (`RPQ_RELALG_KERNEL` etc.); the last warning's text
-    /// travels as a note in the metrics snapshot.
-    pub config_warnings: u64,
     /// Evaluations answered by the lazy product-graph engine
     /// (`rpq_core::lazy_counts`).
     pub strategy_lazy: u64,
@@ -536,8 +530,6 @@ pub struct WireSlowQuery {
     pub query: String,
     /// Hex fingerprint of the run it evaluated over.
     pub fingerprint: String,
-    /// Kernel mode in force (`auto` / `pairs` / `bits` / `scc`).
-    pub kernel: String,
     /// Closures run by the pair fixpoint during this evaluation.
     pub closure_pairs: u64,
     /// Closures run by the blocked-bitset fixpoint.
@@ -556,7 +548,6 @@ impl WireSlowQuery {
         WireSlowQuery {
             query: e.query.clone(),
             fingerprint: e.fingerprint.clone(),
-            kernel: e.kernel.clone(),
             closure_pairs: e.closures[0],
             closure_bits: e.closures[1],
             closure_scc: e.closures[2],
@@ -579,7 +570,7 @@ pub struct WireMetricsReply {
     pub gauges: Vec<(String, i64)>,
     /// Latency histograms, sorted by name.
     pub histograms: Vec<(String, WireHistogram)>,
-    /// Free-text annotations (e.g. the last config warning).
+    /// Free-text annotations.
     pub notes: Vec<(String, String)>,
     /// The slow-query ring, oldest first; empty when no `--slow-ms`
     /// threshold is set.
@@ -995,7 +986,6 @@ mod tests {
                 result,
                 plan_kind: "safe".to_owned(),
                 index_cache: "none".to_owned(),
-                kernel: "auto".to_owned(),
                 closure_pairs: 0,
                 closure_bits: 1,
                 closure_scc: 2,
@@ -1033,7 +1023,6 @@ mod tests {
             result: WireResult::Pairs(Vec::new()),
             plan_kind: "safe".to_owned(),
             index_cache: "hit".to_owned(),
-            kernel: "auto".to_owned(),
             closure_pairs: 0,
             closure_bits: 0,
             closure_scc: 0,
@@ -1073,11 +1062,10 @@ mod tests {
                     sum: 19,
                 },
             )],
-            notes: vec![("config_warning".to_owned(), "bad kernel name".to_owned())],
+            notes: vec![("build".to_owned(), "0.2.0".to_owned())],
             slow: vec![WireSlowQuery {
                 query: "_* a _*".to_owned(),
                 fingerprint: "00ab00cd".to_owned(),
-                kernel: "auto".to_owned(),
                 closure_pairs: 1,
                 closure_bits: 0,
                 closure_scc: 2,
@@ -1087,7 +1075,6 @@ mod tests {
         }));
         round_trip(WireResponse::Stats(WireStatsReply {
             retries: 4,
-            config_warnings: 1,
             ..WireStatsReply::default()
         }));
     }
@@ -1132,7 +1119,7 @@ mod tests {
         registry.gauge("rpq_store_runs").set(3);
         registry.histogram("rpq_request_micros").record(100);
         registry.histogram("rpq_request_micros").record(7);
-        registry.note("config_warning", "x");
+        registry.note("build", "x");
         let snap = registry.snapshot();
         let wire = WireMetricsReply::from_snapshot(&snap, Vec::new());
         assert_eq!(wire.to_snapshot(), snap);

@@ -85,11 +85,6 @@ pub struct ServeConfig {
     pub cache: Option<usize>,
     /// Default subquery policy for requests that don't name one.
     pub policy: SubqueryPolicy,
-    /// Default evaluation strategy for requests that don't name one
-    /// ([`QuerySpec::strategy`]). The CLI seeds this from `--strategy`
-    /// / `RPQ_EVAL_STRATEGY`; `Auto` lets the cost model pick per
-    /// request.
-    pub strategy: EvalStrategy,
     /// Idle keep-alive bound: a connection that sends no request for
     /// this long is closed cleanly. Idle connections are parked with
     /// the readiness poller (they pin no worker); this bounds how long
@@ -109,7 +104,7 @@ pub struct ServeConfig {
     pub chunk_entries: usize,
     /// Slow-query threshold in milliseconds: a query whose server-side
     /// time clears it is captured in the slow-query ring (query text,
-    /// run fingerprint, kernel/closure counts, stage breakdown) and
+    /// run fingerprint, closure counts, stage breakdown) and
     /// shipped with [`WireResponse::Metrics`]. `None` disables capture.
     pub slow_ms: Option<u64>,
     /// Optional second listener that answers every TCP connection with
@@ -131,7 +126,6 @@ impl Default for ServeConfig {
             queue: 64,
             cache: None,
             policy: SubqueryPolicy::CostBased,
-            strategy: rpq_core::eval_strategy(),
             idle_timeout: Duration::from_secs(60),
             deadline: Duration::from_secs(30),
             chunk_entries: 65_536,
@@ -366,7 +360,6 @@ pub struct Server {
     queue_cap: usize,
     cache: Option<usize>,
     policy: SubqueryPolicy,
-    strategy: EvalStrategy,
     idle_timeout: Duration,
     deadline: Duration,
     chunk_entries: usize,
@@ -440,7 +433,6 @@ impl Server {
             queue_cap: config.queue.max(1),
             cache: config.cache,
             policy: config.policy,
-            strategy: config.strategy,
             idle_timeout: config.idle_timeout,
             deadline: config.deadline,
             chunk_entries: config.chunk_entries.max(1),
@@ -1128,11 +1120,11 @@ impl Server {
         })
     }
 
-    /// The request's evaluation strategy, or the server default when
-    /// the spec leaves it empty.
+    /// The request's evaluation strategy; an empty field lets the cost
+    /// model pick ([`EvalStrategy::Auto`]).
     fn resolve_strategy(&self, spec: &QuerySpec) -> Result<EvalStrategy, RpqError> {
         if spec.strategy.is_empty() {
-            return Ok(self.strategy);
+            return Ok(EvalStrategy::Auto);
         }
         EvalStrategy::from_name(&spec.strategy).ok_or_else(|| {
             RpqError::invalid(format!(
@@ -1171,7 +1163,6 @@ impl Server {
             self.slow_log.record(SlowQuery {
                 query: spec.query.clone(),
                 fingerprint,
-                kernel: wire.kernel.clone(),
                 closures: [wire.closure_pairs, wire.closure_bits, wire.closure_scc],
                 stages: stages.iter().map(|&(n, us)| (n.to_owned(), us)).collect(),
                 total_micros: wire.micros,
@@ -1510,7 +1501,6 @@ impl Server {
             append_rebuilds: store.append_rebuilds,
             subscriptions: self.counters.subscriptions.get(),
             retries: rpq_obs::global().counter("rpq_connect_retries_total").get(),
-            config_warnings: rpq_relalg::config_warnings(),
             strategy_lazy: lazy.lazy_evals,
             strategy_materialized: lazy.materialized_evals,
             lazy_expansions: lazy.expansions,
@@ -1556,10 +1546,6 @@ impl Server {
                 (
                     "rpq_condensations_total{outcome=\"reused\"}".to_owned(),
                     rpq_relalg::condensation_counts().reused,
-                ),
-                (
-                    "rpq_config_warnings_total".to_owned(),
-                    rpq_relalg::config_warnings(),
                 ),
                 ("rpq_lazy_expansions_total".to_owned(), lazy.expansions),
                 ("rpq_plan_cache_hits_total".to_owned(), session.plan_hits),
@@ -1608,10 +1594,7 @@ impl Server {
                 ("rpq_store_runs".to_owned(), self.store.len() as i64),
             ],
             histograms: Vec::new(),
-            notes: match rpq_relalg::last_config_warning() {
-                Some(text) => vec![("config_warning".to_owned(), text)],
-                None => Vec::new(),
-            },
+            notes: Vec::new(),
         };
         snap.merge(&derived);
         snap

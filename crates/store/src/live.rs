@@ -503,8 +503,9 @@ mod tests {
         // Regression: the open-time warm fixpoint and the
         // churn-triggered rebuild both hardcoded the semi-naive bit
         // fixpoint, so an SCC-eligible run never condensed on the
-        // live path. Both now go through `choose_closure`; under a
-        // forced-scc mode the closure counters must say so.
+        // live path. Both now go through `choose_closure`; a 90-edge
+        // run is a shape it condenses, and the closure counters must
+        // say so.
         let dir = temp_dir("rebuild_dispatch");
         let spec = Arc::new(spec());
         let full = run_of(&spec, 13, 90);
@@ -512,8 +513,6 @@ mod tests {
         let store = Arc::new(RunStore::create(&dir, Arc::clone(&spec)).unwrap());
         let id = store.ingest(&base).unwrap().id;
 
-        let mode_before = rpq_relalg::kernel_mode();
-        rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::ForceScc);
         let before = rpq_relalg::thread_closure_counts();
         let open = store.open_run(id).unwrap();
         let opened = rpq_relalg::thread_closure_counts().since(before);
@@ -538,7 +537,6 @@ mod tests {
         let referee =
             BitRelation::from_pairs(snap.tag.all_edges(), snap.run.n_nodes()).transitive_closure();
         assert_eq!(*snap.reach.as_ref().unwrap().as_ref(), referee);
-        rpq_relalg::set_kernel_mode(mode_before);
     }
 
     #[test]

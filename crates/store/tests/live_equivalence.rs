@@ -3,9 +3,7 @@
 //! `TagIndex`/`CsrIndex` a live [`OpenRun`](rpq_store::OpenRun)
 //! maintains — and persists — are byte-identical to the artifacts a
 //! fresh store derives from re-ingesting the final run, and every
-//! query outcome over the seeded artifacts agrees. Runs under whatever
-//! kernel `RPQ_RELALG_KERNEL` forces, so the CI kernel matrix covers
-//! all three fixpoint engines.
+//! query outcome over the seeded artifacts agrees.
 
 use proptest::prelude::*;
 use rpq_core::{QueryRequest, Session};

@@ -18,11 +18,6 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 #[test]
 fn persist_reload_identical_outcomes_and_warm_counters() {
-    // Pin the kernel dispatch: under a forced-pairs environment (the
-    // CI kernel matrix) the warm CSR arena would legitimately never be
-    // consumed, which is not what this test pins down.
-    let kernel_before = rpq_relalg::kernel_mode();
-    rpq_relalg::set_kernel_mode(rpq_relalg::KernelMode::Auto);
     let dir = scratch_dir("warm");
     let spec = paper_examples::fig2_spec();
     let corpus = runs::corpus(&spec, 5, 60, 11).unwrap();
@@ -90,7 +85,6 @@ fn persist_reload_identical_outcomes_and_warm_counters() {
     assert_eq!(outcome.stats.csr_misses, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
-    rpq_relalg::set_kernel_mode(kernel_before);
 }
 
 #[test]

@@ -116,6 +116,30 @@ pub fn sample_nodes(run: &Run, n: usize, seed: u64) -> Vec<rpq_labeling::NodeId>
     all
 }
 
+/// Append back-edges to a simulated run through the streaming-ingestion
+/// path, turning interior stretches into cycles: every `every`-th edge
+/// gains its reverse. Edges are chosen so the run keeps a unique source
+/// and sink (entry keeps no incoming edge, exit no outgoing one), which
+/// `Run::assemble` requires. Panics when no edge qualifies.
+pub fn with_back_edges(run: &Run, every: usize) -> Run {
+    let mut back = Vec::new();
+    for (i, e) in run.edges().iter().enumerate() {
+        if i % every == 0 && e.src != run.entry() && e.dst != run.exit() {
+            back.push(RunEdge {
+                src: e.dst,
+                dst: e.src,
+                tag: e.tag,
+            });
+        }
+    }
+    assert!(!back.is_empty(), "corpus too small to seed cycles");
+    run.apply_events(&EventBatch {
+        nodes: Vec::new(),
+        edges: back,
+    })
+    .expect("back-edge batch re-assembles")
+}
+
 // ---------------------------------------------------------------------
 // Graph corpora: raw node-pair relations with controlled SCC structure.
 //

@@ -21,12 +21,12 @@
 //!   artifacts; `--open rID --events FILE` appends an event batch to a
 //!   stored run through the live-ingestion path (indexes maintained
 //!   incrementally, catalog epoch bumped);
-//! * `batch <QUERY> --store DIR [--threads N] [--cache C] [--policy P]
-//!   [--kernel K]` — prepare `<QUERY>` once and evaluate it
+//! * `batch <QUERY> --store DIR [--threads N] [--cache C] [--policy P]`
+//!   — prepare `<QUERY>` once and evaluate it
 //!   entry→exit over every stored run on a thread pool, reporting
 //!   per-run verdicts plus store/session cache counters;
 //! * `serve <SPEC> --store DIR [--addr A] [--workers N] [--queue Q]
-//!   [--cache C] [--policy P] [--kernel K]` — serve the store over TCP
+//!   [--cache C] [--policy P]` — serve the store over TCP
 //!   (`rpq-serve`): one shared warm session, a bounded worker pool,
 //!   graceful overload refusals, clean SIGTERM/ctrl-c shutdown;
 //! * `router --backend HOST:PORT [--backend ...]` — the fault-tolerant
@@ -49,15 +49,12 @@
 //! `<SPEC>` is `fig2`, `fork`, `bioaid`, `qblast`, or a path to a JSON
 //! specification produced by serde. `--policy` selects the subquery
 //! evaluation policy: `cost` (cost-based, the default), `memo`
-//! (always label-based) or `naive` (pure relational joins). `--kernel`
-//! selects the relational kernel for joins/fixpoints: `auto`
-//! (density-based, the default), `bits` (blocked bitsets), `pairs`
-//! (sorted pairs + hash joins) or `scc` (Tarjan condensation for every
-//! transitive closure) — the A/B switch of `rpq-relalg`. `--strategy`
-//! selects the evaluation strategy: `auto` (cost model picks, the
-//! default), `lazy` (on-the-fly DFA×graph product search) or
-//! `materialized` (the relational pipeline) — the A/B switch of
-//! `rpq_core::lazy`.
+//! (always label-based) or `naive` (pure relational joins).
+//! `--strategy` (on `query`, `request query` and `watch`) names the
+//! evaluation strategy of that one request: `auto` (cost model picks,
+//! the default), `lazy` (on-the-fly DFA×graph product search) or
+//! `materialized` (the relational pipeline). Kernels and row loops are
+//! chosen by the code from what it observes; there is no flag.
 //!
 //! Every failure surfaces as [`RpqError`] — the CLI has no error type
 //! of its own.
@@ -102,15 +99,13 @@ USAGE:
   rpq spec <SPEC>
   rpq simulate <SPEC> --edges N [--seed S] [--fork CYCLE] [--out FILE] [--stream B]
   rpq query <SPEC> <QUERY> [--run FILE | --edges N --seed S]
-            [--from NODE] [--to NODE] [--limit K] [--policy P] [--kernel K]
-            [--strategy S]
+            [--from NODE] [--to NODE] [--limit K] [--policy P] [--strategy S]
   rpq stats (--run FILE | <SPEC> --edges N [--seed S])
   rpq store <SPEC> --dir DIR [--ingest N] [--edges M] [--seed S] [--add FILE]
             [--open rID --events FILE] [--remove FP|rID] [--gc]
-  rpq batch <QUERY> --store DIR [--threads N] [--cache C] [--policy P] [--kernel K]
-            [--strategy S]
+  rpq batch <QUERY> --store DIR [--threads N] [--cache C] [--policy P]
   rpq serve <SPEC> --store DIR [--addr HOST:PORT] [--workers N] [--queue Q]
-            [--cache C] [--policy P] [--kernel K] [--strategy S]
+            [--cache C] [--policy P]
             [--idle-timeout SECS] [--deadline SECS] [--chunk ENTRIES]
             [--slow-ms MS] [--metrics-addr HOST:PORT]
   rpq router --backend HOST:PORT [--backend HOST:PORT ...] [--addr HOST:PORT]
@@ -130,7 +125,6 @@ USAGE:
 SPEC:     fig2 | fork | bioaid | qblast | path to a JSON specification
 NODE:     module:occurrence, e.g. a:2 (numeric node indexes for `request`)
 POLICY:   cost (default) | memo | naive
-KERNEL:   auto (default) | bits | pairs | scc
 STRATEGY: auto (default) | lazy | materialized
 MODE:     pairwise | entry-exit | all-pairs | source-star | target-star | reachable
 ";
@@ -217,29 +211,10 @@ fn parse_policy(options: &[(&str, &str)]) -> Result<SubqueryPolicy, RpqError> {
     }
 }
 
-/// Apply `--kernel`, overriding the process-wide relational kernel
-/// dispatch (and any `RPQ_RELALG_KERNEL` setting) for this invocation.
-fn apply_kernel(options: &[(&str, &str)]) -> Result<rpq_relalg::KernelMode, RpqError> {
-    let mode = match opt(options, "kernel") {
-        None => rpq_relalg::kernel_mode(),
-        Some(name) => rpq_relalg::KernelMode::from_name(name).ok_or_else(|| {
-            RpqError::invalid(format!(
-                "invalid --kernel {name:?}: valid kernels are auto, bits, pairs, scc"
-            ))
-        })?,
-    };
-    rpq_relalg::set_kernel_mode(mode);
-    Ok(mode)
-}
-
-/// Parse `--strategy` without touching process state; absent means the
-/// process-wide default (`RPQ_EVAL_STRATEGY` or `auto`). `query`
-/// threads the parsed mode through `evaluate_with_strategy` and
-/// `serve` through `ServeConfig`, so concurrent invocations (the test
-/// harness) never race on the global.
+/// Parse `--strategy`; absent means `auto`.
 fn parse_strategy(options: &[(&str, &str)]) -> Result<EvalStrategy, RpqError> {
     match opt(options, "strategy") {
-        None => Ok(rpq_core::eval_strategy()),
+        None => Ok(EvalStrategy::Auto),
         Some(name) => EvalStrategy::from_name(name).ok_or_else(|| {
             RpqError::invalid(format!(
                 "invalid --strategy {name:?}: valid strategies are {}",
@@ -247,16 +222,6 @@ fn parse_strategy(options: &[(&str, &str)]) -> Result<EvalStrategy, RpqError> {
             ))
         }),
     }
-}
-
-/// Apply `--strategy` process-wide (for `batch`, whose executor calls
-/// `Session::evaluate` on a pool and has no per-call override).
-fn apply_strategy(options: &[(&str, &str)]) -> Result<EvalStrategy, RpqError> {
-    let mode = parse_strategy(options)?;
-    if opt(options, "strategy").is_some() {
-        rpq_core::set_eval_strategy(mode);
-    }
-    Ok(mode)
 }
 
 /// Open an existing run store for querying (`batch` / `serve`),
@@ -414,7 +379,6 @@ fn cmd_query(args: &[String]) -> Result<String, RpqError> {
         None => simulate_run(&spec, &options)?,
     };
     let policy = parse_policy(&options)?;
-    let kernel = apply_kernel(&options)?;
     let strategy = parse_strategy(&options)?;
     let session = Session::from_spec(spec);
     let query = session.prepare_with(query_text, policy)?;
@@ -423,18 +387,17 @@ fn cmd_query(args: &[String]) -> Result<String, RpqError> {
     writeln!(
         out,
         "query: {query_text}\nsafe: {} (safe subqueries: {}, DFA states: {}, policy: {}, \
-         kernel: {}, strategy: {})",
+         strategy: {})",
         query.is_safe(),
         query.stats().n_safe_subqueries,
         query.stats().dfa_states,
         query.stats().policy.cli_name(),
-        kernel.name(),
         strategy.name(),
     )
     .expect("write to string");
 
     // Which closure algorithm(s) actually ran, and which strategy
-    // answered (the header modes are intent; these are fact).
+    // answered (the header strategy is intent; these are fact).
     let closure_note = |out: &mut String, meta: &rpq_core::EvalMeta| {
         if meta.closures.total() > 0 {
             writeln!(out, "closures: {}", meta.closures.summary()).expect("write to string");
@@ -676,8 +639,6 @@ fn cmd_batch(args: &[String]) -> Result<String, RpqError> {
     }
     let threads: usize = parse_num(opt(&options, "threads").unwrap_or("0"), "--threads")?;
     let policy = parse_policy(&options)?;
-    let kernel = apply_kernel(&options)?;
-    let strategy = apply_strategy(&options)?;
     // The session shares the store's specification, so prepared plans
     // and stored runs always agree. `--cache` bounds both the
     // session's per-run index caches and the store's in-memory
@@ -705,13 +666,10 @@ fn cmd_batch(args: &[String]) -> Result<String, RpqError> {
     let mut out = String::new();
     writeln!(
         out,
-        "batch: {query_text} entry→exit over {} run(s) ({} thread(s), policy: {}, kernel: {}, \
-         strategy: {})",
+        "batch: {query_text} entry→exit over {} run(s) ({} thread(s), policy: {})",
         outcome.items.len(),
         outcome.threads,
         query.stats().policy.cli_name(),
-        kernel.name(),
-        strategy.name(),
     )
     .expect("write to string");
     let mut matched = 0usize;
@@ -794,8 +752,6 @@ fn cmd_serve(args: &[String]) -> Result<String, RpqError> {
             "store {dir} holds no runs; ingest some with `rpq store ... --ingest N`"
         )));
     }
-    let kernel = apply_kernel(&options)?;
-    let strategy = parse_strategy(&options)?;
     let config = ServeConfig {
         addr: opt(&options, "addr").unwrap_or("127.0.0.1:0").to_owned(),
         workers: parse_num(opt(&options, "workers").unwrap_or("0"), "--workers")?,
@@ -805,7 +761,6 @@ fn cmd_serve(args: &[String]) -> Result<String, RpqError> {
             None => None,
         },
         policy: parse_policy(&options)?,
-        strategy,
         idle_timeout: Duration::from_secs(parse_num(
             opt(&options, "idle-timeout").unwrap_or("60"),
             "--idle-timeout",
@@ -829,12 +784,10 @@ fn cmd_serve(args: &[String]) -> Result<String, RpqError> {
     // shutdown): harnesses scrape this line for the ephemeral port.
     println!(
         "rpq-serve listening on {addr} ({} worker(s), queue {}, {warmed} run(s) warm, \
-         policy {}, kernel {}, strategy {})",
+         policy {})",
         server.workers(),
         config.queue,
         config.policy.cli_name(),
-        kernel.name(),
-        config.strategy.name(),
     );
     if let Some(maddr) = server.metrics_local_addr() {
         println!("metrics listening on {maddr}");
@@ -986,7 +939,7 @@ fn cmd_request(args: &[String]) -> Result<String, RpqError> {
                  live:    epoch {}, {} append(s) ({} forced rebuild(s)), {} subscription(s)\n\
                  closures: pairs {}, bits {}, scc {} (condensations: {} computed, {} reused)\n\
                  strategy: lazy {}, materialized {}, {} product state(s) expanded\n\
-                 retries: {} reconnect/failover backoff(s), {} config warning(s)\n",
+                 retries: {} reconnect/failover backoff(s)\n",
                 s.store_runs,
                 s.accepted,
                 s.requests,
@@ -1018,7 +971,6 @@ fn cmd_request(args: &[String]) -> Result<String, RpqError> {
                 s.strategy_materialized,
                 s.lazy_expansions,
                 s.retries,
-                s.config_warnings,
             ))
         }
         "metrics" => {
@@ -1066,9 +1018,8 @@ fn cmd_request(args: &[String]) -> Result<String, RpqError> {
                     .collect();
                 writeln!(
                     out,
-                    "  slow {}µs [{}] fp {} {:?} ({})",
+                    "  slow {}µs fp {} {:?} ({})",
                     sq.total_micros,
-                    sq.kernel,
                     sq.fingerprint,
                     sq.query,
                     stages.join(" ")
@@ -1183,12 +1134,11 @@ fn cmd_request_query(
     let mut out = String::new();
     writeln!(
         out,
-        "query: {query} @ {addr}\nplan: {}, strategy: {}, index cache: {}, kernel: {}, \
+        "query: {query} @ {addr}\nplan: {}, strategy: {}, index cache: {}, \
          {} node(s) touched, {} µs server-side",
         outcome.plan_kind,
         outcome.strategy,
         outcome.index_cache,
-        outcome.kernel,
         outcome.nodes_touched,
         outcome.micros
     )
@@ -1437,60 +1387,27 @@ mod tests {
     }
 
     #[test]
-    fn kernels_are_selectable_and_agree() {
-        let mut outputs = Vec::new();
-        for kernel in ["bits", "pairs", "scc", "auto"] {
-            // Forced materialized: the closure accounting below is a
-            // relational-path fact (auto may route small runs to the
-            // lazy product engine, which closes nothing).
-            let out = run(&[
-                "query",
-                "fig2",
-                "_* a _*",
-                "--edges",
-                "80",
-                "--seed",
-                "3",
-                "--policy",
-                "naive",
-                "--kernel",
-                kernel,
-                "--strategy",
-                "materialized",
-            ])
-            .unwrap();
-            assert!(out.contains(&format!("kernel: {kernel}")), "{out}");
-            // The naive plan closes over `_*`, so the executed closure
-            // algorithm surfaces; under a forced mode it matches the
-            // forced kernel.
-            let closures = out
-                .lines()
-                .find(|l| l.starts_with("closures:"))
-                .expect("closures line")
-                .to_owned();
-            if let "bits" | "pairs" | "scc" = kernel {
-                // The forced algorithm ran (nonzero) and no other did.
-                for other in ["pairs", "bits", "scc"] {
-                    let ran_none = closures.contains(&format!("{other}:0"));
-                    assert_eq!(ran_none, other != kernel, "{kernel}: {closures}");
-                }
-            }
-            let matches = out
-                .lines()
-                .find(|l| l.starts_with("matches:"))
-                .expect("matches line")
-                .to_owned();
-            outputs.push(matches);
-        }
-        // Every kernel (and the dispatcher) answers identically.
-        assert!(outputs.iter().all(|o| o == &outputs[0]), "{outputs:?}");
-
-        let err = run(&["query", "fig2", "_*", "--kernel", "quantum"]).unwrap_err();
-        let message = err.to_string();
-        assert!(
-            message.contains("bits") && message.contains("scc"),
-            "{message}"
-        );
+    fn executed_closures_are_reported() {
+        // Forced materialized: closure accounting is a relational-path
+        // fact (auto may route small runs to the lazy product engine,
+        // which closes nothing). The naive plan closes over `_*`, so
+        // the algorithm the dispatch picked surfaces.
+        let out = run(&[
+            "query",
+            "fig2",
+            "_* a _*",
+            "--edges",
+            "80",
+            "--seed",
+            "3",
+            "--policy",
+            "naive",
+            "--strategy",
+            "materialized",
+        ])
+        .unwrap();
+        // The line is printed only when some closure ran.
+        assert!(out.lines().any(|l| l.starts_with("closures:")), "{out}");
     }
 
     #[test]
@@ -1574,20 +1491,8 @@ mod tests {
         assert!(out.contains("5 run(s)"), "{out}");
 
         // A safe query decodes labels only: the batch never touches
-        // the store's artifacts (no reloads, no rebuilds). Forced
-        // materialized — under a forced-lazy environment the batch
-        // would legitimately pull warm CSR arenas even for safe plans.
-        let out = run(&[
-            "batch",
-            "_* e _*",
-            "--store",
-            &dir,
-            "--threads",
-            "2",
-            "--strategy",
-            "materialized",
-        ])
-        .unwrap();
+        // the store's artifacts (no reloads, no rebuilds).
+        let out = run(&["batch", "_* e _*", "--store", &dir, "--threads", "2"]).unwrap();
         assert!(out.contains("over 5 run(s)"), "{out}");
         assert!(out.contains("matched"), "{out}");
         assert!(out.contains("tag reloads 0"), "{out}");
@@ -1595,9 +1500,6 @@ mod tests {
 
         // A composite query (with a bounded cache) consumes the warm
         // store: reload counters move, rebuilds stay at zero.
-        // Forced materialized: the tag-reload accounting is a
-        // relational-path fact (the lazy engine never fetches the tag
-        // index).
         let out = run(&[
             "batch",
             "_* a _*",
@@ -1609,12 +1511,9 @@ mod tests {
             "2",
             "--policy",
             "naive",
-            "--strategy",
-            "materialized",
         ])
         .unwrap();
         assert!(out.contains("policy: naive"), "{out}");
-        assert!(out.contains("strategy: materialized"), "{out}");
         assert!(out.contains("tag reloads 5"), "{out}");
         assert!(out.contains("tag rebuilds 0"), "{out}");
 

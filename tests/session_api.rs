@@ -372,3 +372,50 @@ fn semantic_safety_is_policy_independent() {
     assert_eq!(leaf.stats().kind, PlanKind::Composite);
     assert_eq!(leaf.is_safe(), session.is_safe(leaf.regex()));
 }
+
+/// `Session::evaluate` is `evaluate_with_strategy(.., Auto)` and
+/// nothing else: same result and same metadata (stage timings aside)
+/// on every request mode, for safe, decomposed and relational plans.
+#[test]
+fn evaluate_is_evaluate_with_strategy_auto() {
+    let session = Session::from_spec(paper_examples::fig2_spec());
+    let run = RunBuilder::new(session.spec())
+        .seed(11)
+        .target_edges(150)
+        .build()
+        .unwrap();
+    let nodes: Vec<NodeId> = run.node_ids().collect();
+    let mid = nodes[nodes.len() / 2];
+    let probe = nodes[nodes.len() / 3];
+    let requests = [
+        QueryRequest::Pairwise(run.entry(), run.exit()),
+        QueryRequest::Pairwise(run.entry(), mid),
+        QueryRequest::Pairwise(mid, probe),
+        QueryRequest::EntryExit,
+        QueryRequest::AllPairs(nodes.clone(), nodes.clone()),
+        QueryRequest::AllPairs(vec![run.entry(), mid], nodes.clone()),
+        QueryRequest::SourceStar(run.entry()),
+        QueryRequest::SourceStar(mid),
+        QueryRequest::TargetStar(run.exit()),
+        QueryRequest::TargetStar(probe),
+        QueryRequest::Reachable(run.entry()),
+        QueryRequest::Reachable(mid),
+    ];
+    for (text, policy) in [
+        ("_* e _*", SubqueryPolicy::CostBased),
+        ("_* a _*", SubqueryPolicy::CostBased),
+        ("(a | e)+", SubqueryPolicy::AlwaysRelational),
+    ] {
+        let query = session.prepare_with(text, policy).unwrap();
+        for request in &requests {
+            // Warm the per-run caches so both calls see the same state.
+            session.evaluate(&query, &run, request);
+            let mut default = session.evaluate(&query, &run, request);
+            let mut auto =
+                session.evaluate_with_strategy(&query, &run, request, EvalStrategy::Auto);
+            default.meta.stages.clear();
+            auto.meta.stages.clear();
+            assert_eq!(default, auto, "{text} [{policy:?}] {request:?}");
+        }
+    }
+}

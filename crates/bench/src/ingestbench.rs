@@ -8,9 +8,9 @@
 //!   twice: once with the churn threshold effectively disabled (every
 //!   batch takes the incremental path) and once with it at zero (every
 //!   batch forces the full-rebuild fallback). Same base, same batches,
-//!   same persisted artifacts at the end — the wall-clock gap is the
-//!   maintenance strategy, nothing else. Reported as append throughput
-//!   and per-append latency.
+//!   same event log and same in-memory indexes at the end — the
+//!   wall-clock gap is the maintenance strategy, nothing else. Reported
+//!   as append throughput and per-append latency.
 //! * **closure deltas** — the kernel underneath: a finished wildcard
 //!   closure extended by [`BitRelation::extend_closure`] versus a full
 //!   `transitive_closure` refixpoint of the grown graph, per append,
@@ -164,7 +164,8 @@ fn measure_closure_point(
 
     // Incremental path: one pre-fixpointed closure, extended per batch
     // (the grown base relation is part of the maintained state, so its
-    // update is inside the timed region — exactly what the store pays).
+    // update is inside the timed region — exactly what `OpenRun::reach`
+    // pays when it catches up).
     let mut base_rel = BitRelation::from_pairs(&base_set, n_nodes);
     let mut closure = base_rel.transitive_closure();
     let mut grown = base_set.clone();

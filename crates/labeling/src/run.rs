@@ -191,6 +191,13 @@ impl Run {
         })
     }
 
+    /// The event history the run was assembled from — the inverse of
+    /// [`Run::assemble`], for callers that grow a run by many batches
+    /// and re-assemble once.
+    pub fn into_parts(self) -> (Vec<RunNode>, Vec<RunEdge>) {
+        (self.nodes, self.edges)
+    }
+
     /// The run grown by one [`EventBatch`]: batch nodes take the next
     /// free ids in order, batch edges land after the existing ones.
     /// The result is re-assembled from scratch (adjacency, entry/exit,

@@ -1558,6 +1558,10 @@ impl Server {
                     session.index_evictions + session.csr_evictions,
                 ),
                 (
+                    "rpq_store_append_bytes_total".to_owned(),
+                    store.append_bytes,
+                ),
+                (
                     "rpq_store_append_rebuilds_total".to_owned(),
                     store.append_rebuilds,
                 ),

@@ -12,7 +12,7 @@
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// The workspace target directory (this file lives at
@@ -72,49 +72,11 @@ impl Drop for ChildGuard {
     }
 }
 
-/// The live-provenance loop, end to end through the binary: a streamed
-/// simulation, an offline CLI append (`rpq store --open`), a served
-/// store, a standing `rpq watch` receiving a pushed delta from an
-/// over-the-wire `rpq request append`, and finally a SIGTERM drain
-/// with another subscriber still active.
-#[test]
-fn streaming_append_watch_and_sigterm_drain() {
-    let bin = rpq_binary();
-    let dir = std::env::temp_dir()
-        .join("rpq_cli_smoke_live")
-        .join(std::process::id().to_string());
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create dir");
-    let base = dir.join("run.json");
-    let base = base.to_str().expect("utf-8 path");
-    let store = dir.join("store");
-    let store = store.to_str().expect("utf-8 path");
-
-    // 1. Streamed simulation: base run + two replayable event batches.
-    let out = run_ok(
-        &bin,
-        &[
-            "simulate", "fig2", "--edges", "90", "--seed", "11", "--out", base, "--stream", "2",
-        ],
-    );
-    assert!(out.contains("streamed: base"), "{out}");
-    let events_1 = base.replace(".json", ".events-1.json");
-    let events_2 = base.replace(".json", ".events-2.json");
-
-    // 2. Ingest the base, then append batch 1 offline through the
-    // live path (indexes maintained, epoch bumped on disk).
-    run_ok(&bin, &["store", "fig2", "--dir", store, "--add", base]);
-    let out = run_ok(
-        &bin,
-        &[
-            "store", "fig2", "--dir", store, "--open", "r0", "--events", &events_1,
-        ],
-    );
-    assert!(out.contains("appended"), "{out}");
-
-    // 3. Serve the grown store.
+/// Start `rpq serve fig2` on `store` at an ephemeral port; returns the
+/// child, its stdout past the banner line, and the address it bound.
+fn spawn_server(bin: &PathBuf, store: &str) -> (ChildGuard, BufReader<ChildStdout>, String) {
     let mut server = ChildGuard(
-        Command::new(&bin)
+        Command::new(bin)
             .args([
                 "serve",
                 "fig2",
@@ -140,6 +102,89 @@ fn streaming_append_watch_and_sigterm_drain() {
         .and_then(|rest| rest.split_whitespace().next())
         .expect("address in banner")
         .to_owned();
+    (server, server_out, addr)
+}
+
+/// The fingerprint an append receipt ends with.
+fn receipt_fp(receipt: &str) -> String {
+    let fp = receipt
+        .trim_end()
+        .rsplit("fp ")
+        .next()
+        .expect("fp in receipt");
+    assert_eq!(fp.len(), 32, "{receipt}");
+    fp.to_owned()
+}
+
+/// `request query`'s answer for the run with fingerprint `fp`, minus
+/// the timing lines in front of it.
+fn answer(bin: &PathBuf, addr: &str, fp: &str) -> String {
+    let out = run_ok(
+        bin,
+        &[
+            "request",
+            "query",
+            "_* a _*",
+            "--addr",
+            addr,
+            "--fp",
+            fp,
+            "--mode",
+            "all-pairs",
+            "--limit",
+            "100000",
+        ],
+    );
+    let at = out.find("matches: ").unwrap_or_else(|| panic!("{out}"));
+    out[at..].to_owned()
+}
+
+/// The live-provenance loop, end to end through the binary: a streamed
+/// simulation, an offline CLI append (`rpq store --open`), a served
+/// store, a standing `rpq watch` receiving a pushed delta from an
+/// over-the-wire `rpq request append`, a SIGTERM drain with another
+/// subscriber still active — and then what the appends left on disk:
+/// a restarted server answers for the grown run as before, and after
+/// a `kill -9` right behind one more append the run that append named
+/// is there, with nothing for `--gc` to prune.
+#[test]
+fn streaming_append_watch_and_sigterm_drain() {
+    let bin = rpq_binary();
+    let dir = std::env::temp_dir()
+        .join("rpq_cli_smoke_live")
+        .join(std::process::id().to_string());
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let base = dir.join("run.json");
+    let base = base.to_str().expect("utf-8 path");
+    let store = dir.join("store");
+    let store = store.to_str().expect("utf-8 path");
+
+    // 1. Streamed simulation: base run + three replayable event batches.
+    let out = run_ok(
+        &bin,
+        &[
+            "simulate", "fig2", "--edges", "90", "--seed", "11", "--out", base, "--stream", "3",
+        ],
+    );
+    assert!(out.contains("streamed: base"), "{out}");
+    let events_1 = base.replace(".json", ".events-1.json");
+    let events_2 = base.replace(".json", ".events-2.json");
+    let events_3 = base.replace(".json", ".events-3.json");
+
+    // 2. Ingest the base, then append batch 1 offline through the
+    // live path (indexes maintained, epoch bumped on disk).
+    run_ok(&bin, &["store", "fig2", "--dir", store, "--add", base]);
+    let out = run_ok(
+        &bin,
+        &[
+            "store", "fig2", "--dir", store, "--open", "r0", "--events", &events_1,
+        ],
+    );
+    assert!(out.contains("appended"), "{out}");
+
+    // 3. Serve the grown store.
+    let (mut server, mut server_out, addr) = spawn_server(&bin, store);
     let a = addr.as_str();
 
     // 4. Stand a watch up (`_*` over all pairs grows on every append,
@@ -176,6 +221,8 @@ fn streaming_append_watch_and_sigterm_drain() {
         ],
     );
     assert!(out.contains("appended"), "{out}");
+    let grown_fp = receipt_fp(&out);
+    let grown_answer = answer(&bin, a, &grown_fp);
     let deadline = Instant::now() + Duration::from_secs(30);
     let exit = loop {
         match watch.0.try_wait().expect("try_wait watch") {
@@ -228,6 +275,37 @@ fn streaming_append_watch_and_sigterm_drain() {
     let mut rest = String::new();
     server_out.read_to_string(&mut rest).expect("drain server");
     assert!(rest.contains("shutdown: served"), "missing report: {rest}");
+
+    // 7. The wire append wrote a log segment and a catalog row, no run
+    // file and no index artifact. A new server on the same directory
+    // resolves the grown fingerprint and answers as the old one did.
+    let (mut server, _server_out, addr) = spawn_server(&bin, store);
+    let a = addr.as_str();
+    assert_eq!(answer(&bin, a, &grown_fp), grown_answer);
+
+    // 8. One more append, and the server is killed outright the moment
+    // the receipt is back: no drain, no fold. Whatever the receipt
+    // named must be on disk already.
+    let out = run_ok(
+        &bin,
+        &[
+            "request", "append", "--addr", a, "--events", &events_3, "--fp", &grown_fp,
+        ],
+    );
+    let final_fp = receipt_fp(&out);
+    assert_ne!(final_fp, grown_fp);
+    let status = Command::new("kill")
+        .args(["-KILL", &server.0.id().to_string()])
+        .status()
+        .expect("spawn kill -KILL");
+    assert!(status.success(), "kill -KILL failed");
+    server.0.wait().expect("reap killed server");
+
+    let (server, _server_out, addr) = spawn_server(&bin, store);
+    assert!(answer(&bin, &addr, &final_fp).starts_with("matches: "));
+    drop(server);
+    let out = run_ok(&bin, &["store", "fig2", "--dir", store, "--gc"]);
+    assert!(out.contains("gc: pruned 0 orphaned file(s)"), "{out}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,23 +6,25 @@
 //! compiled query served against many workflow runs whose inverted
 //! indexes were built ahead of time (Section V-A "for each run, an
 //! index maps an edge tag γ to a list of node pairs"). [`RunStore`]
-//! makes that a durable subsystem instead of a per-process cache:
+//! makes that a persistent subsystem instead of a per-process cache:
 //!
 //! * **Catalog** — runs are ingested from generators or files,
 //!   deduplicated by their structural fingerprint, and persisted under
 //!   a store directory ([`RunStore::ingest`]);
 //! * **Artifacts** — each run's derived [`TagIndex`] and [`CsrIndex`]
-//!   are persisted beside it (lazily on first use, or eagerly via
+//!   are cached beside it (lazily on first use, or eagerly via
 //!   [`RunStore::materialize_artifacts`]) with a compact binary codec
-//!   ([`codec`]), so a restarted process reloads warm indexes instead
-//!   of rebuilding them;
+//!   ([`codec`]), each file stamped with the fingerprint of the run it
+//!   was derived from, so a restarted process reloads warm indexes
+//!   instead of rebuilding them — and rebuilds, never trusts, a file
+//!   stamped for any other state of the run;
 //! * **Batch execution** — a store is a
 //!   [`RunSource`]: `Session::evaluate_batch`
 //!   fans one prepared query across the whole corpus on a thread pool,
 //!   seeding the session's caches with the store's warm artifacts;
 //! * **Live ingestion** — a stored run opened for streaming
-//!   ([`RunStore::open_run`]) receives event batches whose persisted
-//!   artifacts are maintained *incrementally* rather than rebuilt
+//!   ([`RunStore::open_run`]) receives event batches; each is appended
+//!   to the run's event log and its indexes are maintained in memory
 //!   ([`live`]), with a monotonic catalog epoch exposing every
 //!   mutation to clients.
 //!
@@ -32,18 +34,33 @@
 //! spec.json               the workflow specification (JSON, human-readable)
 //! catalog.json            catalog manifest: version, next id, epoch, shard bits
 //! catalog/shard-XX.json   catalog rows, sharded by fingerprint prefix
-//! runs/run-<id>.bin       each ingested run (binary codec)
-//! index/tag-<id>.bin      persisted TagIndex artifact
-//! index/csr-<id>.bin      persisted CsrIndex artifact
+//! runs/run-<id>.bin       each run as ingested or last folded (binary codec)
+//! runs/run-<id>.log       event batches appended since, one checksummed segment each
+//! index/tag-<id>.bin      cached TagIndex artifact, stamped with its run's fingerprint
+//! index/csr-<id>.bin      cached CsrIndex artifact, stamped likewise
 //! ```
+//!
+//! A run *is* its base file plus the committed prefix of its log; the
+//! catalog row's fingerprint and sizes say where that prefix ends (see
+//! [`RunStore::run`]). An append writes one log segment, then the
+//! catalog row — in that order, so the row never names a state the
+//! files cannot reproduce. [`RunStore::materialize_artifacts`] folds
+//! logs back into base files. Every file replacement is
+//! write-to-temporary-then-rename and every log write lands past the
+//! committed prefix, so readers and a *process* crash at any point see
+//! the state before or after a mutation, never a mix; nothing is
+//! `fsync`ed, so the same is not promised across power loss. One
+//! process mutates a store directory at a time: the catalog and the
+//! open runs' log positions live in that process's memory.
 //!
 //! The catalog rows shard across `catalog/shard-XX.json` by the top
 //! bits of each run's fingerprint, so one mutation rewrites one small
 //! shard instead of the whole corpus — a flat single-file catalog stops
 //! scaling well before the 10⁵-run corpora the serving fleet targets.
-//! Stores persisted by older builds (one monolithic `catalog.json`)
-//! open transparently and migrate to the sharded layout on their first
-//! mutation.
+//! Stores persisted by older builds (one monolithic `catalog.json`,
+//! unstamped artifacts) open transparently: the catalog migrates to the
+//! sharded layout on its first mutation and each unstamped artifact is
+//! rebuilt once.
 //!
 //! Counters ([`RunStore::stats`]) distinguish *reloads* (artifact
 //! decoded from disk — the warm path) from *rebuilds* (artifact
@@ -53,6 +70,7 @@
 
 pub mod codec;
 pub mod live;
+mod log;
 
 pub use live::{Appended, LiveSnapshot, OpenRun};
 
@@ -114,6 +132,9 @@ pub struct StoreStats {
     /// Appends whose churn exceeded the threshold, forcing a full
     /// artifact rebuild instead of the incremental delta path.
     pub append_rebuilds: u64,
+    /// Bytes appends handed to the filesystem: each one's log segment
+    /// plus the catalog files it rewrote.
+    pub append_bytes: u64,
     /// Compiled safe plans decoded from persisted artifacts (the warm
     /// path: a restarted process reuses plans a previous one compiled).
     pub plan_reloads: u64,
@@ -142,6 +163,7 @@ impl StoreStats {
             orphans_pruned: self.orphans_pruned - earlier.orphans_pruned,
             appended: self.appended - earlier.appended,
             append_rebuilds: self.append_rebuilds - earlier.append_rebuilds,
+            append_bytes: self.append_bytes - earlier.append_bytes,
             plan_reloads: self.plan_reloads - earlier.plan_reloads,
             plan_rebuilds: self.plan_rebuilds - earlier.plan_rebuilds,
             // The epoch is a level, not a rate, but it is monotonic, so
@@ -307,6 +329,12 @@ impl<V: Clone> BoundedCache<V> {
         kept
     }
 
+    /// Insert, displacing any entry already there.
+    fn replace(&mut self, id: RunId, value: V) {
+        self.entries.remove(&id);
+        self.insert_or_keep(id, value);
+    }
+
     fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         self.trim();
@@ -355,6 +383,7 @@ pub struct RunStore {
     orphans_pruned: AtomicU64,
     appended: AtomicU64,
     append_rebuilds: AtomicU64,
+    append_bytes: AtomicU64,
     plan_reloads: AtomicU64,
     plan_rebuilds: AtomicU64,
     /// FNV-1a of the spec's JSON rendering: binds persisted plans to
@@ -598,6 +627,7 @@ impl RunStore {
             orphans_pruned: AtomicU64::new(0),
             appended: AtomicU64::new(0),
             append_rebuilds: AtomicU64::new(0),
+            append_bytes: AtomicU64::new(0),
             plan_reloads: AtomicU64::new(0),
             plan_rebuilds: AtomicU64::new(0),
             spec_fp,
@@ -717,6 +747,7 @@ impl RunStore {
             orphans_pruned: self.orphans_pruned.load(Ordering::Relaxed),
             appended: self.appended.load(Ordering::Relaxed),
             append_rebuilds: self.append_rebuilds.load(Ordering::Relaxed),
+            append_bytes: self.append_bytes.load(Ordering::Relaxed),
             plan_reloads: self.plan_reloads.load(Ordering::Relaxed),
             plan_rebuilds: self.plan_rebuilds.load(Ordering::Relaxed),
             epoch: self.epoch(),
@@ -791,26 +822,52 @@ impl RunStore {
         self.ingest(&run)
     }
 
-    /// Build and persist the artifacts of every run that lacks them —
-    /// shipping the store warm instead of paying rebuilds at first
-    /// query. Returns how many runs were materialized.
+    /// Leave the store warm and compact: for every run that is not
+    /// currently open for appends, fold its event log into the base
+    /// file and persist whichever index artifact is missing or stamped
+    /// for another state of the run. Returns how many runs had
+    /// anything written.
+    ///
+    /// The fold is the one place a run's files are rewritten, and it
+    /// is explicit — no append ever triggers it. It is crash-safe by
+    /// the rule every reader follows: the new base is renamed into
+    /// place *before* the log is unlinked, and a base that already
+    /// matches the catalog row applies zero segments, so the stale log
+    /// a crash leaves between the two steps is ignored.
     pub fn materialize_artifacts(&self) -> Result<usize, RpqError> {
         let mut materialized = 0;
         for id in self.ids() {
-            if self.tag_path(id).exists() && self.csr_path(id).exists() {
+            // Held across the fold: `open_run` takes this lock first,
+            // so no appender can start on a run while its log is being
+            // folded away underneath it.
+            let open = self.open_runs.lock().expect("open-run registry lock");
+            if open.get(&id).is_some_and(|run| run.strong_count() > 0) {
                 continue;
             }
-            let (tag, csr) = self.artifacts(id)?;
-            // artifacts() persists only when it rebuilt; a pair served
-            // from the in-memory cache leaves missing files missing,
-            // and "materialized" must mean "on disk".
-            if !self.tag_path(id).exists() {
-                write_atomic(&self.tag_path(id), &codec::to_bytes(tag.as_ref()))?;
+            let folded = self.log_path(id).exists();
+            if folded {
+                let run = self.run(id)?;
+                write_atomic(&self.run_path(id), &codec::to_bytes(run.as_ref()))?;
+                let _ = std::fs::remove_file(self.log_path(id));
             }
-            if !self.csr_path(id).exists() {
-                write_atomic(&self.csr_path(id), &codec::to_bytes(csr.as_ref()))?;
+            let key = self.catalog_key(id)?;
+            let (tag_path, csr_path) = (self.tag_path(id), self.csr_path(id));
+            let stale = |path: &Path| !is_stamped(path, key);
+            let mut wrote = folded;
+            if stale(&tag_path) || stale(&csr_path) {
+                // artifacts() persists only what it rebuilt; a pair
+                // served from the in-memory cache leaves stale files
+                // stale, and "materialized" must mean "on disk".
+                let (tag, csr) = self.artifacts(id)?;
+                if stale(&tag_path) {
+                    write_atomic(&tag_path, &stamped(key, tag.as_ref()))?;
+                }
+                if stale(&csr_path) {
+                    write_atomic(&csr_path, &stamped(key, csr.as_ref()))?;
+                }
+                wrote = true;
             }
-            materialized += 1;
+            materialized += usize::from(wrote);
         }
         Ok(materialized)
     }
@@ -859,7 +916,12 @@ impl RunStore {
         // File deletion is best-effort: the catalog no longer references
         // them, so a failed unlink merely leaves an orphan for the next
         // prune pass.
-        for path in [self.run_path(id), self.tag_path(id), self.csr_path(id)] {
+        for path in [
+            self.run_path(id),
+            self.log_path(id),
+            self.tag_path(id),
+            self.csr_path(id),
+        ] {
             let _ = std::fs::remove_file(path);
         }
         self.removed.fetch_add(1, Ordering::Relaxed);
@@ -900,14 +962,16 @@ impl RunStore {
         let live: std::collections::HashSet<u64> =
             state.catalog.entries.iter().map(|e| e.id).collect();
         let expected = |sub: &str, name: &str| -> bool {
-            let stem = if sub == "runs" {
+            let id = if sub == "runs" {
+                // A cataloged run's event log is as live as its base.
                 name.strip_prefix("run-")
+                    .and_then(|s| s.strip_suffix(".bin").or_else(|| s.strip_suffix(".log")))
             } else {
                 name.strip_prefix("tag-")
                     .or_else(|| name.strip_prefix("csr-"))
+                    .and_then(|s| s.strip_suffix(".bin"))
             };
-            stem.and_then(|s| s.strip_suffix(".bin"))
-                .and_then(|s| s.parse::<u64>().ok())
+            id.and_then(|s| s.parse::<u64>().ok())
                 .is_some_and(|id| live.contains(&id))
         };
         // Artifact writes happen outside the catalog lock, so a *young*
@@ -960,23 +1024,15 @@ impl RunStore {
 
     // -- loading -------------------------------------------------------
 
-    /// The stored run with `id`, decoded at most once per process.
+    /// The stored run with `id`, decoded at most once per process: its
+    /// base file plus the committed prefix of its event log, validated
+    /// against the specification.
     pub fn run(&self, id: RunId) -> Result<Arc<Run>, RpqError> {
         let _span = rpq_obs::Trace::span("store_load");
         if let Some(run) = self.runs.lock().expect("run cache lock").get(&id) {
             return Ok(run);
         }
-        let path = self.run_path(id);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| RpqError::io(format!("cannot read stored run {path:?}"), e))?;
-        let run: Run = codec::from_bytes(&bytes)
-            .map_err(|e| RpqError::invalid(format!("corrupt stored run {path:?}: {e}")))?;
-        run.validate_against(&self.spec).map_err(|e| {
-            RpqError::invalid(format!(
-                "stored run {path:?} does not match the store spec: {e}"
-            ))
-        })?;
-        self.run_loads.fetch_add(1, Ordering::Relaxed);
+        let (run, _) = self.load_run(id)?;
         Ok(self
             .runs
             .lock()
@@ -984,26 +1040,96 @@ impl RunStore {
             .insert_or_keep(id, Arc::new(run)))
     }
 
-    /// The catalog dimensions of `id` — the (n_nodes, n_edges) the
-    /// run was ingested with, used to bind artifact files to *their*
-    /// run.
-    fn catalog_dims(&self, id: RunId) -> Result<(usize, usize), RpqError> {
+    /// Decode run `id` from its files. The catalog row is the commit
+    /// record: log segments are applied to the base until the replayed
+    /// run has the row's size, the result is assembled once, and its
+    /// fingerprint must then be the row's — anything else is a typed
+    /// error, never a run served under another run's name. Whatever
+    /// the log holds past that point (an append whose catalog bump
+    /// never landed, a torn write, the folded segments of an
+    /// interrupted fold) is ignored. Also returns the byte length of
+    /// the applied log prefix, which is where the next append goes.
+    fn load_run(&self, id: RunId) -> Result<(Run, u64), RpqError> {
+        let key = self.catalog_key(id)?;
+        // Log before base: a fold renames the new base into place
+        // before it unlinks the log, so reading in this order can pair
+        // a folded base with the stale log (zero segments apply) but
+        // never the old base with no log.
+        let log_path = self.log_path(id);
+        let log = match std::fs::read(&log_path) {
+            Ok(bytes) => bytes,
+            // Never appended to, or folded since.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(RpqError::io(format!("cannot read {log_path:?}"), e)),
+        };
+        let path = self.run_path(id);
+        let bytes = std::fs::read(&path)
+            .map_err(|e| RpqError::io(format!("cannot read stored run {path:?}"), e))?;
+        let mut run: Run = codec::from_bytes(&bytes)
+            .map_err(|e| RpqError::invalid(format!("corrupt stored run {path:?}: {e}")))?;
+        let mut applied = 0;
+        if (run.n_nodes() as u64, run.n_edges() as u64) != (key.2, key.3) {
+            let (mut nodes, mut edges) = run.into_parts();
+            let mut segments = log::segments(&log);
+            while (nodes.len() as u64, edges.len() as u64) != (key.2, key.3) {
+                let Some((batch, end)) = segments.next() else {
+                    break;
+                };
+                nodes.extend(batch.nodes);
+                edges.extend(batch.edges);
+                applied = end;
+            }
+            run = Run::assemble(nodes, edges)
+                .map_err(|e| RpqError::invalid(format!("corrupt event log {log_path:?}: {e}")))?;
+        }
+        let replayed = fp_key(&run);
+        if replayed != key {
+            return Err(RpqError::invalid(format!(
+                "stored run {id} does not match its catalog row: {path:?} plus {applied} of \
+                 {} log byte(s) give {} node(s), {} edge(s), fingerprint {:016x}{:016x}; the \
+                 row says {}, {}, {:016x}{:016x}",
+                log.len(),
+                replayed.2,
+                replayed.3,
+                replayed.0,
+                replayed.1,
+                key.2,
+                key.3,
+                key.0,
+                key.1
+            )));
+        }
+        run.validate_against(&self.spec).map_err(|e| {
+            RpqError::invalid(format!(
+                "stored run {path:?} does not match the store spec: {e}"
+            ))
+        })?;
+        self.run_loads.fetch_add(1, Ordering::Relaxed);
+        Ok((run, applied))
+    }
+
+    /// The catalog row of `id` as a fingerprint key: the identity the
+    /// run's files must replay to and its artifacts must be stamped
+    /// with.
+    fn catalog_key(&self, id: RunId) -> Result<FpKey, RpqError> {
         let state = self.state.lock().expect("catalog lock");
         state
             .catalog
             .entries
             .iter()
             .find(|e| e.id == id.0)
-            .map(|e| (e.n_nodes as usize, e.n_edges as usize))
+            .map(|e| (e.fp_hi, e.fp_lo, e.n_nodes, e.n_edges))
             .ok_or_else(|| RpqError::invalid(format!("no run {id} in this store")))
     }
 
-    /// The run's derived artifacts — decoded from their persisted files
-    /// when present, well-formed *and* matching the run's cataloged
-    /// dimensions (counted as *reloads*), re-derived from the run and
-    /// persisted otherwise (counted as *rebuilds*). The dimension check
-    /// matters: a well-formed artifact belonging to a *different* run
-    /// (a mis-restored backup, a copied file) must fall back to rebuild
+    /// The run's derived artifacts — decoded from their cached files
+    /// when those are stamped with the run's current fingerprint and
+    /// well-formed (counted as *reloads*), re-derived from the run and
+    /// persisted otherwise (counted as *rebuilds*). The stamp binds a
+    /// file to one state of one run: an artifact of a *different* run,
+    /// or of this run before it grew (a mis-restored backup, a copied
+    /// file, a crash between an append and the next fold), or one
+    /// written before artifacts were stamped, falls back to rebuild
     /// rather than silently answer for the wrong graph.
     pub fn artifacts(&self, id: RunId) -> Result<ArtifactPair, RpqError> {
         let _span = rpq_obs::Trace::span("store_load");
@@ -1011,30 +1137,26 @@ impl RunStore {
             return Ok(pair);
         }
         let n_tags = self.spec.n_tags();
-        let (n_nodes, n_edges) = self.catalog_dims(id)?;
+        let mut key = self.catalog_key(id)?;
 
-        let tag = match self.decode_artifact::<TagIndex>(&self.tag_path(id)) {
-            // Pair-set dedup of parallel same-tag edges means the
-            // indexed pair count may undershoot the run's edge count,
-            // never exceed it.
-            Some(index)
-                if index.is_well_formed(n_tags)
-                    && index.n_nodes() == n_nodes
-                    && index.all_edges().len() <= n_edges =>
-            {
+        let tag = match decode_stamped::<TagIndex>(&self.tag_path(id), key) {
+            Some(index) if index.is_well_formed(n_tags) => {
                 self.tag_reloads.fetch_add(1, Ordering::Relaxed);
                 Arc::new(index)
             }
             _ => {
                 let run = self.run(id)?;
+                // Stamp what the index was built from, should the run
+                // have grown since the row was read.
+                key = fp_key(&run);
                 let index = TagIndex::build(&run, n_tags);
-                write_atomic(&self.tag_path(id), &codec::to_bytes(&index))?;
+                write_atomic(&self.tag_path(id), &stamped(key, &index))?;
                 self.tag_rebuilds.fetch_add(1, Ordering::Relaxed);
                 Arc::new(index)
             }
         };
 
-        let csr = match self.decode_artifact::<CsrIndex>(&self.csr_path(id)) {
+        let csr = match decode_stamped::<CsrIndex>(&self.csr_path(id), key) {
             Some(csr)
                 if csr.is_well_formed(n_tags)
                     && csr.n_nodes() == tag.n_nodes()
@@ -1045,7 +1167,7 @@ impl RunStore {
             }
             _ => {
                 let csr = CsrIndex::build(&tag);
-                write_atomic(&self.csr_path(id), &codec::to_bytes(&csr))?;
+                write_atomic(&self.csr_path(id), &stamped(key, &csr))?;
                 self.csr_rebuilds.fetch_add(1, Ordering::Relaxed);
                 Arc::new(csr)
             }
@@ -1056,13 +1178,6 @@ impl RunStore {
             .lock()
             .expect("artifact cache lock")
             .insert_or_keep(id, (tag, csr)))
-    }
-
-    /// Decode one artifact file; any failure (missing, truncated,
-    /// tampered) falls back to `None` so the caller rebuilds.
-    fn decode_artifact<T: serde::Deserialize>(&self, path: &Path) -> Option<T> {
-        let bytes = std::fs::read(path).ok()?;
-        codec::from_bytes(&bytes).ok()
     }
 
     // -- plan cache ----------------------------------------------------
@@ -1123,6 +1238,10 @@ impl RunStore {
         self.dir.join("runs").join(format!("run-{}.bin", id.0))
     }
 
+    fn log_path(&self, id: RunId) -> PathBuf {
+        self.dir.join("runs").join(format!("run-{}.log", id.0))
+    }
+
     fn tag_path(&self, id: RunId) -> PathBuf {
         self.dir.join("index").join(format!("tag-{}.bin", id.0))
     }
@@ -1134,7 +1253,8 @@ impl RunStore {
     /// Persist the catalog: the slim manifest in `catalog.json` plus
     /// the shard files named in `dirty` (each a prefix index from
     /// [`shard_of`]). `None` — or a store still on the legacy
-    /// monolithic layout — rewrites every shard.
+    /// monolithic layout — rewrites every shard. Returns the bytes
+    /// written.
     ///
     /// Write ordering carries the crash-consistency argument. Normal
     /// mutations write the manifest *first*: a crash before the dirty
@@ -1149,7 +1269,7 @@ impl RunStore {
         &self,
         state: &mut CatalogState,
         dirty: Option<&[usize]>,
-    ) -> Result<(), RpqError> {
+    ) -> Result<u64, RpqError> {
         let manifest = CatalogManifest {
             version: CATALOG_VERSION,
             next_id: state.catalog.next_id,
@@ -1159,13 +1279,14 @@ impl RunStore {
         let json = serde_json::to_string(&manifest)
             .map_err(|e| RpqError::invalid(format!("cannot serialize catalog: {e}")))?;
         let manifest_path = self.dir.join("catalog.json");
+        let mut written = json.len() as u64;
         if state.sharded {
             if let Some(dirty) = dirty {
                 write_atomic(&manifest_path, json.as_bytes())?;
                 for &shard in dirty {
-                    self.persist_shard(state, shard)?;
+                    written += self.persist_shard(state, shard)?;
                 }
-                return Ok(());
+                return Ok(written);
             }
         }
         // Full pass: migration off a legacy catalog, or an explicit
@@ -1174,17 +1295,18 @@ impl RunStore {
         std::fs::create_dir_all(&shard_dir)
             .map_err(|e| RpqError::io(format!("cannot create {shard_dir:?}"), e))?;
         for shard in 0..(1usize << state.shard_bits) {
-            self.persist_shard(state, shard)?;
+            written += self.persist_shard(state, shard)?;
         }
         write_atomic(&manifest_path, json.as_bytes())?;
         state.sharded = true;
-        Ok(())
+        Ok(written)
     }
 
     /// Write one shard file: every catalog row whose fingerprint prefix
     /// maps to `shard`, stamped with the current epoch so duplicate ids
     /// from an interrupted cross-shard move resolve to the newer row.
-    fn persist_shard(&self, state: &CatalogState, shard: usize) -> Result<(), RpqError> {
+    /// Returns the bytes written.
+    fn persist_shard(&self, state: &CatalogState, shard: usize) -> Result<u64, RpqError> {
         let rows = CatalogShard {
             entries: state
                 .catalog
@@ -1202,7 +1324,8 @@ impl RunStore {
         write_atomic(
             &self.dir.join("catalog").join(shard_name(shard)),
             json.as_bytes(),
-        )
+        )?;
+        Ok(json.len() as u64)
     }
 }
 
@@ -1272,7 +1395,47 @@ impl PlanStore for RunStore {
     }
 }
 
-/// 64-bit FNV-1a: key hashing for plan files and the spec fingerprint.
+/// The header of an index artifact file: a magic, then the fingerprint
+/// key of the run state the artifact was derived from.
+fn stamp(key: FpKey) -> [u8; 36] {
+    let mut out = [0; 36];
+    out[..4].copy_from_slice(b"RPQS");
+    for (slot, word) in out[4..]
+        .chunks_exact_mut(8)
+        .zip([key.0, key.1, key.2, key.3])
+    {
+        slot.copy_from_slice(&word.to_le_bytes());
+    }
+    out
+}
+
+/// An artifact file's bytes: its stamp, then the codec payload.
+fn stamped<T: Serialize>(key: FpKey, artifact: &T) -> Vec<u8> {
+    let mut out = stamp(key).to_vec();
+    out.extend_from_slice(&codec::to_bytes(artifact));
+    out
+}
+
+/// Does the file at `path` carry the stamp of `key`? (Reads the header
+/// only.)
+fn is_stamped(path: &Path, key: FpKey) -> bool {
+    use std::io::Read;
+    let mut header = [0; 36];
+    std::fs::File::open(path)
+        .and_then(|mut file| file.read_exact(&mut header))
+        .is_ok_and(|()| header == stamp(key))
+}
+
+/// Decode one artifact file if it is stamped for `key`; any failure
+/// (missing, unstamped, stamped for another run state, truncated,
+/// tampered) falls back to `None` so the caller rebuilds.
+fn decode_stamped<T: Deserialize>(path: &Path, key: FpKey) -> Option<T> {
+    let bytes = std::fs::read(path).ok()?;
+    codec::from_bytes(bytes.strip_prefix(&stamp(key))?).ok()
+}
+
+/// 64-bit FNV-1a: key hashing for plan files and the spec fingerprint,
+/// and the checksum of event-log segments.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

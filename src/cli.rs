@@ -19,8 +19,10 @@
 //!   persistent [`RunStore`]: ingest simulated runs and/or a JSON run
 //!   file, deduplicate by fingerprint, and materialize warm index
 //!   artifacts; `--open rID --events FILE` appends an event batch to a
-//!   stored run through the live-ingestion path (indexes maintained
-//!   incrementally, catalog epoch bumped);
+//!   stored run through the live-ingestion path (one segment on the
+//!   run's event log, catalog epoch bumped); every invocation ends by
+//!   folding event logs into their runs' base files and re-persisting
+//!   stale index artifacts;
 //! * `batch <QUERY> --store DIR [--threads N] [--cache C] [--policy P]`
 //!   — prepare `<QUERY>` once and evaluate it
 //!   entry→exit over every stored run on a thread pool, reporting
@@ -558,11 +560,12 @@ fn cmd_store(args: &[String]) -> Result<String, RpqError> {
             let id: u64 = parse_num(id, "--open run id")?;
             let batch = load_events(path)?;
             let open = store.open_run(rpq_store::RunId(id))?;
+            let before = store.stats();
             let receipt = open.append_events(&batch)?;
             writeln!(
                 out,
                 "appended {path} to {target}: seq {}, epoch {}, +{} node(s)/+{} edge(s) \
-                 ({}), now {} node(s)/{} edge(s), fp {:016x}{:016x}",
+                 ({}, {} byte(s) written), now {} node(s)/{} edge(s), fp {:016x}{:016x}",
                 receipt.seq,
                 receipt.epoch,
                 receipt.new_nodes,
@@ -572,6 +575,7 @@ fn cmd_store(args: &[String]) -> Result<String, RpqError> {
                 } else {
                     "delta maintenance"
                 },
+                store.stats().since(before).append_bytes,
                 receipt.n_nodes,
                 receipt.n_edges,
                 receipt.fingerprint.0,
@@ -609,8 +613,10 @@ fn cmd_store(args: &[String]) -> Result<String, RpqError> {
         let pruned = store.prune_orphans()?;
         writeln!(out, "gc: pruned {pruned} orphaned file(s)").expect("write to string");
     }
-    // Ship the store warm: every run gets persisted index artifacts so
-    // the next process (or `rpq batch`) reloads instead of rebuilding.
+    // Ship the store warm and compact: event logs fold into their base
+    // files and every run gets current index artifacts, so the next
+    // process (or `rpq batch`) reloads instead of replaying and
+    // rebuilding.
     let materialized = store.materialize_artifacts()?;
     if materialized > 0 {
         writeln!(
@@ -1751,6 +1757,14 @@ mod tests {
             .unwrap();
             assert!(out.contains("appended"), "{out}");
             assert!(out.contains(&format!("seq 1, epoch {}", k + 1)), "{out}");
+            assert!(out.contains("byte(s) written)"), "{out}");
+            // The verb ends by leaving the store warm: the segment it
+            // just logged is folded into the base file.
+            assert!(
+                out.contains("materialized index artifacts for 1 run(s)"),
+                "{out}"
+            );
+            assert!(!dir.join("store/runs/run-0.log").exists());
         }
 
         // The grown run answers queries like any stored run.

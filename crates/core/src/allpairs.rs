@@ -4,23 +4,54 @@
 //!
 //! * [`all_pairs_nested`] — **Option S1 / "RPL"**: nested loop over
 //!   `l1 × l2` with the constant-time pairwise decode per pair,
-//!   `Θ(|l1|·|l2|)`.
+//!   `Θ(|l1|·|l2|)`. Kept as the referee of the other two.
 //! * [`all_pairs_filtered`] — **Option S2 / "optRPL"**: Algorithm 2.
 //!   Both lists become projections of the compressed parse tree
-//!   ([`ListTree`]); a simultaneous top-down merge emits exactly the
-//!   *reachable* candidate pairs (Case 1: same simple workflow, Case 2:
-//!   recursion with red/blue coloring). Each emitted group shares its
-//!   decode "bridge", so filtering costs one forward mask per source,
-//!   one backward mask per target and a single AND per pair. Runs in
-//!   `O(|G|³·max(|l1|,|l2|) + N)` with `N` the reachable-pair count.
-//! * [`all_pairs_reachability`] — Algorithm 2 with no filter: the
-//!   optimal input+output-linear all-pairs reachability evaluator the
+//!   ([`ListTree`]); a simultaneous top-down merge visits the tree
+//!   positions where two labels diverge (Case 1: children of one simple
+//!   workflow; Case 2: unfoldings of one recursion chain, red/blue
+//!   coloring) and emits exactly the *answer* pairs.
+//! * [`all_pairs_reachability`] — the same merge with every mask ≡ 1:
+//!   the input+output-linear all-pairs reachability evaluator the
 //!   paper obtains "as a side effect".
+//!
+//! ## Masks, aggregates, and what the merge costs
+//!
+//! A pair `(u, v)` diverging at a tree node matches iff
+//! `(row(u) · middle) AND col(v) ≠ 0`, where `row(u)` is the start state
+//! pushed up `u`'s exit chain to the divergence point, `col(v)` the
+//! accepting states pulled back along `v`'s enter chain, and `middle`
+//! the body closure (Case 1) or the run of unfoldings between the two
+//! (Case 2) — see [`crate::plan`]. Each side of the merge stores, per
+//! leaf, its mask as seen from every depth of its label, and per tree
+//! node the OR of its leaves' masks there. Since `row · M` distributes
+//! over OR, the decode test on two aggregates is exact for "no pair of
+//! these subtrees matches": a production group, a red or blue
+//! grandchild, or a chain step whose aggregate test fails is skipped
+//! before any leaf is enumerated.
+//!
+//! Leaves that survive are grouped by mask. Case 1 buckets each child's
+//! leaves once and emits source bucket × target bucket wherever the
+//! masks meet across the body closure. Case 2 is one sweep per
+//! direction over the chain's children in unfolding order: the side
+//! entering through red (blue) grandchildren is carried as *classes* —
+//! leaves keyed by their mask at the current chain position, advanced
+//! across index gaps with power-table row or column products, merged
+//! when their masks coincide, dropped when their mask dies — and each
+//! child on the other side buckets its leaves and meets every class
+//! carried from lower indices.
+//!
+//! Cost: `O((|l1| + |l2|) · depth)` row/column steps for masks and
+//! aggregates, plus `O(chain positions × classes × buckets)` for the
+//! sweeps, plus `O(N)` emission with `N` the number of *answers*, plus
+//! `O(N + n)` for a counting sort of the answers by node id (`n` nodes
+//! in the run).
 
-use crate::plan::{Bridge, SafeQueryPlan};
-use rpq_grammar::Specification;
-use rpq_labeling::{LabelEntry, ListTree, NodeId, Run};
+use crate::plan::SafeQueryPlan;
+use rpq_grammar::{ProductionId, Specification};
+use rpq_labeling::{LabelEntry, ListTree, ListTreeNode, NodeId, Run};
 use rpq_relalg::NodePairSet;
+use std::ops::Range;
 
 /// Option S1: nested-loop structural join with O(1) pairwise decodes.
 pub fn all_pairs_nested(
@@ -40,8 +71,7 @@ pub fn all_pairs_nested(
     NodePairSet::from_pairs(out)
 }
 
-/// Option S2: Algorithm 2 — reachable pairs as a filtering step, with
-/// group-factorized decodes on each candidate group.
+/// Option S2: Algorithm 2 — the tree merge with mask-pruned groups.
 pub fn all_pairs_filtered(
     plan: &SafeQueryPlan,
     spec: &Specification,
@@ -49,19 +79,12 @@ pub fn all_pairs_filtered(
     l1: &[NodeId],
     l2: &[NodeId],
 ) -> NodePairSet {
-    let merger = Merger {
-        spec,
-        run,
-        t1: ListTree::build(run, l1),
-        t2: ListTree::build(run, l2),
-        emit_filter: if plan.is_reachability() {
-            None
-        } else {
-            Some(plan)
-        },
-        epsilon: plan.accepts_epsilon(),
+    let masks = if plan.is_reachability() {
+        Masks::Reach(spec)
+    } else {
+        Masks::Plan(plan)
     };
-    merger.run()
+    merge_lists(spec, run, masks, plan.accepts_epsilon(), l1, l2)
 }
 
 /// Algorithm 2 without the filter: all-pairs *reachability* in time
@@ -72,93 +95,273 @@ pub fn all_pairs_reachability(
     l1: &[NodeId],
     l2: &[NodeId],
 ) -> NodePairSet {
+    // u ⇝ u holds under plain reachability.
+    merge_lists(spec, run, Masks::Reach(spec), true, l1, l2)
+}
+
+fn merge_lists(
+    spec: &Specification,
+    run: &Run,
+    masks: Masks<'_>,
+    epsilon: bool,
+    l1: &[NodeId],
+    l2: &[NodeId],
+) -> NodePairSet {
     let merger = Merger {
         spec,
-        run,
-        t1: ListTree::build(run, l1),
-        t2: ListTree::build(run, l2),
-        emit_filter: None,
-        epsilon: true, // u ⇝ u holds under plain reachability
+        masks,
+        epsilon,
+        src: Side::build(run, l1, masks.start(), |row, e| masks.exit_step(row, e)),
+        dst: Side::build(run, l2, masks.accept(), |col, e| masks.enter_step(col, e)),
     };
-    merger.run()
+    if merger.src.tree.n_leaves() == 0 || merger.dst.tree.n_leaves() == 0 {
+        return NodePairSet::new();
+    }
+    let mut scratch = Scratch::default();
+    merger.merge(0, 0, 0, &mut scratch);
+    sorted_answers(scratch.out, run.n_nodes())
+}
+
+/// The merge's answers as a set. Every pair is emitted exactly once
+/// (it has one divergence point, the lists are deduplicated, a leaf
+/// sits in one class), so two stable counting passes over node ids —
+/// targets, then sources — sort it in `O(N + n)`, several times faster
+/// than a comparison sort of the group-ordered output.
+fn sorted_answers(mut pairs: Vec<(NodeId, NodeId)>, n_nodes: usize) -> NodePairSet {
+    if pairs.len() > 1 {
+        let mut tmp = vec![(NodeId(0), NodeId(0)); pairs.len()];
+        let mut count = vec![0u32; n_nodes + 1];
+        counting_pass(&pairs, &mut tmp, &mut count, |p| p.1);
+        counting_pass(&tmp, &mut pairs, &mut count, |p| p.0);
+    }
+    NodePairSet::from_sorted_unique(pairs)
+}
+
+/// One stable counting-sort pass of `from` into `to` by `key`.
+fn counting_pass(
+    from: &[(NodeId, NodeId)],
+    to: &mut [(NodeId, NodeId)],
+    count: &mut [u32],
+    key: impl Fn(&(NodeId, NodeId)) -> NodeId,
+) {
+    count.fill(0);
+    for p in from {
+        count[key(p).index() + 1] += 1;
+    }
+    for i in 1..count.len() {
+        count[i] += count[i - 1];
+    }
+    for p in from {
+        let slot = &mut count[key(p).index()];
+        to[*slot as usize] = *p;
+        *slot += 1;
+    }
+}
+
+/// The two mask algebras the merge runs over.
+#[derive(Clone, Copy)]
+enum Masks<'a> {
+    /// DFA-state sets of a safe plan: rows for sources, columns for
+    /// targets.
+    Plan(&'a SafeQueryPlan),
+    /// Plain reachability: one state, so every mask is 1 and a body
+    /// closure is "position `i` reaches position `j`".
+    Reach(&'a Specification),
+}
+
+impl Masks<'_> {
+    /// A source leaf's own row: the start state.
+    fn start(self) -> u64 {
+        match self {
+            Masks::Plan(p) => 1 << p.start_state(),
+            Masks::Reach(_) => 1,
+        }
+    }
+
+    /// A target leaf's own column: the accepting states.
+    fn accept(self) -> u64 {
+        match self {
+            Masks::Plan(p) => p.accepting_mask(),
+            Masks::Reach(_) => 1,
+        }
+    }
+
+    fn exit_step(self, row: u64, e: LabelEntry) -> u64 {
+        match self {
+            Masks::Plan(p) => p.exit_step(row, e),
+            Masks::Reach(_) => row,
+        }
+    }
+
+    fn enter_step(self, col: u64, e: LabelEntry) -> u64 {
+        match self {
+            Masks::Plan(p) => p.enter_step(col, e),
+            Masks::Reach(_) => col,
+        }
+    }
+
+    /// `row · between_k(i, j)`.
+    fn between_row(self, k: ProductionId, i: usize, j: usize, row: u64) -> u64 {
+        match self {
+            Masks::Plan(p) => p.between(k, i, j).row_mul(row),
+            Masks::Reach(spec) => Masks::reach_or_zero(spec, k, i, j, row),
+        }
+    }
+
+    /// `between_k(i, j) · col`.
+    fn between_col(self, k: ProductionId, i: usize, j: usize, col: u64) -> u64 {
+        match self {
+            Masks::Plan(p) => p.between(k, i, j).col_mul(col),
+            Masks::Reach(spec) => Masks::reach_or_zero(spec, k, i, j, col),
+        }
+    }
+
+    fn reach_or_zero(spec: &Specification, k: ProductionId, i: usize, j: usize, m: u64) -> u64 {
+        if spec.production(k).body.reaches(i, j) {
+            m
+        } else {
+            0
+        }
+    }
+
+    /// A mask at chain position `from` carried to `to` in the sweep's
+    /// direction (every later unfolding is reachable, so `Reach` keeps
+    /// it).
+    fn advance(self, dir: Dir, cycle: u16, start_phase: u16, from: u32, to: u32, m: u64) -> u64 {
+        match (self, dir) {
+            (Masks::Plan(p), Dir::Down) => p.chain_desc_row(cycle, start_phase, from, to, m),
+            (Masks::Plan(p), Dir::Up) => p.chain_asc_col(cycle, start_phase, from, to, m),
+            (Masks::Reach(_), _) => m,
+        }
+    }
+}
+
+/// One list as a [`ListTree`] plus its masks (rows for the source list,
+/// columns for the target list).
+struct Side {
+    tree: ListTree,
+    /// The leaf at position `p` of `tree.leaves()` has mask
+    /// `masks[off[p] + d]` as seen from its ancestor at depth `d`.
+    off: Vec<u32>,
+    masks: Vec<u64>,
+    /// Per tree node: the OR of its leaves' masks at the node's depth.
+    agg: Vec<u64>,
+}
+
+impl Side {
+    /// `leaf_mask` is a leaf's mask at its own depth; `step` carries a
+    /// mask at a child to its parent across the child's label entry.
+    fn build(
+        run: &Run,
+        list: &[NodeId],
+        leaf_mask: u64,
+        step: impl Fn(u64, LabelEntry) -> u64,
+    ) -> Side {
+        let tree = ListTree::build(run, list);
+        let mut off = Vec::with_capacity(tree.n_leaves());
+        let mut masks = Vec::new();
+        for &id in tree.leaves() {
+            let entries = run.label(id).entries();
+            let base = masks.len();
+            off.push(base as u32);
+            masks.resize(base + entries.len() + 1, leaf_mask);
+            for (d, &e) in entries.iter().enumerate().rev() {
+                masks[base + d] = step(masks[base + d + 1], e);
+            }
+        }
+        // Arena indices are topological (children after parents).
+        let mut agg = vec![0u64; tree.n_nodes()];
+        for i in (0..tree.n_nodes()).rev() {
+            let node = tree.node(i as u32);
+            let own = if node.leaf.is_some() { leaf_mask } else { 0 };
+            agg[i] = node.children.iter().fold(own, |m, &c| {
+                let e = tree.node(c).entry.expect("only the root has no entry");
+                m | step(agg[c as usize], e)
+            });
+        }
+        Side {
+            tree,
+            off,
+            masks,
+            agg,
+        }
+    }
+
+    /// Append the leaves under `node` to `buf` keyed by `key(mask at
+    /// depth)`, zero keys dropped, sorted by key so that equal keys
+    /// form buckets; returns where in `buf` they landed.
+    fn bucket(
+        &self,
+        node: u32,
+        depth: usize,
+        key: impl Fn(u64) -> u64,
+        buf: &mut Vec<(u64, NodeId)>,
+    ) -> Range<usize> {
+        let start = buf.len();
+        let range = self.tree.leaf_range(node);
+        for (&off, &id) in self.off[range.clone()]
+            .iter()
+            .zip(&self.tree.leaves()[range])
+        {
+            let k = key(self.masks[off as usize + depth]);
+            if k != 0 {
+                buf.push((k, id));
+            }
+        }
+        buf[start..].sort_unstable_by_key(|&(k, _)| k);
+        start..buf.len()
+    }
+}
+
+/// Runs of equal keys in a [`Side::bucket`] buffer.
+fn buckets(buf: &[(u64, NodeId)]) -> impl Iterator<Item = &[(u64, NodeId)]> {
+    buf.chunk_by(|x, y| x.0 == y.0)
+}
+
+/// Case 2 sweep direction.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// Set<: sources in shallower unfoldings, carried down as rows.
+    Down,
+    /// Set>: targets in shallower unfoldings, carried up as columns.
+    Up,
+}
+
+/// A sweep class: leaves sharing one mask at the current chain
+/// position.
+type Class = (u64, Vec<NodeId>);
+
+/// Buffers reused across one merge.
+#[derive(Default)]
+struct Scratch {
+    out: Vec<(NodeId, NodeId)>,
+    carried: Vec<(u64, NodeId)>,
+    visited: Vec<(u64, NodeId)>,
+    /// Case 1: where each child's buckets sit in `carried`/`visited`.
+    carried_at: Vec<Option<Range<usize>>>,
+    visited_at: Vec<Option<Range<usize>>>,
+    /// Emptied class lists, kept for reuse.
+    spare: Vec<Vec<NodeId>>,
 }
 
 struct Merger<'a> {
     spec: &'a Specification,
-    run: &'a Run,
-    t1: ListTree,
-    t2: ListTree,
-    emit_filter: Option<&'a SafeQueryPlan>,
+    masks: Masks<'a>,
     epsilon: bool,
+    src: Side,
+    dst: Side,
 }
 
 impl Merger<'_> {
-    fn run(&self) -> NodePairSet {
-        let mut out = Vec::new();
-        if self.t1.n_leaves() == 0 || self.t2.n_leaves() == 0 {
-            return NodePairSet::new();
-        }
-        self.merge(0, 0, 0, &mut out);
-        NodePairSet::from_pairs(out)
-    }
-
-    /// Emit the cross product of two leaf groups. With a filter plan,
-    /// all pairs of the group share `bridge`: each source contributes a
-    /// forward mask, each target a backward mask, each pair one AND
-    /// (Algorithm 2's `output` subroutine, line 8, batched).
-    ///
-    /// `u_anchor` / `v_anchor` are the label depths of the group anchors
-    /// (entries strictly below them feed the chains).
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &self,
-        us: &[NodeId],
-        u_anchor: usize,
-        vs: &[NodeId],
-        v_anchor: usize,
-        bridge: Option<Bridge>,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) {
-        match (self.emit_filter, bridge) {
-            (Some(plan), Some(bridge)) => {
-                let w_us: Vec<u64> = us
-                    .iter()
-                    .map(|&u| plan.source_mask(&self.run.label(u).entries()[u_anchor..], &bridge))
-                    .collect();
-                let a_vs: Vec<u64> = vs
-                    .iter()
-                    .map(|&v| plan.target_mask(&self.run.label(v).entries()[v_anchor..]))
-                    .collect();
-                for (&u, &w) in us.iter().zip(&w_us) {
-                    if w == 0 {
-                        continue;
-                    }
-                    for (&v, &a) in vs.iter().zip(&a_vs) {
-                        if w & a != 0 {
-                            out.push((u, v));
-                        }
-                    }
-                }
-            }
-            _ => {
-                for &u in us {
-                    for &v in vs {
-                        out.push((u, v));
-                    }
-                }
-            }
-        }
-    }
-
-    fn merge(&self, n1: u32, n2: u32, depth: usize, out: &mut Vec<(NodeId, NodeId)>) {
-        let a = self.t1.node(n1);
-        let b = self.t2.node(n2);
+    fn merge(&self, n1: u32, n2: u32, depth: usize, s: &mut Scratch) {
+        let a = self.src.tree.node(n1);
+        let b = self.dst.tree.node(n2);
 
         // Same tree position holding a leaf in both lists: the self pair.
         if let (Some(u), Some(v)) = (a.leaf, b.leaf) {
             debug_assert_eq!(u, v, "equal labels denote the same node");
             if self.epsilon {
-                out.push((u, v));
+                s.out.push((u, v));
             }
         }
         if a.children.is_empty() || b.children.is_empty() {
@@ -166,69 +369,80 @@ impl Merger<'_> {
         }
 
         // All children of one node share their entry kind.
-        let is_rec = matches!(
-            self.t1.node(a.children[0]).entry,
-            Some(LabelEntry::Rec { .. })
-        );
-        if is_rec {
-            self.merge_recursion(a, b, depth, out);
-        } else {
-            self.merge_production(a, b, depth, out);
+        match self.src.tree.node(a.children[0]).entry {
+            Some(LabelEntry::Rec {
+                cycle, start_phase, ..
+            }) => self.merge_recursion(a, b, depth, cycle, start_phase, s),
+            _ => self.merge_production(a, b, depth, s),
         }
     }
 
-    /// Case 1: children come from the same simple workflow.
-    fn merge_production(
-        &self,
-        a: &rpq_labeling::ListTreeNode,
-        b: &rpq_labeling::ListTreeNode,
-        depth: usize,
-        out: &mut Vec<(NodeId, NodeId)>,
-    ) {
-        for &c1 in &a.children {
-            let (k1, i) = prod_entry(self.t1.node(c1).entry);
-            for &c2 in &b.children {
-                let (k2, j) = prod_entry(self.t2.node(c2).entry);
-                debug_assert_eq!(k1, k2, "same parent node fired one production");
-                if i == j {
-                    self.merge(c1, c2, depth + 1, out);
-                } else {
-                    let body = &self.spec.production(k1).body;
-                    if body.reaches(i, j) {
-                        let bridge = self
-                            .emit_filter
-                            .map(|plan| plan.bridge_production(k1, i, j));
-                        self.emit(
-                            &self.t1.leaves_under(c1),
-                            depth + 1,
-                            &self.t2.leaves_under(c2),
-                            depth + 1,
-                            bridge,
-                            out,
-                        );
+    /// Case 1: children come from the same simple workflow. Each child
+    /// is bucketed at most once, the first time one of its groups
+    /// passes the aggregate test; all groups are emitted before the
+    /// same-position children recurse and reuse the scratch buffers.
+    fn merge_production(&self, a: &ListTreeNode, b: &ListTreeNode, depth: usize, s: &mut Scratch) {
+        s.carried.clear();
+        s.visited.clear();
+        s.carried_at.clear();
+        s.carried_at.resize(a.children.len(), None);
+        s.visited_at.clear();
+        s.visited_at.resize(b.children.len(), None);
+        for (&c1, at_u) in a.children.iter().zip(&mut s.carried_at) {
+            let (k, i) = prod_entry(self.src.tree.node(c1).entry);
+            for (&c2, at_v) in b.children.iter().zip(&mut s.visited_at) {
+                let (k2, j) = prod_entry(self.dst.tree.node(c2).entry);
+                debug_assert_eq!(k, k2, "same parent node fired one production");
+                let across = |row| self.masks.between_row(k, i, j, row);
+                if i == j || across(self.src.agg[c1 as usize]) & self.dst.agg[c2 as usize] == 0 {
+                    continue;
+                }
+                let us = at_u
+                    .get_or_insert_with(|| self.src.bucket(c1, depth + 1, |r| r, &mut s.carried))
+                    .clone();
+                let vs = at_v
+                    .get_or_insert_with(|| self.dst.bucket(c2, depth + 1, |c| c, &mut s.visited))
+                    .clone();
+                for us in buckets(&s.carried[us]) {
+                    let w = across(us[0].0);
+                    for vs in buckets(&s.visited[vs.clone()]) {
+                        if w & vs[0].0 != 0 {
+                            for &(_, u) in us {
+                                s.out.extend(vs.iter().map(|&(_, v)| (u, v)));
+                            }
+                        }
                     }
+                }
+            }
+        }
+        for &c1 in &a.children {
+            let (_, i) = prod_entry(self.src.tree.node(c1).entry);
+            for &c2 in &b.children {
+                if prod_entry(self.dst.tree.node(c2).entry).1 == i {
+                    self.merge(c1, c2, depth + 1, s);
                 }
             }
         }
     }
 
-    /// Case 2: children are recursion unfoldings; merge-join by index
-    /// with red/blue edge coloring.
+    /// Case 2: children are unfoldings of one recursion chain. Equal
+    /// indices recurse (Set=), unequal ones are one sweep each way.
     fn merge_recursion(
         &self,
-        a: &rpq_labeling::ListTreeNode,
-        b: &rpq_labeling::ListTreeNode,
+        a: &ListTreeNode,
+        b: &ListTreeNode,
         depth: usize,
-        out: &mut Vec<(NodeId, NodeId)>,
+        cycle: u16,
+        start_phase: u16,
+        s: &mut Scratch,
     ) {
-        // Set=: equal unfolding index → recurse (merge join).
         let (mut x, mut y) = (0usize, 0usize);
         while x < a.children.len() && y < b.children.len() {
-            let ia = rec_entry(self.t1.node(a.children[x]).entry);
-            let ib = rec_entry(self.t2.node(b.children[y]).entry);
-            match ia.2.cmp(&ib.2) {
+            let ia = rec_idx(self.src.tree.node(a.children[x]).entry);
+            let ib = rec_idx(self.dst.tree.node(b.children[y]).entry);
+            match ia.cmp(&ib) {
                 std::cmp::Ordering::Equal => {
-                    self.merge(a.children[x], b.children[y], depth + 1, out);
+                    self.merge(a.children[x], b.children[y], depth + 1, s);
                     x += 1;
                     y += 1;
                 }
@@ -236,113 +450,168 @@ impl Merger<'_> {
                 std::cmp::Ordering::Greater => y += 1,
             }
         }
+        self.sweep(Dir::Down, a, b, depth, cycle, start_phase, s);
+        self.sweep(Dir::Up, a, b, depth, cycle, start_phase, s);
+    }
 
-        // Set<: u under child at index i < j = v's index, u's top body
-        // position reaching the recursive position (a "red" grandchild):
-        // leaves under the red grandchild reach all leaves under v.
+    /// Set< (`Down`) or Set> (`Up`) in one pass over the chain's
+    /// children in unfolding order.
+    ///
+    /// The *carried* side (sources going down, targets going up)
+    /// enters through the grandchildren of its child `c` that reach
+    /// (are reached from) the recursive position — red (blue) — and
+    /// then sits at position `c + 1`: a row at the input, a column at
+    /// the output of that unfolding. Each child of the *visited* side
+    /// meets every class carried from strictly lower indices; at equal
+    /// indices it is visited before the carried child is added, so
+    /// those pairs stay with Set=.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
+        &self,
+        dir: Dir,
+        a: &ListTreeNode,
+        b: &ListTreeNode,
+        depth: usize,
+        cycle: u16,
+        start_phase: u16,
+        s: &mut Scratch,
+    ) {
+        let (carry, carry_kids, visit, visit_kids) = match dir {
+            Dir::Down => (&self.src, &a.children, &self.dst, &b.children),
+            Dir::Up => (&self.dst, &b.children, &self.src, &a.children),
+        };
+        let chain = &self.spec.recursion().cycles[cycle as usize];
+        let advance = |classes: &mut Vec<Class>, spare: &mut Vec<Vec<NodeId>>, from, to| {
+            if from == to || classes.is_empty() {
+                return;
+            }
+            for class in classes.iter_mut() {
+                class.0 = self
+                    .masks
+                    .advance(dir, cycle, start_phase, from, to, class.0);
+            }
+            coalesce(classes, spare);
+        };
+        let mut classes: Vec<Class> = Vec::new();
+        let mut pos = 0u32;
         let mut x = 0usize;
-        let mut red_prefix: Vec<(u32, u32, rpq_grammar::ProductionId, usize, Vec<NodeId>)> =
-            Vec::new();
-        for &c2 in &b.children {
-            let (cycle, phase, ib) = rec_entry(self.t2.node(c2).entry);
-            while x < a.children.len() {
-                let (_, _, ia) = rec_entry(self.t1.node(a.children[x]).entry);
-                if ia >= ib {
+        for &cv in visit_kids {
+            let iv = rec_idx(visit.tree.node(cv).entry);
+            while let Some(&cc) = carry_kids.get(x) {
+                let ic = rec_idx(carry.tree.node(cc).entry);
+                if ic >= iv {
                     break;
-                }
-                let c1 = a.children[x];
-                for &g in &self.t1.node(c1).children {
-                    if let Some((k, i)) = try_prod_entry(self.t1.node(g).entry) {
-                        if self.is_red(k, i) {
-                            red_prefix.push((ia, 0, k, i, self.t1.leaves_under(g)));
-                        }
-                    }
                 }
                 x += 1;
-            }
-            let v_leaves = self.t2.leaves_under(c2);
-            for (ia, _, k, i, reds) in &red_prefix {
-                let bridge = self
-                    .emit_filter
-                    .map(|plan| plan.bridge_rec_desc(cycle, phase, *ia, ib, *k, *i));
-                // u anchor: below the red grandchild (depth+2);
-                // v anchor: below the recursion child (depth+1).
-                self.emit(reds, depth + 2, &v_leaves, depth + 1, bridge, out);
-            }
-        }
-
-        // Set>: u under child at index i > j = v's index, v having
-        // "blue" grandchildren (reachable from the recursive position).
-        let mut y = 0usize;
-        let mut blue_prefix: Vec<(u32, rpq_grammar::ProductionId, usize, Vec<NodeId>)> = Vec::new();
-        for &c1 in &a.children {
-            let (cycle, phase, ia) = rec_entry(self.t1.node(c1).entry);
-            while y < b.children.len() {
-                let (_, _, ib) = rec_entry(self.t2.node(b.children[y]).entry);
-                if ib >= ia {
-                    break;
-                }
-                let c2 = b.children[y];
-                for &g in &self.t2.node(c2).children {
-                    if let Some((k, j)) = try_prod_entry(self.t2.node(g).entry) {
-                        if self.is_blue(k, j) {
-                            blue_prefix.push((ib, k, j, self.t2.leaves_under(g)));
+                advance(&mut classes, &mut s.spare, pos, ic + 1);
+                pos = ic + 1;
+                let phase = (start_phase as usize + ic as usize - 1) % chain.len();
+                let edge = chain.edges[phase];
+                let rp = edge.body_pos as usize;
+                for &g in &carry.tree.node(cc).children {
+                    let (k, i) = prod_entry(carry.tree.node(g).entry);
+                    if k != edge.production {
+                        // The chain's last unfolding fired its exit
+                        // production: no deeper unfolding exists.
+                        continue;
+                    }
+                    let key = |m| match dir {
+                        Dir::Down => self.masks.between_row(k, i, rp, m),
+                        Dir::Up => self.masks.between_col(k, rp, i, m),
+                    };
+                    if key(carry.agg[g as usize]) == 0 {
+                        continue;
+                    }
+                    s.carried.clear();
+                    carry.bucket(g, depth + 2, key, &mut s.carried);
+                    for run in buckets(&s.carried) {
+                        let nodes = run.iter().map(|&(_, n)| n);
+                        match classes.iter_mut().find(|c| c.0 == run[0].0) {
+                            Some(class) => class.1.extend(nodes),
+                            None => {
+                                let mut list = s.spare.pop().unwrap_or_default();
+                                list.extend(nodes);
+                                classes.push((run[0].0, list));
+                            }
                         }
                     }
                 }
-                y += 1;
             }
-            let u_leaves = self.t1.leaves_under(c1);
-            for (ib, k, j, blues) in &blue_prefix {
-                let bridge = self
-                    .emit_filter
-                    .map(|plan| plan.bridge_rec_asc(cycle, phase, ia, *ib, *k, *j));
-                // u anchor: below the recursion child (depth+1);
-                // v anchor: below the blue grandchild (depth+2).
-                self.emit(&u_leaves, depth + 1, blues, depth + 2, bridge, out);
+            if classes.is_empty() {
+                if x == carry_kids.len() {
+                    break;
+                }
+                continue;
+            }
+            advance(&mut classes, &mut s.spare, pos, iv);
+            pos = iv;
+            let live = classes.iter().fold(0, |m, c| m | c.0);
+            if live & visit.agg[cv as usize] == 0 {
+                continue;
+            }
+            s.visited.clear();
+            visit.bucket(cv, depth + 1, |m| m, &mut s.visited);
+            for bucket in buckets(&s.visited) {
+                for (mask, list) in &classes {
+                    if mask & bucket[0].0 == 0 {
+                        continue;
+                    }
+                    for &c in list {
+                        s.out.extend(bucket.iter().map(|&(_, w)| match dir {
+                            Dir::Down => (c, w),
+                            Dir::Up => (w, c),
+                        }));
+                    }
+                }
             }
         }
-    }
-
-    /// Red: position `i` of cycle production `k` reaches the recursive
-    /// position ("v ⇝ v′ in W").
-    fn is_red(&self, k: rpq_grammar::ProductionId, i: usize) -> bool {
-        match self.spec.recursion().cycle_of_production(k) {
-            Some((_, rec_pos)) => self.spec.production(k).body.reaches(i, rec_pos as usize),
-            None => false, // exit production: no deeper unfolding
-        }
-    }
-
-    /// Blue: the recursive position reaches position `j` ("v′ ⇝ v in W").
-    fn is_blue(&self, k: rpq_grammar::ProductionId, j: usize) -> bool {
-        match self.spec.recursion().cycle_of_production(k) {
-            Some((_, rec_pos)) => self.spec.production(k).body.reaches(rec_pos as usize, j),
-            None => false,
+        for (_, mut list) in classes {
+            list.clear();
+            s.spare.push(list);
         }
     }
 }
 
-fn prod_entry(e: Option<LabelEntry>) -> (rpq_grammar::ProductionId, usize) {
+/// Drop classes whose mask died and merge those whose masks now
+/// coincide, the smaller list into the larger.
+fn coalesce(classes: &mut Vec<Class>, spare: &mut Vec<Vec<NodeId>>) {
+    classes.sort_unstable_by_key(|c| c.0);
+    let mut kept = 0;
+    for i in 0..classes.len() {
+        if classes[i].0 == 0 {
+            continue;
+        }
+        if kept > 0 && classes[kept - 1].0 == classes[i].0 {
+            let mut other = std::mem::take(&mut classes[i].1);
+            let keep = &mut classes[kept - 1].1;
+            if keep.len() < other.len() {
+                std::mem::swap(keep, &mut other);
+            }
+            keep.append(&mut other);
+            spare.push(other);
+        } else {
+            classes.swap(kept, i);
+            kept += 1;
+        }
+    }
+    for (_, mut list) in classes.drain(kept..) {
+        if list.capacity() > 0 {
+            list.clear();
+            spare.push(list);
+        }
+    }
+}
+
+fn prod_entry(e: Option<LabelEntry>) -> (ProductionId, usize) {
     match e {
         Some(LabelEntry::Prod { production, pos }) => (production, pos as usize),
         other => unreachable!("expected production entry, got {other:?}"),
     }
 }
 
-fn try_prod_entry(e: Option<LabelEntry>) -> Option<(rpq_grammar::ProductionId, usize)> {
+fn rec_idx(e: Option<LabelEntry>) -> u32 {
     match e {
-        Some(LabelEntry::Prod { production, pos }) => Some((production, pos as usize)),
-        _ => None,
-    }
-}
-
-fn rec_entry(e: Option<LabelEntry>) -> (u16, u16, u32) {
-    match e {
-        Some(LabelEntry::Rec {
-            cycle,
-            start_phase,
-            idx,
-        }) => (cycle, start_phase, idx),
+        Some(LabelEntry::Rec { idx, .. }) => idx,
         other => unreachable!("expected recursion entry, got {other:?}"),
     }
 }

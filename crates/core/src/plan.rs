@@ -27,11 +27,13 @@
 //!   between_{k_b}(rec, j₁) · enter(v…)`.
 //!
 //! The pairwise decoder propagates the start-state **row bitmask**
-//! through this product left-to-right; the all-pairs evaluator uses the
-//! [`Bridge`] factorization instead — all pairs of an emitted candidate
-//! group share the bridge, so each `u` needs one forward row pass
-//! ([`SafeQueryPlan::source_mask`]), each `v` one backward column pass
-//! ([`SafeQueryPlan::target_mask`]), and each pair a single `AND`.
+//! through this product left-to-right. The all-pairs evaluator
+//! ([`crate::allpairs`]) splits the same product at the divergence
+//! point: each `u` carries its exit row, each `v` its enter **column**
+//! (the states from which `v`'s entry chain reaches acceptance), the
+//! middle factor is applied to rows or columns one entry, one body
+//! closure or one run of unfoldings at a time, and a pair matches iff
+//! row `AND` column `≠ 0`.
 
 use crate::matrix::StateMatrix;
 use crate::portgraph::BodyMatrices;
@@ -208,6 +210,25 @@ impl CyclePlan {
         col
     }
 
+    /// `ascⁿ · col` without allocating (phases descend from `p0`): the
+    /// column mirror of [`CyclePlan::asc_row`].
+    fn asc_col(&self, mut col: u64, p0: usize, count: u64) -> u64 {
+        let l = self.len as u64;
+        let step = |i: u64| &self.asc_step[((p0 as u64 + l - (i % l)) % l) as usize];
+        let (q, r) = if count > 2 * l {
+            (count / l, count % l)
+        } else {
+            (0, count)
+        };
+        for i in (0..r).rev() {
+            col = step(i).col_mul(col);
+        }
+        if q > 0 {
+            col = col_pow(&self.asc_pows[p0], q, col);
+        }
+        col
+    }
+
     /// `row · ascⁿ` without allocating (phases descend).
     fn asc_row(&self, mut row: u64, p0: usize, count: u64) -> u64 {
         let l = self.len as u64;
@@ -295,13 +316,6 @@ pub struct SafeQueryPlan {
     lambda: Vec<StateMatrix>,
     bodies: Vec<BodyMatrices>,
     cycles: Vec<CyclePlan>,
-}
-
-/// The group-constant middle factor of a decode: all pairs of one
-/// emitted candidate group share it (see module docs).
-#[derive(Debug, Clone)]
-pub struct Bridge {
-    matrix: StateMatrix,
 }
 
 impl SafeQueryPlan {
@@ -645,102 +659,121 @@ impl SafeQueryPlan {
         }
     }
 
-    // -- Group decoding (Algorithm 2's output step) ----------------------
+    // -- Split decoding (Algorithm 2's output step) ----------------------
+    //
+    // A source's state set travels as a row, a target's as a column;
+    // the helpers below move either one step of the decode product at
+    // a time. Every one is linear in the row or column (`row·M`
+    // distributes over OR), which is what lets the all-pairs merge
+    // test OR-aggregates of whole subtrees exactly.
 
-    /// Bridge for a same-production divergence: `out(x_i) → in(x_j)` of
-    /// production `k`.
-    pub fn bridge_production(&self, k: ProductionId, i: usize, j: usize) -> Bridge {
-        Bridge {
-            matrix: self.bodies[k.index()].between(i, j).clone(),
+    /// `out(x_i) → in(x_j)` in production `k`'s body (zero when `x_j`
+    /// is unreachable from `x_i`).
+    pub(crate) fn between(&self, k: ProductionId, i: usize, j: usize) -> &StateMatrix {
+        self.bodies[k.index()].between(i, j)
+    }
+
+    /// One label entry of an exit chain applied to a row: from the
+    /// output of the entry's node to the output of its parent.
+    pub(crate) fn exit_step(&self, row: u64, e: LabelEntry) -> u64 {
+        match e {
+            LabelEntry::Prod { production, pos } => self.bodies[production.index()]
+                .up(pos as usize)
+                .row_mul(row),
+            LabelEntry::Rec {
+                cycle,
+                start_phase,
+                idx,
+            } => {
+                if idx > 1 {
+                    let cpl = &self.cycles[cycle as usize];
+                    cpl.asc_row(
+                        row,
+                        cpl.phase(start_phase as u64, idx as u64 - 1),
+                        idx as u64 - 1,
+                    )
+                } else {
+                    row
+                }
+            }
         }
     }
 
-    /// Bridge for recursion divergence with `u` under child `a` at
-    /// top-level body position `i1` (of cycle production `ka`) and `v`
-    /// under the deeper child `b`.
-    pub fn bridge_rec_desc(
+    /// One label entry of an enter chain applied to a column: from the
+    /// input of the entry's node back to the input of its parent.
+    pub(crate) fn enter_step(&self, col: u64, e: LabelEntry) -> u64 {
+        match e {
+            LabelEntry::Prod { production, pos } => self.bodies[production.index()]
+                .down(pos as usize)
+                .col_mul(col),
+            LabelEntry::Rec {
+                cycle,
+                start_phase,
+                idx,
+            } => {
+                if idx > 1 {
+                    let cpl = &self.cycles[cycle as usize];
+                    cpl.desc_col(col, start_phase as usize, idx as u64 - 1)
+                } else {
+                    col
+                }
+            }
+        }
+    }
+
+    /// A row at the input of child `from` of a recursion chain (cycle
+    /// `cycle`, starting at phase `start_phase`) carried down to the
+    /// input of child `to ≥ from`.
+    pub(crate) fn chain_desc_row(
         &self,
         cycle: u16,
         start_phase: u16,
-        a: u32,
-        b: u32,
-        ka: ProductionId,
-        i1: usize,
-    ) -> Bridge {
+        from: u32,
+        to: u32,
+        row: u64,
+    ) -> u64 {
+        if from == to {
+            return row;
+        }
         let cpl = &self.cycles[cycle as usize];
-        let t = start_phase as u64;
-        let rp = cpl.rec_pos[cpl.phase(t, a as u64)];
-        let m = self.bodies[ka.index()]
-            .between(i1, rp)
-            .mul(&cpl.desc_range(cpl.phase(t, a as u64 + 1), (b - a - 1) as u64));
-        Bridge { matrix: m }
+        cpl.desc_row(
+            row,
+            cpl.phase(start_phase as u64, from as u64),
+            (to - from) as u64,
+        )
     }
 
-    /// Bridge for recursion divergence with `u` under the deeper child
-    /// `a` and `v` under child `b` at top-level position `j1` (of cycle
-    /// production `kb`).
-    pub fn bridge_rec_asc(
+    /// A column at the output of child `from` of a recursion chain
+    /// carried to the output of child `to ≥ from`: the pairs it then
+    /// matches are rows at out(`to`) that ascend to out(`from`).
+    pub(crate) fn chain_asc_col(
         &self,
         cycle: u16,
         start_phase: u16,
-        a: u32,
-        b: u32,
-        kb: ProductionId,
-        j1: usize,
-    ) -> Bridge {
+        from: u32,
+        to: u32,
+        col: u64,
+    ) -> u64 {
+        if from == to {
+            return col;
+        }
         let cpl = &self.cycles[cycle as usize];
-        let t = start_phase as u64;
-        let rp = cpl.rec_pos[cpl.phase(t, b as u64)];
-        let m = cpl
-            .asc_range(cpl.phase(t, a as u64 - 1), (a - b - 1) as u64)
-            .mul(self.bodies[kb.index()].between(rp, j1));
-        Bridge { matrix: m }
-    }
-
-    /// Forward mask of a group member `u`: the DFA states reachable on
-    /// the far side of the bridge when leaving `u`. `entries` are `u`'s
-    /// label entries strictly below the group anchor.
-    pub fn source_mask(&self, entries: &[LabelEntry], bridge: &Bridge) -> u64 {
-        let row = self.exit_row(1u64 << self.start_state, entries);
-        bridge.matrix.row_mul(row)
-    }
-
-    /// Backward mask of a group member `v`: the far-side states from
-    /// which `v`'s entry chain reaches acceptance. A pair matches iff
-    /// `source_mask(u) & target_mask(v) ≠ 0`.
-    pub fn target_mask(&self, entries: &[LabelEntry]) -> u64 {
-        self.enter_col(self.accepting_mask, entries)
+        cpl.asc_col(
+            col,
+            cpl.phase(start_phase as u64, to as u64 - 1),
+            (to - from) as u64,
+        )
     }
 
     // -- Row/column chain propagation ------------------------------------
 
     /// `row · exit-chain`: out(u) upward to out(top sub-run); entries
     /// compose deepest-first.
-    fn exit_row(&self, mut row: u64, entries: &[LabelEntry]) -> u64 {
-        for e in entries.iter().rev() {
-            match *e {
-                LabelEntry::Prod { production, pos } => {
-                    row = self.bodies[production.index()]
-                        .up(pos as usize)
-                        .row_mul(row);
-                }
-                LabelEntry::Rec {
-                    cycle,
-                    start_phase,
-                    idx,
-                } => {
-                    if idx > 1 {
-                        let cpl = &self.cycles[cycle as usize];
-                        row = cpl.asc_row(
-                            row,
-                            cpl.phase(start_phase as u64, idx as u64 - 1),
-                            idx as u64 - 1,
-                        );
-                    }
-                }
-            }
-        }
-        row
+    fn exit_row(&self, row: u64, entries: &[LabelEntry]) -> u64 {
+        entries
+            .iter()
+            .rev()
+            .fold(row, |row, &e| self.exit_step(row, e))
     }
 
     /// `row · enter-chain`: in(top sub-run) downward to in(v).
@@ -765,30 +798,6 @@ impl SafeQueryPlan {
             }
         }
         row
-    }
-
-    /// `enter-chain · col`: backward from `v` toward the group anchor.
-    fn enter_col(&self, mut col: u64, entries: &[LabelEntry]) -> u64 {
-        for e in entries.iter().rev() {
-            match *e {
-                LabelEntry::Prod { production, pos } => {
-                    col = self.bodies[production.index()]
-                        .down(pos as usize)
-                        .col_mul(col);
-                }
-                LabelEntry::Rec {
-                    cycle,
-                    start_phase,
-                    idx,
-                } => {
-                    if idx > 1 {
-                        let cpl = &self.cycles[cycle as usize];
-                        col = cpl.desc_col(col, start_phase as usize, idx as u64 - 1);
-                    }
-                }
-            }
-        }
-        col
     }
 
     /// Full exit-chain matrix (diagnostics/tests).
@@ -1043,110 +1052,112 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bridge_masks_match_pairwise() {
-        // Pairs diverging at the root production: the bridge
-        // factorization must agree with the direct decode.
-        let spec = fig2();
-        let run = fig2_run(&spec);
-        let p = plan(&spec, "_* e _*");
-        let n = |s: &str| run.node_by_name(&spec, s).unwrap();
-        // u = a:1 under body position 1 (A), v = b:1 at position 3; the
-        // path a:1 → … → e:1 → e:2 → … → b:1 crosses the e edge.
-        let u = n("a:1");
-        let v = n("b:1");
-        let bridge = p.bridge_production(ProductionId(0), 1, 3);
-        let w_u = p.source_mask(&run.label(u).entries()[1..], &bridge);
-        let a_v = p.target_mask(&run.label(v).entries()[1..]);
-        assert_eq!(w_u & a_v != 0, p.pairwise(&run, u, v));
-        assert!(w_u & a_v != 0);
-        // d:2 sits after the e's: same bridge, no match.
-        let u3 = n("d:2");
-        let w3 = p.source_mask(&run.label(u3).entries()[1..], &bridge);
-        assert_eq!(w3 & a_v != 0, p.pairwise(&run, u3, v));
-        assert_eq!(w3 & a_v, 0);
-
-        // A pair that must NOT match: the B branch never sees an e.
-        let u2 = n("c:1");
-        let v2 = n("b:3");
-        let bridge2 = p.bridge_production(ProductionId(0), 0, 2);
-        let w2 = p.source_mask(&run.label(u2).entries()[1..], &bridge2);
-        let a2 = p.target_mask(&run.label(v2).entries()[1..]);
-        assert_eq!(w2 & a2 != 0, p.pairwise(&run, u2, v2));
-        assert_eq!(w2 & a2, 0);
+    /// The all-pairs merge's split decode of one label pair: the
+    /// source's exit row and the target's enter column carried to the
+    /// divergence point by the crate-level helpers, then one AND.
+    fn split_decode(p: &SafeQueryPlan, lu: &Label, lv: &Label) -> bool {
+        let cp = lu.common_prefix_len(lv);
+        let (eu, ev) = (&lu.entries()[cp..], &lv.entries()[cp..]);
+        let row = |es: &[LabelEntry]| {
+            es.iter()
+                .rev()
+                .fold(1 << p.start_state, |r, &e| p.exit_step(r, e))
+        };
+        let col = |es: &[LabelEntry]| {
+            es.iter()
+                .rev()
+                .fold(p.accepting_mask, |c, &e| p.enter_step(c, e))
+        };
+        match (eu[0], ev[0]) {
+            (
+                LabelEntry::Prod {
+                    production: k,
+                    pos: i,
+                },
+                LabelEntry::Prod { pos: j, .. },
+            ) => p.between(k, i as usize, j as usize).row_mul(row(&eu[1..])) & col(&ev[1..]) != 0,
+            (
+                LabelEntry::Rec {
+                    cycle,
+                    start_phase,
+                    idx: a,
+                },
+                LabelEntry::Rec { idx: b, .. },
+            ) => {
+                let cpl = &p.cycles[cycle as usize];
+                let rec_pos = |c: u32| cpl.rec_pos[cpl.phase(start_phase as u64, c as u64)];
+                if a < b {
+                    let (ka, i1) = expect_prod(&eu[1]);
+                    let r = p.between(ka, i1, rec_pos(a)).row_mul(row(&eu[2..]));
+                    p.chain_desc_row(cycle, start_phase, a + 1, b, r) & col(&ev[1..]) != 0
+                } else {
+                    let (kb, j1) = expect_prod(&ev[1]);
+                    let c = p.between(kb, rec_pos(b), j1).col_mul(col(&ev[2..]));
+                    row(&eu[1..]) & p.chain_asc_col(cycle, start_phase, b + 1, a, c) != 0
+                }
+            }
+            _ => unreachable!("siblings are either all production or all recursion children"),
+        }
     }
 
     #[test]
-    fn rec_bridges_match_pairwise_on_deep_chains() {
+    fn split_decode_matches_paper_examples() {
         let spec = fig2();
-        let run = RunBuilder::new(&spec)
-            .seed(2)
-            .target_edges(800)
-            .build()
-            .unwrap();
+        let run = fig2_run(&spec);
         let p = plan(&spec, "_* e _*");
-        let a_mod = spec.module_by_name("a").unwrap();
-        let d_mod = spec.module_by_name("d").unwrap();
-        let a_nodes = run.nodes_of_module(a_mod);
-        let d_nodes = run.nodes_of_module(d_mod);
-        // a:i lives under recursion child i; d:j under child j. Pick a
-        // pair several unfoldings apart in each direction and check the
-        // bridge factorization.
-        let u = a_nodes[2]; // child 3 of the recursion node
-        let v = d_nodes[40]; // child 41
-        let (lu, lv) = (run.label(u), run.label(v));
-        let cp = lu.common_prefix_len(lv);
-        let eu = &lu.entries()[cp..];
-        let ev = &lv.entries()[cp..];
-        if let (
-            LabelEntry::Rec {
-                cycle,
-                start_phase,
-                idx: a,
-            },
-            LabelEntry::Rec { idx: b, .. },
-        ) = (eu[0], ev[0])
-        {
-            assert!(a < b, "expected u shallower than v");
-            let (ka, i1) = match eu[1] {
-                LabelEntry::Prod { production, pos } => (production, pos as usize),
-                _ => unreachable!(),
-            };
-            let bridge = p.bridge_rec_desc(cycle, start_phase, a, b, ka, i1);
-            let w = p.source_mask(&eu[2..], &bridge);
-            let t = p.target_mask(&ev[1..]);
-            assert_eq!(w & t != 0, p.pairwise(&run, u, v));
-        } else {
-            panic!("expected recursion divergence");
-        }
+        let n = |s: &str| run.label(run.node_by_name(&spec, s).unwrap());
+        // a:1 sits under body position 1 (A), b:1 at position 3; the path
+        // a:1 → … → e:1 → e:2 → … → b:1 crosses the e edge.
+        assert!(split_decode(&p, n("a:1"), n("b:1")));
+        // d:2 sits after the e's: same divergence point, no match.
+        assert!(!split_decode(&p, n("d:2"), n("b:1")));
+        // The B branch never sees an e (Example 3.2).
+        assert!(!split_decode(&p, n("c:1"), n("b:3")));
+    }
 
-        // And the ascending direction (u deeper than v).
-        let u2 = d_nodes[40];
-        let v2 = d_nodes[2];
-        let (lu2, lv2) = (run.label(u2), run.label(v2));
-        let cp2 = lu2.common_prefix_len(lv2);
-        let eu2 = &lu2.entries()[cp2..];
-        let ev2 = &lv2.entries()[cp2..];
-        if let (
-            LabelEntry::Rec {
-                cycle,
-                start_phase,
-                idx: a,
-            },
-            LabelEntry::Rec { idx: b, .. },
-        ) = (eu2[0], ev2[0])
-        {
-            assert!(a > b);
-            let (kb, j1) = match ev2[1] {
-                LabelEntry::Prod { production, pos } => (production, pos as usize),
-                _ => unreachable!(),
-            };
-            let bridge = p.bridge_rec_asc(cycle, start_phase, a, b, kb, j1);
-            let w = p.source_mask(&eu2[1..], &bridge);
-            let t = p.target_mask(&ev2[2..]);
-            assert_eq!(w & t != 0, p.pairwise(&run, u2, v2));
-        } else {
-            panic!("expected recursion divergence");
+    #[test]
+    fn split_decode_matches_full_matrix_decode() {
+        // Deep fig2 recursion chains: a:i lives under unfolding i, d:j
+        // under unfolding j, so (a, d) and (d, a) pairs diverge at the
+        // recursion node with gaps from adjacent (one unfolding apart,
+        // zero steps carried) to far past the power-table threshold.
+        let spec = fig2();
+        for seed in [2u64, 6] {
+            let run = RunBuilder::new(&spec)
+                .seed(seed)
+                .target_edges(800)
+                .build()
+                .unwrap();
+            let a_nodes = run.nodes_of_module(spec.module_by_name("a").unwrap());
+            let d_nodes = run.nodes_of_module(spec.module_by_name("d").unwrap());
+            assert!(a_nodes.len() > 40, "expected a deep recursion chain");
+            let nodes: Vec<NodeId> = run.node_ids().collect();
+            let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+            for &u in nodes.iter().step_by(7) {
+                pairs.extend(nodes.iter().step_by(5).map(|&v| (u, v)));
+            }
+            for (i, j) in [(2, 3), (2, 40), (0, 1), (5, 5), (39, 2)] {
+                pairs.push((a_nodes[i], d_nodes[j]));
+                pairs.push((d_nodes[j], a_nodes[i]));
+                pairs.push((d_nodes[i], d_nodes[j]));
+            }
+            for q in ["_*", "_* e _*", "_* b _*", "d+", "b+"] {
+                let p = plan(&spec, q);
+                for &(u, v) in &pairs {
+                    if u == v {
+                        continue;
+                    }
+                    let (lu, lv) = (run.label(u), run.label(v));
+                    let via_matrix = p
+                        .decode_matrix(lu, lv)
+                        .row_intersects(p.start_state, p.accepting_mask);
+                    assert_eq!(
+                        split_decode(&p, lu, lv),
+                        via_matrix,
+                        "query {q} pair ({u:?}, {v:?}) seed {seed}"
+                    );
+                }
+            }
         }
     }
 }

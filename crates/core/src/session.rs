@@ -769,18 +769,10 @@ impl Session {
         // Frames nest, so a server tracing its own request stages
         // around this call is unaffected.
         rpq_obs::Trace::begin();
-        // Safe (sub)plans decode derivation labels, and labels describe
-        // reachability only on derivation DAGs. A streamed run that
-        // has grown a cycle (`Run::apply_events` accepts arbitrary
-        // event batches) is no derivation, so the label shortcut is
-        // unsound there — for fully-safe plans *and* for composite
-        // plans with `SafeEval` subtrees alike. The product search
-        // reads the edge lists as they actually are and takes over
-        // regardless of the requested strategy. The acyclicity verdict
-        // is cached on the run, so steady-state pairwise decoding
-        // stays allocation-free.
-        let labels_unsound = query.inner.plan.n_safe_subqueries() > 0 && !run.is_acyclic();
-        let use_lazy = labels_unsound
+        // Where labels are unsound the product search reads the edge
+        // lists as they actually are and takes over regardless of the
+        // requested strategy.
+        let use_lazy = labels_unsound(query, run)
             || match strategy {
                 EvalStrategy::Lazy => true,
                 EvalStrategy::Materialized => false,
@@ -998,8 +990,21 @@ impl Session {
         }
     }
 
-    /// Convenience: pairwise verdict.
+    /// Pairwise verdict: `evaluate(.., Pairwise(u, v))` as a bool.
+    ///
+    /// A safe plan over a run its labels describe is answered by the
+    /// label decode alone ([`SafeQueryPlan::pairwise`]), counted as one
+    /// materialized evaluation like `evaluate` would, without building
+    /// the outcome, trace frame and metadata around it. Every other
+    /// case goes through [`Session::evaluate`].
     pub fn pairwise(&self, query: &PreparedQuery, run: &Run, u: NodeId, v: NodeId) -> bool {
+        if let QueryPlan::Safe(p) = &query.inner.plan {
+            if !labels_unsound(query, run) {
+                self.assert_owns(query);
+                lazy::record_strategy(false);
+                return p.pairwise(run, u, v);
+            }
+        }
         self.evaluate(query, run, &QueryRequest::Pairwise(u, v))
             .as_bool()
             .expect("pairwise outcome")
@@ -1056,6 +1061,18 @@ impl std::fmt::Debug for Session {
             .field("stats", &self.stats())
             .finish()
     }
+}
+
+/// Would evaluating `query` on `run` decode labels that do not describe
+/// the run? Safe (sub)plans decode derivation labels, and labels
+/// describe reachability only on derivation DAGs. A streamed run that
+/// has grown a cycle (`Run::apply_events` accepts arbitrary event
+/// batches) is no derivation, so the label shortcut is unsound there —
+/// for fully-safe plans *and* for composite plans with `SafeEval`
+/// subtrees alike. The acyclicity verdict is cached on the run, so the
+/// check costs a load on the steady-state path.
+fn labels_unsound(query: &PreparedQuery, run: &Run) -> bool {
+    query.inner.plan.n_safe_subqueries() > 0 && !run.is_acyclic()
 }
 
 #[cfg(test)]

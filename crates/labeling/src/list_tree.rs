@@ -4,7 +4,13 @@
 //! compressed parse tree whose leaves are exactly the listed nodes. Since
 //! a label is the root-to-leaf entry path, the projection is a trie over
 //! labels; with the list sorted in label (document) order the trie is
-//! built in linear time by extending the rightmost path.
+//! built in linear time by extending the rightmost path. The sort
+//! compares integers: the run's cached [`Run::document_rank`], not
+//! labels.
+//!
+//! Leaves are kept in one document-ordered array, so the leaves under
+//! any trie node are a contiguous slice of it
+//! ([`ListTree::leaves_under`]).
 
 use crate::label::LabelEntry;
 use crate::run::{NodeId, Run};
@@ -18,6 +24,8 @@ pub struct ListTreeNode {
     pub children: Vec<u32>,
     /// For leaves: the run node.
     pub leaf: Option<NodeId>,
+    /// Position of this subtree's first leaf in [`ListTree::leaves`].
+    pub first_leaf: u32,
     /// Number of leaves in this subtree (cross-product sizing).
     pub n_leaves: u32,
 }
@@ -27,30 +35,35 @@ pub struct ListTreeNode {
 pub struct ListTree {
     /// Arena; index 0 is the root.
     nodes: Vec<ListTreeNode>,
+    /// The listed nodes, deduplicated, in document order.
+    leaves: Vec<NodeId>,
 }
 
 impl ListTree {
     /// Build from a list of run nodes. The list is sorted internally by
-    /// label (document order); duplicates are collapsed.
+    /// document rank; duplicates are collapsed.
     pub fn build(run: &Run, list: &[NodeId]) -> ListTree {
-        let mut sorted: Vec<NodeId> = list.to_vec();
-        sorted.sort_by(|a, b| run.label(*a).cmp(run.label(*b)));
+        let rank = run.document_rank();
+        let mut sorted: Vec<(u32, NodeId)> =
+            list.iter().map(|&id| (rank[id.index()], id)).collect();
+        sorted.sort_unstable();
         sorted.dedup();
 
         let mut nodes = vec![ListTreeNode {
             entry: None,
             children: Vec::new(),
             leaf: None,
+            first_leaf: 0,
             n_leaves: 0,
         }];
+        let mut leaves = Vec::with_capacity(sorted.len());
         // Rightmost path through the trie: (node index, depth).
         let mut path: Vec<u32> = vec![0];
-        let mut prev: Option<crate::label::Label> = None;
+        let mut prev: Option<&[LabelEntry]> = None;
 
-        for &id in &sorted {
-            let label = run.label(id);
-            let entries = label.entries();
-            let prev_entries: &[LabelEntry] = prev.as_ref().map_or(&[], |l| l.entries());
+        for &(_, id) in &sorted {
+            let entries = run.label(id).entries();
+            let prev_entries: &[LabelEntry] = prev.unwrap_or(&[]);
             if prev.is_some() && entries == prev_entries {
                 continue; // duplicate label (cannot happen across distinct nodes)
             }
@@ -74,6 +87,7 @@ impl ListTree {
                     entry: Some(e),
                     children: Vec::new(),
                     leaf: None,
+                    first_leaf: leaves.len() as u32,
                     n_leaves: 0,
                 });
                 nodes[parent as usize].children.push(idx);
@@ -81,7 +95,8 @@ impl ListTree {
             }
             let leaf_idx = *path.last().expect("path non-empty") as usize;
             nodes[leaf_idx].leaf = Some(id);
-            prev = Some(label.clone());
+            leaves.push(id);
+            prev = Some(entries);
         }
 
         // Leaf counts bottom-up (arena indices are topological: children
@@ -93,7 +108,7 @@ impl ListTree {
             }
             nodes[i].n_leaves = count;
         }
-        ListTree { nodes }
+        ListTree { nodes, leaves }
     }
 
     /// The root node (depth 0; corresponds to the run's root execution).
@@ -112,21 +127,20 @@ impl ListTree {
         self.nodes.len()
     }
 
+    /// All leaves, deduplicated, in document order.
+    pub fn leaves(&self) -> &[NodeId] {
+        &self.leaves
+    }
+
     /// Leaves under the subtree rooted at `idx`, in document order.
-    pub fn leaves_under(&self, idx: u32) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.nodes[idx as usize].n_leaves as usize);
-        let mut stack = vec![idx];
-        while let Some(i) = stack.pop() {
-            let n = &self.nodes[i as usize];
-            if let Some(id) = n.leaf {
-                out.push(id);
-            }
-            // Push children reversed so document order pops first.
-            for &c in n.children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+    pub fn leaves_under(&self, idx: u32) -> &[NodeId] {
+        &self.leaves[self.leaf_range(idx)]
+    }
+
+    /// Positions in [`ListTree::leaves`] of the leaves under `idx`.
+    pub fn leaf_range(&self, idx: u32) -> std::ops::Range<usize> {
+        let n = &self.nodes[idx as usize];
+        n.first_leaf as usize..(n.first_leaf + n.n_leaves) as usize
     }
 
     /// Number of leaves in the whole tree.
@@ -189,7 +203,8 @@ mod tests {
         assert_eq!(tree.n_leaves(), subset.len());
         // Every leaf is from the subset.
         let leaves = tree.leaves_under(0);
-        for l in &leaves {
+        assert_eq!(leaves, tree.leaves());
+        for l in leaves {
             assert!(subset.contains(l));
         }
     }

@@ -68,6 +68,10 @@ impl EventBatch {
 }
 
 /// A fully derived, labeled run.
+///
+/// Besides nodes and edges a run carries lazily filled caches of
+/// values derived from them — fingerprint, acyclicity, distinct-edge
+/// count and document rank — none of which is persisted or compared.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Run {
     nodes: Vec<RunNode>,
@@ -90,6 +94,11 @@ pub struct Run {
     /// [`Run::n_distinct_edges`]).
     #[serde(skip)]
     distinct_edges: std::sync::OnceLock<usize>,
+    /// Lazily computed document rank of every node (see
+    /// [`Run::document_rank`]): 4 bytes per node, filled by the first
+    /// caller that orders nodes by label, never at derive or load.
+    #[serde(skip)]
+    doc_rank: std::sync::OnceLock<Vec<u32>>,
 }
 
 /// Structural equality: two runs are equal iff their event histories
@@ -138,6 +147,7 @@ impl Run {
             fingerprint: std::sync::OnceLock::new(),
             acyclic: std::sync::OnceLock::new(),
             distinct_edges: std::sync::OnceLock::new(),
+            doc_rank: std::sync::OnceLock::new(),
         }
     }
 
@@ -188,6 +198,7 @@ impl Run {
             fingerprint: std::sync::OnceLock::new(),
             acyclic: std::sync::OnceLock::new(),
             distinct_edges: std::sync::OnceLock::new(),
+            doc_rank: std::sync::OnceLock::new(),
         })
     }
 
@@ -350,9 +361,29 @@ impl Run {
     /// Node ids sorted by label (document order) — the input order
     /// Algorithm 2 expects.
     pub fn nodes_in_document_order(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.node_ids().collect();
-        ids.sort_by(|a, b| self.label(*a).cmp(self.label(*b)));
+        let mut ids = vec![NodeId(0); self.n_nodes()];
+        for (id, &rank) in self.node_ids().zip(self.document_rank()) {
+            ids[rank as usize] = id;
+        }
         ids
+    }
+
+    /// Every node's position in document (label) order, indexed by
+    /// node id. Sorted once on first use and cached, so orderings of
+    /// node lists ([`crate::ListTree::build`]) sort integers instead
+    /// of comparing labels. The ranks are a permutation of `0..n`;
+    /// nodes with equal labels (only hand-assembled runs have them)
+    /// keep id order.
+    pub fn document_rank(&self) -> &[u32] {
+        self.doc_rank.get_or_init(|| {
+            let mut ids: Vec<NodeId> = self.node_ids().collect();
+            ids.sort_by(|a, b| self.label(*a).cmp(self.label(*b)));
+            let mut rank = vec![0u32; ids.len()];
+            for (pos, id) in ids.iter().enumerate() {
+                rank[id.index()] = pos as u32;
+            }
+            rank
+        })
     }
 
     /// Check that this run is consistent with `spec`: every label entry

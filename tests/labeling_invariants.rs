@@ -170,9 +170,18 @@ proptest! {
             prop_assert!(run.label(w[0]) < run.label(w[1]));
         }
         // Exactly the subset.
-        let got: HashSet<NodeId> = leaves.into_iter().collect();
+        let got: HashSet<NodeId> = leaves.iter().copied().collect();
         let want: HashSet<NodeId> = subset.into_iter().collect();
         prop_assert_eq!(got, want);
+        // Every subtree's leaves are its children's, concatenated.
+        for i in 0..tree.n_nodes() as u32 {
+            let node = tree.node(i);
+            let mut below: Vec<NodeId> = node.leaf.into_iter().collect();
+            for &c in &node.children {
+                below.extend_from_slice(tree.leaves_under(c));
+            }
+            prop_assert_eq!(tree.leaves_under(i), &below[..]);
+        }
     }
 
     /// Derivation respects the grammar: every run edge's tag appears on

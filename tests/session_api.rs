@@ -419,3 +419,70 @@ fn evaluate_is_evaluate_with_strategy_auto() {
         }
     }
 }
+
+/// `Session::pairwise` is `evaluate(.., Pairwise(u, v))` as a bool for
+/// safe, decomposed and relational plans; on a cyclic streamed run a
+/// safe plan still steps aside for the product search; and a session
+/// answering through `pairwise` ends with the same counters as one
+/// answering the same calls through `evaluate`.
+#[test]
+fn pairwise_is_evaluate_pairwise() {
+    let spec = paper_examples::fig2_spec();
+    let run = RunBuilder::new(&spec)
+        .seed(11)
+        .target_edges(150)
+        .build()
+        .unwrap();
+    let cyclic = rpq_workloads::runs::with_back_edges(&run, 5);
+    assert!(!cyclic.is_acyclic());
+    let via_pairwise = Session::from_spec(spec.clone());
+    let via_evaluate = Session::from_spec(spec.clone());
+    let lazy = Session::from_spec(spec);
+    for (text, policy, kind) in [
+        ("_* e _*", SubqueryPolicy::CostBased, PlanKind::Safe),
+        ("_* a _*", SubqueryPolicy::CostBased, PlanKind::Composite),
+        (
+            "(a | e)+",
+            SubqueryPolicy::AlwaysRelational,
+            PlanKind::Composite,
+        ),
+    ] {
+        let qp = via_pairwise.prepare_with(text, policy).unwrap();
+        let qe = via_evaluate.prepare_with(text, policy).unwrap();
+        let ql = lazy.prepare_with(text, policy).unwrap();
+        assert_eq!(qp.stats().kind, kind, "{text}");
+        for r in [&run, &cyclic] {
+            let nodes: Vec<NodeId> = r.node_ids().step_by(9).collect();
+            for &u in &nodes {
+                for &v in &nodes {
+                    let request = QueryRequest::Pairwise(u, v);
+                    let got = via_pairwise.pairwise(&qp, r, u, v);
+                    let want = via_evaluate.evaluate(&qe, r, &request).as_bool();
+                    assert_eq!(Some(got), want, "{text} ({u:?}, {v:?})");
+                    let product = lazy
+                        .evaluate_with_strategy(&ql, r, &request, EvalStrategy::Lazy)
+                        .as_bool();
+                    assert_eq!(
+                        Some(got),
+                        product,
+                        "{text} ({u:?}, {v:?}) vs the product search"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(via_pairwise.stats(), via_evaluate.stats());
+
+    // The reroute is not vacuous: label decoding alone answers some
+    // pair of the cyclic run wrongly.
+    let all: Vec<NodeId> = cyclic.node_ids().collect();
+    let product = lazy.evaluate_with_strategy(
+        &lazy.prepare("_* e _*").unwrap(),
+        &cyclic,
+        &QueryRequest::AllPairs(all.clone(), all.clone()),
+        EvalStrategy::Lazy,
+    );
+    let safe = via_pairwise.prepare("_* e _*").unwrap();
+    let labels = rpq_core::all_pairs_nested(safe.safe_plan().unwrap(), &cyclic, &all, &all);
+    assert_ne!(product.as_pairs(), Some(&labels));
+}

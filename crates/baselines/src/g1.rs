@@ -11,7 +11,7 @@
 use rpq_automata::Regex;
 use rpq_grammar::Tag;
 use rpq_labeling::{NodeId, Run};
-use rpq_relalg::{compose_in, transitive_closure_in, NodePairSet, Relation, TagIndex};
+use rpq_relalg::{closure_in, compose_in, NodePairSet, Relation, TagIndex};
 
 /// G1 evaluator bound to one run (through its tag index).
 pub struct G1<'a> {
@@ -27,8 +27,10 @@ impl<'a> G1<'a> {
     /// Evaluate a regex bottom-up to its full relation. Joins and
     /// fixpoints dispatch through the kernel-aware relalg operators
     /// (the run's node count — stored on the index — bounds the
-    /// bitset universe), so G1 benefits from the bit-parallel kernel
-    /// exactly as the decomposed evaluator's unsafe remainders do.
+    /// bitset universe), and intermediates stay in the format of the
+    /// kernel that produced them, so G1 benefits from the bit-parallel
+    /// kernel exactly as the decomposed evaluator's unsafe remainders
+    /// do.
     pub fn eval(&self, regex: &Regex) -> Relation {
         let n_nodes = self.index.n_nodes();
         match regex {
@@ -56,14 +58,14 @@ impl<'a> G1<'a> {
             Regex::Star(inner) => {
                 let base = self.eval(inner);
                 Relation {
-                    pairs: transitive_closure_in(&base.pairs, n_nodes),
+                    pairs: closure_in(&base.pairs, n_nodes),
                     identity: true,
                 }
             }
             Regex::Plus(inner) => {
                 let base = self.eval(inner);
                 Relation {
-                    pairs: transitive_closure_in(&base.pairs, n_nodes),
+                    pairs: closure_in(&base.pairs, n_nodes),
                     identity: base.identity,
                 }
             }
@@ -77,9 +79,10 @@ impl<'a> G1<'a> {
         }
     }
 
-    /// All-pairs over `l1 × l2`: one merge pass over the sorted
-    /// relation ([`Relation::select_pairs`]) instead of an
-    /// `|l1|·|l2|` membership product.
+    /// All-pairs over `l1 × l2`: one merge pass over a sorted relation,
+    /// or one masked scan of the selected bit rows
+    /// ([`Relation::select_pairs`]), instead of an `|l1|·|l2|`
+    /// membership product.
     pub fn all_pairs(&self, regex: &Regex, l1: &[NodeId], l2: &[NodeId]) -> NodePairSet {
         self.eval(regex).select_pairs(l1, l2)
     }

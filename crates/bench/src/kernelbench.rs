@@ -18,9 +18,9 @@
 
 use crate::timing::{fmt_secs, time_avg_secs, Table};
 use rpq_relalg::{
-    compose_pairs_bits, compose_pairs_kernel, transitive_closure_bits,
-    transitive_closure_csr_shared, transitive_closure_pairs, transitive_closure_scc,
-    transitive_closure_scc_csr, CondensationCache, CsrRelation, NodePairSet,
+    closure_csr_shared, compose_pairs_bits, compose_pairs_kernel, transitive_closure_bits,
+    transitive_closure_pairs, transitive_closure_scc, transitive_closure_scc_csr,
+    CondensationCache, CsrRelation, NodePairSet,
 };
 use rpq_workloads::runs::{cyclic_core_relation, deep_chain_relation, wide_dag_relation};
 
@@ -259,7 +259,7 @@ pub fn measure_condensation(full: bool) -> Vec<CondensationMeasurement> {
             let cache = CondensationCache::new();
             assert_eq!(
                 transitive_closure_scc_csr(base),
-                transitive_closure_csr_shared(base, &whole, &cache),
+                closure_csr_shared(base, &whole, &cache).into_sorted(),
                 "shared condensation disagrees with the per-closure walk"
             );
         }
@@ -272,7 +272,7 @@ pub fn measure_condensation(full: bool) -> Vec<CondensationMeasurement> {
             fresh_secs = fresh_secs.min(time_avg_secs(
                 || {
                     for base in &bases {
-                        std::hint::black_box(transitive_closure_scc_csr(base));
+                        std::hint::black_box(rpq_relalg::scc::transitive_closure_scc(base));
                     }
                 },
                 1,
@@ -281,7 +281,7 @@ pub fn measure_condensation(full: bool) -> Vec<CondensationMeasurement> {
                 || {
                     let cache = CondensationCache::new();
                     for base in &bases {
-                        std::hint::black_box(transitive_closure_csr_shared(base, &whole, &cache));
+                        std::hint::black_box(closure_csr_shared(base, &whole, &cache));
                     }
                 },
                 1,
@@ -517,7 +517,7 @@ mod tests {
         for base in &bases {
             assert_eq!(
                 transitive_closure_scc_csr(base),
-                transitive_closure_csr_shared(base, &whole, &cache)
+                closure_csr_shared(base, &whole, &cache).into_sorted()
             );
         }
     }

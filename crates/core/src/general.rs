@@ -15,8 +15,8 @@ use rpq_automata::{compile_minimal_dfa, Dfa, Regex};
 use rpq_grammar::{Specification, Tag};
 use rpq_labeling::{NodeId, Run};
 use rpq_relalg::{
-    compose_in, transitive_closure_csr, transitive_closure_csr_shared, transitive_closure_in,
-    CondensationCache, CsrIndex, NodePairSet, Relation, TagIndex,
+    closure_csr, closure_csr_shared, closure_in, compose_in, CondensationCache, CsrIndex,
+    NodePairSet, Pairs, Relation, TagIndex,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -367,9 +367,10 @@ pub fn eval_node(node: &PlanNode, ctx: &EvalCtx<'_>) -> Relation {
             // safe evaluator emits; strip them back out into the
             // symbolic identity so downstream composition stays sparse.
             if plan.accepts_epsilon() {
-                let non_reflexive: NodePairSet = pairs.iter().filter(|(u, v)| u != v).collect();
+                let non_reflexive =
+                    NodePairSet::from_sorted_unique(pairs.iter().filter(|(u, v)| u != v).collect());
                 Relation {
-                    pairs: non_reflexive,
+                    pairs: Pairs::Sorted(non_reflexive),
                     identity: true,
                 }
             } else {
@@ -421,7 +422,7 @@ pub fn eval_node(node: &PlanNode, ctx: &EvalCtx<'_>) -> Relation {
                 _ => {
                     let base = eval_node(inner, ctx);
                     Relation {
-                        pairs: transitive_closure_in(&base.pairs, n_nodes),
+                        pairs: closure_in(&base.pairs, n_nodes),
                         identity: base.identity,
                     }
                 }
@@ -482,8 +483,9 @@ fn regex_uses_csr(re: &Regex) -> bool {
 /// bare index leaves (`a*`, `⎵*` remainders) run straight off the
 /// session's cached CSR arena when one is available — the headline
 /// fixpoint path — and fall back to evaluating the node and closing
-/// its pair set otherwise.
-fn closure_of(inner: &PlanNode, ctx: &EvalCtx<'_>) -> NodePairSet {
+/// its pairs otherwise. Either way the closure stays in the format of
+/// the kernel that computed it.
+fn closure_of(inner: &PlanNode, ctx: &EvalCtx<'_>) -> Pairs {
     match (inner, ctx.csr) {
         // Tag/wildcard closures share one evaluation-scoped Tarjan
         // condensation of the full adjacency (`csr.all()` is a
@@ -492,17 +494,14 @@ fn closure_of(inner: &PlanNode, ctx: &EvalCtx<'_>) -> NodePairSet {
         // below — are *not* sub-graphs of the run's edges and must not
         // reuse it.
         (PlanNode::Sym(tag), Some(csr)) => match ctx.condensations {
-            Some(cache) => transitive_closure_csr_shared(csr.csr(*tag), csr.all(), cache),
-            None => transitive_closure_csr(csr.csr(*tag)),
+            Some(cache) => closure_csr_shared(csr.csr(*tag), csr.all(), cache),
+            None => closure_csr(csr.csr(*tag)),
         },
         (PlanNode::Wildcard, Some(csr)) => match ctx.condensations {
-            Some(cache) => transitive_closure_csr_shared(csr.all(), csr.all(), cache),
-            None => transitive_closure_csr(csr.all()),
+            Some(cache) => closure_csr_shared(csr.all(), csr.all(), cache),
+            None => closure_csr(csr.all()),
         },
-        _ => {
-            let base = eval_node(inner, ctx);
-            transitive_closure_in(&base.pairs, ctx.run.n_nodes())
-        }
+        _ => closure_in(&eval_node(inner, ctx).pairs, ctx.run.n_nodes()),
     }
 }
 

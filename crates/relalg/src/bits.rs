@@ -9,9 +9,14 @@
 //! on whole words, eliminating the per-pair hashing and per-round `Vec`
 //! churn of the pair-based operators.
 //!
-//! [`BitRelation`] is an internal kernel type: [`NodePairSet`] stays the
-//! public boundary, with cheap [`BitRelation::from_pairs`] /
-//! [`BitRelation::to_pairs`] converters at the edges.
+//! [`BitRelation`] is one of the two formats a relation's explicit
+//! pairs live in ([`crate::Pairs::Bits`], beside the pair kernel's
+//! sorted [`NodePairSet`]): the bit and condensation kernels return
+//! their results as rows, and joins, unions and the final selection
+//! consume them as rows. Pairs are listed only where a caller asks for
+//! them — [`BitRelation::select_pairs`] ANDs the target mask into each
+//! selected row and lists what survives, and [`BitRelation::to_pairs`]
+//! serves the pair-returning wrappers of [`crate::join`].
 
 use crate::csr::CsrRelation;
 use crate::relation::NodePairSet;
@@ -44,10 +49,15 @@ impl BitRelation {
     /// (checked in debug builds).
     pub fn from_pairs(pairs: &NodePairSet, n_nodes: usize) -> BitRelation {
         let mut bits = BitRelation::new(n_nodes);
-        for (u, v) in pairs.iter() {
-            bits.set(u, v);
-        }
+        bits.set_all(pairs);
         bits
+    }
+
+    /// Add every pair of `pairs` (each id must be below `n_nodes`).
+    pub fn set_all(&mut self, pairs: &NodePairSet) {
+        for (u, v) in pairs.iter() {
+            self.set(u, v);
+        }
     }
 
     /// Build from a CSR adjacency (the cached per-`(run, tag)` arena).
@@ -147,25 +157,35 @@ impl BitRelation {
 
     /// Composition `{(u, w) | (u, v) ∈ self, (v, w) ∈ other}`: for each
     /// set bit `v` of a row, OR in `other`'s row of `v` — the blocked
-    /// analogue of boolean matrix multiplication.
+    /// analogue of boolean matrix multiplication. Middle nodes whose
+    /// `other` row is empty contribute nothing, so one mask of the
+    /// non-empty rows is built first and ANDed into each left word
+    /// before its bits are walked: a dense left side joined with a
+    /// sparse right one visits only the middles that can extend.
     pub fn compose(&self, other: &BitRelation) -> BitRelation {
         debug_assert_eq!(self.n_nodes, other.n_nodes);
         let wpr = self.words_per_row;
-        let mut out = BitRelation::new(self.n_nodes);
-        for u in 0..self.n_nodes {
-            let out_start = out.row_index(u);
-            for (block, &word) in self.row(u).iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let v = (block << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let other_start = other.row_index(v);
-                    rowops::or_into(
-                        &mut out.words[out_start..out_start + wpr],
-                        &other.words[other_start..other_start + wpr],
-                    );
-                }
+        let mut live = vec![0u64; wpr];
+        for v in 0..other.n_nodes {
+            if other.row(v).iter().any(|&w| w != 0) {
+                live[v >> 6] |= 1 << (v & 63);
             }
+        }
+        let mut out = BitRelation::new(self.n_nodes);
+        let mut gather: Vec<usize> = Vec::new();
+        for u in 0..self.n_nodes {
+            gather.clear();
+            for (block, (&word, &mask)) in self.row(u).iter().zip(&live).enumerate() {
+                gather.extend(BitIter(word & mask).map(|b| other.row_index((block << 6) + b)));
+            }
+            if gather.is_empty() {
+                continue;
+            }
+            let out_start = out.row_index(u);
+            rowops::or_gather_into(
+                &mut out.words[out_start..out_start + wpr],
+                gather.iter().map(|&start| &other.words[start..start + wpr]),
+            );
         }
         out
     }

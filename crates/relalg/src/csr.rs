@@ -7,6 +7,7 @@
 //! the bit-parallel kernel of [`crate::bits`]: sparse neighbor
 //! iteration on one side of a join, blocked bitset rows on the other.
 
+use crate::bits::BitRelation;
 use crate::index::TagIndex;
 use crate::relation::{pack_u32s, unpack_u32s, NodePairSet};
 use rpq_grammar::Tag;
@@ -30,14 +31,28 @@ impl CsrRelation {
     /// Build from a sorted, deduplicated pair set over `n_nodes` nodes.
     /// One counting pass per direction — no hashing, no re-sorting.
     pub fn from_pairs(pairs: &NodePairSet, n_nodes: usize) -> CsrRelation {
+        CsrRelation::from_sorted(pairs.iter(), pairs.len(), n_nodes)
+    }
+
+    /// Build from blocked bitset rows (the bit and condensation
+    /// kernels' output), without listing the pairs first.
+    pub fn from_bits(bits: &BitRelation) -> CsrRelation {
+        CsrRelation::from_sorted(bits.iter(), bits.len(), bits.n_nodes())
+    }
+
+    /// Build from `m` pairs arriving sorted and duplicate-free.
+    fn from_sorted(
+        pairs: impl Iterator<Item = (NodeId, NodeId)>,
+        m: usize,
+        n_nodes: usize,
+    ) -> CsrRelation {
         let n = n_nodes as u32;
-        debug_assert!(pairs.iter().all(|(u, v)| u.0 < n && v.0 < n));
-        let m = pairs.len();
 
         // Forward: pairs are sorted by source, so targets is one copy.
         let mut offsets = vec![0u32; n_nodes + 1];
         let mut targets = Vec::with_capacity(m);
-        for (u, v) in pairs.iter() {
+        for (u, v) in pairs {
+            debug_assert!(u.0 < n && v.0 < n);
             offsets[u.index() + 1] += 1;
             targets.push(v.0);
         }
@@ -46,20 +61,21 @@ impl CsrRelation {
         }
 
         // Transpose: counting sort by target keeps each predecessor
-        // list sorted (pairs arrive in source order).
+        // list sorted (the forward rows are visited in source order).
         let mut rev_offsets = vec![0u32; n_nodes + 1];
-        for (_, v) in pairs.iter() {
-            rev_offsets[v.index() + 1] += 1;
+        for &v in &targets {
+            rev_offsets[v as usize + 1] += 1;
         }
         for i in 0..n_nodes {
             rev_offsets[i + 1] += rev_offsets[i];
         }
         let mut cursor = rev_offsets.clone();
-        let mut rev_targets = vec![0u32; m];
-        for (u, v) in pairs.iter() {
-            let slot = cursor[v.index()];
-            rev_targets[slot as usize] = u.0;
-            cursor[v.index()] += 1;
+        let mut rev_targets = vec![0u32; targets.len()];
+        for u in 0..n_nodes {
+            for &v in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+                rev_targets[cursor[v as usize] as usize] = u as u32;
+                cursor[v as usize] += 1;
+            }
         }
 
         CsrRelation {

@@ -1,4 +1,4 @@
-//! Composition joins and the semi-naive Kleene fixpoint.
+//! Composition joins, Kleene closures and endpoint selection.
 //!
 //! These are the operators baseline G1 (Li & Moon's parse-tree
 //! evaluation, the paper's Option G1) is built from; the paper's own
@@ -9,14 +9,29 @@
 //! Every operator exists in two kernels (see [`crate::kernel`]): the
 //! original sorted-pair/hash implementation (`*_pairs`, kept as the
 //! referee and the sparse fast path) and the blocked-bitset kernel of
-//! [`crate::bits`]. The `*_in` entry points take the universe size and
-//! dispatch per call on density; the parameterless wrappers infer the
-//! universe from the operand ids for callers without a run at hand.
+//! [`crate::bits`]; closures have a third, the condensation pass of
+//! [`crate::scc`].
+//!
+//! **Two formats, pairs built last.** An intermediate result stays in
+//! the format of the kernel that produced it ([`Pairs`]): the pair
+//! kernel returns a sorted list, the bit and condensation kernels
+//! return blocked rows. [`closure_in`], [`closure_csr`],
+//! [`closure_csr_shared`] and [`join_in`] accept either format and
+//! return whichever their kernel builds; a join whose operand is
+//! already rows runs the bit kernel without converting it back, and
+//! the size-based choosers decide only between two lists. Pairs are
+//! listed once, at the final selection ([`Pairs::select_in`] →
+//! [`BitRelation::select_pairs`]), and only for the selected rows.
+//!
+//! The `NodePairSet`-returning entry points (`compose_pairs_in`,
+//! `transitive_closure_csr`, `select_pairs_in` and the per-kernel
+//! `*_pairs` / `*_bits` / `*_scc` functions) list their result; they
+//! serve referees, benches and callers outside a relation pipeline.
 
 use crate::bits::BitRelation;
 use crate::csr::CsrRelation;
 use crate::kernel::{choose_closure, choose_compose, choose_select, record_closure, Kernel};
-use crate::relation::{NodePairSet, Relation};
+use crate::relation::{NodePairSet, Pairs, Relation};
 use rpq_labeling::NodeId;
 use std::collections::HashMap;
 
@@ -39,40 +54,65 @@ pub fn compose_pairs_kernel(a: &NodePairSet, b: &NodePairSet) -> NodePairSet {
     NodePairSet::from_pairs(out)
 }
 
-/// Composition of pair sets with the **bit kernel**: the left operand
-/// iterates as CSR adjacency, the right as blocked bitset rows, and
-/// every `(u, v)` of `a` contributes one word-wise row OR.
+/// The bit-kernel join of two lists: the left operand iterates as CSR
+/// adjacency, the right as blocked bitset rows, and every `(u, v)` of
+/// `a` contributes one word-wise row OR.
+fn compose_bits(a: &NodePairSet, b: &NodePairSet, n_nodes: usize) -> BitRelation {
+    BitRelation::compose_csr(
+        &CsrRelation::from_pairs(a, n_nodes),
+        &BitRelation::from_pairs(b, n_nodes),
+    )
+}
+
+/// Composition of pair sets with the **bit kernel**, listed.
 pub fn compose_pairs_bits(a: &NodePairSet, b: &NodePairSet, n_nodes: usize) -> NodePairSet {
-    let csr = CsrRelation::from_pairs(a, n_nodes);
-    let bits = BitRelation::from_pairs(b, n_nodes);
-    BitRelation::compose_csr(&csr, &bits).to_pairs()
+    compose_bits(a, b, n_nodes).to_pairs()
+}
+
+/// Composition of two lists over an `n_nodes` universe, dispatching on
+/// density; the result keeps the format of the kernel that ran.
+fn compose_sorted(a: &NodePairSet, b: &NodePairSet, n_nodes: usize) -> Pairs {
+    match choose_compose(n_nodes, a.len(), b.len()) {
+        // SCC is closure-only; the chooser never returns it, but keep
+        // the match total on the word-parallel side.
+        Kernel::Bits | Kernel::Scc => Pairs::Bits(compose_bits(a, b, n_nodes)),
+        Kernel::Pairs => Pairs::Sorted(compose_pairs_kernel(a, b)),
+    }
 }
 
 /// Composition of pair sets over an `n_nodes` universe, dispatching on
-/// density.
+/// density (listed).
 pub fn compose_pairs_in(a: &NodePairSet, b: &NodePairSet, n_nodes: usize) -> NodePairSet {
     if a.is_empty() || b.is_empty() {
         return NodePairSet::new();
     }
-    match choose_compose(n_nodes, a.len(), b.len()) {
-        // SCC is closure-only; the chooser never returns it, but keep
-        // the match total on the word-parallel side.
-        Kernel::Bits | Kernel::Scc => compose_pairs_bits(a, b, n_nodes),
-        Kernel::Pairs => compose_pairs_kernel(a, b),
+    compose_sorted(a, b, n_nodes).into_sorted()
+}
+
+/// Composition `a ∘ b` over an `n_nodes` universe, in either format.
+/// When either operand is already bit rows the bit kernel runs: a row
+/// left side walks its set bits ([`BitRelation::compose`]), a list left
+/// side iterates as CSR ([`BitRelation::compose_csr`]), and a list right
+/// side becomes rows. Two lists are left to the size-based chooser.
+pub fn join_in(a: &Pairs, b: &Pairs, n_nodes: usize) -> Pairs {
+    if a.is_empty() || b.is_empty() {
+        return Pairs::default();
+    }
+    match (a, b) {
+        (Pairs::Sorted(a), Pairs::Sorted(b)) => compose_sorted(a, b, n_nodes),
+        (Pairs::Bits(a), b) => Pairs::Bits(a.compose(&b.to_bits(n_nodes))),
+        (Pairs::Sorted(a), Pairs::Bits(b)) => Pairs::Bits(BitRelation::compose_csr(
+            &CsrRelation::from_pairs(a, n_nodes),
+            b,
+        )),
     }
 }
 
-/// Composition of pair sets (kernel-dispatched; universe inferred from
-/// the operand ids). Prefer [`compose_pairs_in`] when the run size is
-/// at hand.
-pub fn compose_pairs(a: &NodePairSet, b: &NodePairSet) -> NodePairSet {
-    compose_pairs_in(a, b, a.universe_bound().max(b.universe_bound()))
-}
-
 /// Composition of relations over an `n_nodes` universe, respecting
-/// symbolic identity: `(a ∪ id?) ∘ (b ∪ id?)`.
+/// symbolic identity: `(a ∪ id?) ∘ (b ∪ id?)`. The identity unions OR
+/// bit rows whenever either side is rows.
 pub fn compose_in(a: &Relation, b: &Relation, n_nodes: usize) -> Relation {
-    let mut pairs = compose_pairs_in(&a.pairs, &b.pairs, n_nodes);
+    let mut pairs = join_in(&a.pairs, &b.pairs, n_nodes);
     if a.identity {
         pairs = pairs.union(&b.pairs);
     }
@@ -83,11 +123,6 @@ pub fn compose_in(a: &Relation, b: &Relation, n_nodes: usize) -> Relation {
         pairs,
         identity: a.identity && b.identity,
     }
-}
-
-/// Composition of relations (universe inferred from the operand ids).
-pub fn compose(a: &Relation, b: &Relation) -> Relation {
-    compose_in(a, b, a.pairs.universe_bound().max(b.pairs.universe_bound()))
 }
 
 /// Transitive closure (Kleene plus) with the **pair kernel**, computed
@@ -150,70 +185,67 @@ pub fn transitive_closure_scc_csr(base: &CsrRelation) -> NodePairSet {
     crate::scc::transitive_closure_scc(base).to_pairs()
 }
 
-/// Transitive closure over an `n_nodes` universe, dispatching on
-/// density.
-pub fn transitive_closure_in(r: &NodePairSet, n_nodes: usize) -> NodePairSet {
+/// Transitive closure of a relation in either format over an `n_nodes`
+/// universe, dispatching on density ([`choose_closure`] sees the pair
+/// count, whatever the format). The condensation and bit kernels
+/// return rows, the pair kernel a list.
+pub fn closure_in(r: &Pairs, n_nodes: usize) -> Pairs {
+    let len = r.len();
     // A 0/1-pair base is its own closure.
-    if r.len() < 2 {
+    if len < 2 {
         return r.clone();
     }
-    let kernel = choose_closure(n_nodes, r.len());
+    let kernel = choose_closure(n_nodes, len);
     record_closure(kernel);
     match kernel {
-        Kernel::Scc => transitive_closure_scc(r, n_nodes),
-        Kernel::Bits => transitive_closure_bits(r, n_nodes),
-        Kernel::Pairs => transitive_closure_pairs(r),
+        Kernel::Scc => Pairs::Bits(crate::scc::transitive_closure_scc(&r.to_csr(n_nodes))),
+        Kernel::Bits => Pairs::Bits(r.to_bits(n_nodes).transitive_closure()),
+        Kernel::Pairs => Pairs::Sorted(transitive_closure_pairs(&r.to_sorted())),
     }
-}
-
-/// Transitive closure (kernel-dispatched; universe inferred from the
-/// operand ids). Prefer [`transitive_closure_in`] when the run size is
-/// at hand.
-pub fn transitive_closure(r: &NodePairSet) -> NodePairSet {
-    transitive_closure_in(r, r.universe_bound())
 }
 
 /// Transitive closure straight off a cached CSR arena (the session's
-/// per-`(run, tag)` adjacency): skips the pair→CSR conversion the
-/// other entry points pay.
-pub fn transitive_closure_csr(base: &CsrRelation) -> NodePairSet {
-    if base.n_edges() < 2 {
-        return base.to_pairs();
-    }
-    let kernel = choose_closure(base.n_nodes(), base.n_edges());
-    record_closure(kernel);
-    match kernel {
-        Kernel::Scc => transitive_closure_scc_csr(base),
-        Kernel::Bits => BitRelation::from_csr(base).transitive_closure().to_pairs(),
-        Kernel::Pairs => transitive_closure_pairs(&base.to_pairs()),
-    }
+/// per-`(run, tag)` adjacency), dispatching on density: skips the
+/// pair→CSR conversion [`closure_in`] pays for a list.
+pub fn closure_csr(base: &CsrRelation) -> Pairs {
+    closure_csr_with(base, || crate::scc::transitive_closure_scc(base))
 }
 
-/// [`transitive_closure_csr`] with a shared, evaluation-scoped
-/// condensation: when the dispatch picks the SCC kernel, the Tarjan
-/// walk runs at most once per `cache` — over `whole`, the run's full
-/// adjacency (a super-graph of every per-tag `base`) — and the closure
-/// is scheduled off the cached component DAG
-/// ([`crate::scc::transitive_closure_scc_with`]). The non-SCC kernels
-/// are untouched, so a closure dispatched to them never pays the
-/// condensation.
-pub fn transitive_closure_csr_shared(
+/// [`closure_csr`] with a shared, evaluation-scoped condensation: when
+/// the dispatch picks the SCC kernel, the Tarjan walk runs at most once
+/// per `cache` — over `whole`, the run's full adjacency (a super-graph
+/// of every per-tag `base`) — and the closure is scheduled off the
+/// cached component DAG ([`crate::scc::transitive_closure_scc_with`]).
+/// The non-SCC kernels are untouched, so a closure dispatched to them
+/// never pays the condensation.
+pub fn closure_csr_shared(
     base: &CsrRelation,
     whole: &CsrRelation,
     cache: &crate::scc::CondensationCache,
-) -> NodePairSet {
+) -> Pairs {
+    closure_csr_with(base, || {
+        crate::scc::transitive_closure_scc_with(cache.condensation(whole), base)
+    })
+}
+
+/// The dispatch shared by the CSR closures; `scc` runs the
+/// condensation kernel when it is chosen.
+fn closure_csr_with(base: &CsrRelation, scc: impl FnOnce() -> BitRelation) -> Pairs {
     if base.n_edges() < 2 {
-        return base.to_pairs();
+        return Pairs::Sorted(base.to_pairs());
     }
     let kernel = choose_closure(base.n_nodes(), base.n_edges());
     record_closure(kernel);
     match kernel {
-        Kernel::Scc => {
-            crate::scc::transitive_closure_scc_with(cache.condensation(whole), base).to_pairs()
-        }
-        Kernel::Bits => BitRelation::from_csr(base).transitive_closure().to_pairs(),
-        Kernel::Pairs => transitive_closure_pairs(&base.to_pairs()),
+        Kernel::Scc => Pairs::Bits(scc()),
+        Kernel::Bits => Pairs::Bits(BitRelation::from_csr(base).transitive_closure()),
+        Kernel::Pairs => Pairs::Sorted(transitive_closure_pairs(&base.to_pairs())),
     }
+}
+
+/// [`closure_csr`], listed.
+pub fn transitive_closure_csr(base: &CsrRelation) -> NodePairSet {
+    closure_csr(base).into_sorted()
 }
 
 /// Kernel-dispatched transitive closure materialized as a
@@ -288,26 +320,9 @@ pub fn select_pairs_in(
         return NodePairSet::new();
     }
     match choose_select(n_nodes, r.len(), l1.len(), l2.len()) {
-        // As in `compose_pairs_in`: the chooser never returns Scc.
+        // As in `compose_sorted`: the chooser never returns Scc.
         Kernel::Bits | Kernel::Scc => select_pairs_bits(r, l1, l2, n_nodes),
         Kernel::Pairs => select_pairs_kernel(r, l1, l2),
-    }
-}
-
-/// Kleene star as a relation over an `n_nodes` universe:
-/// `r* = r⁺ ∪ id`.
-pub fn star_in(r: &NodePairSet, n_nodes: usize) -> Relation {
-    Relation {
-        pairs: transitive_closure_in(r, n_nodes),
-        identity: true,
-    }
-}
-
-/// Kleene star (universe inferred from the operand ids).
-pub fn star(r: &NodePairSet) -> Relation {
-    Relation {
-        pairs: transitive_closure(r),
-        identity: true,
     }
 }
 
@@ -323,25 +338,35 @@ mod tests {
         NodePairSet::from_pairs(ps.iter().map(|&(a, b)| (n(a), n(b))).collect())
     }
 
+    /// A list in both formats over an `n`-node universe.
+    fn both(ps: &NodePairSet, n: usize) -> [Pairs; 2] {
+        [Pairs::Sorted(ps.clone()), Pairs::Bits(ps.to_bits(n))]
+    }
+
     #[test]
     fn compose_pairs_basic() {
         let a = pairs(&[(0, 1), (1, 2)]);
         let b = pairs(&[(1, 5), (2, 6)]);
-        let c = compose_pairs(&a, &b);
+        let c = compose_pairs_in(&a, &b, 7);
         assert_eq!(c, pairs(&[(0, 5), (1, 6)]));
-        // Both kernels agree.
+        // Both kernels agree, and so does every format pairing.
         assert_eq!(compose_pairs_kernel(&a, &b), c);
         assert_eq!(compose_pairs_bits(&a, &b, 7), c);
+        for pa in both(&a, 7) {
+            for pb in both(&b, 7) {
+                assert_eq!(join_in(&pa, &pb, 7).into_sorted(), c);
+            }
+        }
     }
 
     #[test]
     fn compose_with_identity() {
         let a = Relation::from_pairs(pairs(&[(0, 1)]));
         let eps = Relation::epsilon();
-        assert_eq!(compose(&a, &eps), a);
-        assert_eq!(compose(&eps, &a), a);
-        let opt = a.union(&eps); // a?
-        let twice = compose(&opt, &opt); // matches "", "a", "aa"
+        assert_eq!(compose_in(&a, &eps, 2), a);
+        assert_eq!(compose_in(&eps, &a, 2), a);
+        let opt = a.clone().union(&eps); // a?
+        let twice = compose_in(&opt, &opt, 2); // matches "", "a", "aa"
         assert!(twice.identity);
         assert!(twice.contains(n(0), n(1)));
     }
@@ -350,7 +375,9 @@ mod tests {
     fn closure_of_chain() {
         let chain = pairs(&[(0, 1), (1, 2), (2, 3)]);
         let expected = pairs(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        assert_eq!(transitive_closure(&chain), expected);
+        for r in both(&chain, 4) {
+            assert_eq!(closure_in(&r, 4).into_sorted(), expected);
+        }
         assert_eq!(transitive_closure_pairs(&chain), expected);
         assert_eq!(transitive_closure_bits(&chain, 4), expected);
         assert_eq!(transitive_closure_scc(&chain, 4), expected);
@@ -367,7 +394,7 @@ mod tests {
     #[test]
     fn closure_of_diamond() {
         let d = pairs(&[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let tc = transitive_closure(&d);
+        let tc = closure_in(&Pairs::Sorted(d), 4);
         assert!(tc.contains(n(0), n(3)));
         assert!(!tc.contains(n(1), n(2)));
         assert_eq!(tc.len(), 5);
@@ -375,13 +402,18 @@ mod tests {
 
     #[test]
     fn closure_of_empty_is_empty() {
-        assert!(transitive_closure(&NodePairSet::new()).is_empty());
+        assert!(closure_in(&Pairs::default(), 0).is_empty());
         assert!(transitive_closure_bits(&NodePairSet::new(), 8).is_empty());
     }
 
     #[test]
     fn star_includes_identity() {
-        let s = star(&pairs(&[(0, 1)]));
+        // `r*` as the evaluators build it: closure plus the symbolic
+        // identity.
+        let s = Relation {
+            pairs: closure_in(&Pairs::Sorted(pairs(&[(0, 1)])), 5),
+            identity: true,
+        };
         assert!(s.contains(n(4), n(4)));
         assert!(s.contains(n(0), n(1)));
     }

@@ -3,7 +3,10 @@
 //! Every dispatching operator in [`crate::join`] picks a kernel per
 //! call from the operand sizes it observes — [`choose_closure`],
 //! [`choose_compose`] and [`choose_select`] are pure functions of
-//! those sizes. There is no process-wide override: a test or bench
+//! those sizes. Joins and selections also read the operands' format:
+//! an operand already in bit rows ([`crate::Pairs::Bits`]) stays on the
+//! bit kernel, and the size-based choice is made only between lists.
+//! There is no process-wide override: a test or bench
 //! that wants one specific kernel calls it directly
 //! (`transitive_closure_{pairs,bits,scc}`, `compose_pairs_{kernel,bits}`,
 //! `select_pairs_{kernel,bits}`).

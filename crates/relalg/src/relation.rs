@@ -1,6 +1,9 @@
 //! Node-pair sets and relations with symbolic identity.
 
+use crate::bits::BitRelation;
+use crate::csr::CsrRelation;
 use rpq_labeling::NodeId;
+use std::borrow::Cow;
 
 /// A sorted, deduplicated set of `(source, target)` node pairs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -29,24 +32,13 @@ impl NodePairSet {
         NodePairSet { pairs }
     }
 
-    /// One past the largest node id mentioned (0 for the empty set) —
-    /// the tightest universe the bit kernel must represent when the
-    /// caller has no run at hand.
-    pub fn universe_bound(&self) -> usize {
-        self.pairs
-            .iter()
-            .map(|&(u, v)| u.index().max(v.index()) + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Convert to a blocked-bitset relation over `n_nodes` nodes.
-    pub fn to_bits(&self, n_nodes: usize) -> crate::bits::BitRelation {
-        crate::bits::BitRelation::from_pairs(self, n_nodes)
+    pub fn to_bits(&self, n_nodes: usize) -> BitRelation {
+        BitRelation::from_pairs(self, n_nodes)
     }
 
     /// Materialize a blocked-bitset relation (sorted by construction).
-    pub fn from_bits(bits: &crate::bits::BitRelation) -> NodePairSet {
+    pub fn from_bits(bits: &BitRelation) -> NodePairSet {
         bits.to_pairs()
     }
 
@@ -241,13 +233,159 @@ impl serde::Deserialize for NodePairSet {
     }
 }
 
+/// The explicit pairs of a [`Relation`], in the format of the kernel
+/// that produced them: the pair kernel's sorted list, or the bit and
+/// condensation kernels' blocked rows. Operators accept either format
+/// (see [`crate::join`]); pairs are listed only when a final selection
+/// asks for them. Equality compares contents, not format.
+#[derive(Debug, Clone)]
+pub enum Pairs {
+    /// A sorted, deduplicated pair list.
+    Sorted(NodePairSet),
+    /// Blocked bitset rows over the run's universe.
+    Bits(BitRelation),
+}
+
+impl Default for Pairs {
+    fn default() -> Pairs {
+        Pairs::Sorted(NodePairSet::new())
+    }
+}
+
+impl Pairs {
+    /// Number of pairs (a popcount for bit rows).
+    pub fn len(&self) -> usize {
+        match self {
+            Pairs::Sorted(s) => s.len(),
+            Pairs::Bits(b) => b.len(),
+        }
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        match self {
+            Pairs::Sorted(s) => s.is_empty(),
+            Pairs::Bits(b) => b.is_empty(),
+        }
+    }
+
+    /// Membership test.
+    pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
+        match self {
+            Pairs::Sorted(s) => s.contains(u, v),
+            Pairs::Bits(b) => b.contains(u, v),
+        }
+    }
+
+    /// Iterate the pairs in sorted order, whatever the format.
+    pub fn iter(&self) -> Box<dyn Iterator<Item = (NodeId, NodeId)> + '_> {
+        match self {
+            Pairs::Sorted(s) => Box::new(s.iter()),
+            Pairs::Bits(b) => Box::new(b.iter()),
+        }
+    }
+
+    /// The pairs as a sorted list (bit rows are listed here).
+    pub fn into_sorted(self) -> NodePairSet {
+        match self {
+            Pairs::Sorted(s) => s,
+            Pairs::Bits(b) => b.to_pairs(),
+        }
+    }
+
+    /// The pairs as a sorted list, borrowed when they already are.
+    pub fn to_sorted(&self) -> Cow<'_, NodePairSet> {
+        match self {
+            Pairs::Sorted(s) => Cow::Borrowed(s),
+            Pairs::Bits(b) => Cow::Owned(b.to_pairs()),
+        }
+    }
+
+    /// The pairs as a CSR adjacency over `n_nodes` nodes.
+    pub fn to_csr(&self, n_nodes: usize) -> CsrRelation {
+        match self {
+            Pairs::Sorted(s) => CsrRelation::from_pairs(s, n_nodes),
+            Pairs::Bits(b) => {
+                debug_assert_eq!(b.n_nodes(), n_nodes);
+                CsrRelation::from_bits(b)
+            }
+        }
+    }
+
+    /// The pairs as blocked rows over `n_nodes` nodes, borrowed when
+    /// they already are.
+    pub fn to_bits(&self, n_nodes: usize) -> Cow<'_, BitRelation> {
+        match self {
+            Pairs::Sorted(s) => Cow::Owned(BitRelation::from_pairs(s, n_nodes)),
+            Pairs::Bits(b) => {
+                debug_assert_eq!(b.n_nodes(), n_nodes);
+                Cow::Borrowed(b)
+            }
+        }
+    }
+
+    /// Set union. Two lists merge; when either side is bit rows the
+    /// result is bit rows (`self`'s rows are reused in place).
+    pub fn union(self, other: &Pairs) -> Pairs {
+        match (self, other) {
+            (Pairs::Sorted(a), Pairs::Sorted(b)) => Pairs::Sorted(a.union(b)),
+            (Pairs::Bits(mut a), Pairs::Bits(b)) => {
+                a.union_in_place(b);
+                Pairs::Bits(a)
+            }
+            (Pairs::Bits(mut a), Pairs::Sorted(b)) => {
+                a.set_all(b);
+                Pairs::Bits(a)
+            }
+            (Pairs::Sorted(a), Pairs::Bits(b)) => {
+                let mut b = b.clone();
+                b.set_all(&a);
+                Pairs::Bits(b)
+            }
+        }
+    }
+
+    /// Restrict to `l1 × l2` (lists may arrive unsorted and with
+    /// duplicates). A list takes the pair-kernel merge
+    /// ([`crate::join::select_pairs_kernel`]); bit rows AND a target
+    /// mask into each selected row ([`BitRelation::select_pairs`]).
+    pub fn select(&self, l1: &[NodeId], l2: &[NodeId]) -> NodePairSet {
+        match self {
+            Pairs::Sorted(s) => crate::join::select_pairs_kernel(s, l1, l2),
+            Pairs::Bits(b) => b.select_pairs(l1, l2),
+        }
+    }
+
+    /// [`Pairs::select`] over an `n_nodes` universe: a list dispatches
+    /// on density ([`crate::join::select_pairs_in`]); bit rows are
+    /// already in the dense kernel's shape and are selected directly.
+    pub fn select_in(&self, l1: &[NodeId], l2: &[NodeId], n_nodes: usize) -> NodePairSet {
+        match self {
+            Pairs::Sorted(s) => crate::join::select_pairs_in(s, l1, l2, n_nodes),
+            Pairs::Bits(b) => b.select_pairs(l1, l2),
+        }
+    }
+}
+
+impl PartialEq for Pairs {
+    fn eq(&self, other: &Pairs) -> bool {
+        match (self, other) {
+            (Pairs::Sorted(a), Pairs::Sorted(b)) => a == b,
+            (Pairs::Bits(a), Pairs::Bits(b)) if a.n_nodes() == b.n_nodes() => a == b,
+            _ => self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl Eq for Pairs {}
+
 /// A relation: explicit pairs plus a symbolic "identity on all nodes"
 /// component. `ε` and `e*` contribute the identity; keeping it symbolic
 /// avoids materializing `|V|` reflexive pairs in every star.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Relation {
     /// Explicit (non-reflexive-by-construction) pairs.
-    pub pairs: NodePairSet,
+    pub pairs: Pairs,
     /// Whether the identity relation is included.
     pub identity: bool,
 }
@@ -261,7 +399,7 @@ impl Relation {
     /// The identity relation (ε).
     pub fn epsilon() -> Relation {
         Relation {
-            pairs: NodePairSet::new(),
+            pairs: Pairs::default(),
             identity: true,
         }
     }
@@ -269,13 +407,13 @@ impl Relation {
     /// From explicit pairs.
     pub fn from_pairs(pairs: NodePairSet) -> Relation {
         Relation {
-            pairs,
+            pairs: Pairs::Sorted(pairs),
             identity: false,
         }
     }
 
-    /// Union of relations.
-    pub fn union(&self, other: &Relation) -> Relation {
+    /// Union of relations (bit rows when either side is bit rows).
+    pub fn union(self, other: &Relation) -> Relation {
         Relation {
             pairs: self.pairs.union(&other.pairs),
             identity: self.identity || other.identity,
@@ -288,32 +426,22 @@ impl Relation {
     }
 
     /// The relation restricted to `l1 × l2` (lists may arrive unsorted
-    /// and with duplicates): the pair-kernel selection
-    /// ([`crate::join::select_pairs_kernel`]), with the symbolic
+    /// and with duplicates): [`Pairs::select`], with the symbolic
     /// identity contributing `(u, u)` for every `u ∈ l1 ∩ l2` — the
     /// shared finale of every all-pairs evaluator over a composite
     /// relation. [`Relation::select_pairs_in`] is the kernel-dispatched
     /// variant for callers that know the universe size.
     pub fn select_pairs(&self, l1: &[NodeId], l2: &[NodeId]) -> NodePairSet {
-        self.graft_identity(
-            crate::join::select_pairs_kernel(&self.pairs, l1, l2),
-            l1,
-            l2,
-        )
+        self.graft_identity(self.pairs.select(l1, l2), l1, l2)
     }
 
     /// Kernel-dispatched [`Relation::select_pairs`] over an `n_nodes`
-    /// universe: dense relations AND a blocked target mask into each
-    /// selected source row before materializing
-    /// ([`crate::join::select_pairs_in`]), sparse ones take the sorted
-    /// merge. The symbolic identity contributes `(u, u)` for every
-    /// `u ∈ l1 ∩ l2` either way.
+    /// universe ([`Pairs::select_in`]): bit rows and dense lists AND a
+    /// blocked target mask into each selected source row, sparse lists
+    /// take the sorted merge. The symbolic identity contributes
+    /// `(u, u)` for every `u ∈ l1 ∩ l2` either way.
     pub fn select_pairs_in(&self, l1: &[NodeId], l2: &[NodeId], n_nodes: usize) -> NodePairSet {
-        self.graft_identity(
-            crate::join::select_pairs_in(&self.pairs, l1, l2, n_nodes),
-            l1,
-            l2,
-        )
+        self.graft_identity(self.pairs.select_in(l1, l2, n_nodes), l1, l2)
     }
 
     /// Add the symbolic identity's `(u, u)` for every `u ∈ l1 ∩ l2` to
@@ -337,17 +465,6 @@ impl Relation {
             .map(|&u| (u, u))
             .collect();
         selected.union(&NodePairSet::from_sorted_unique(id_pairs))
-    }
-
-    /// Materialize against an explicit universe (for final answers whose
-    /// endpoints are restricted to given lists anyway).
-    pub fn materialize(&self, universe: &[NodeId]) -> NodePairSet {
-        if !self.identity {
-            return self.pairs.clone();
-        }
-        let mut pairs: Vec<(NodeId, NodeId)> = self.pairs.iter().collect();
-        pairs.extend(universe.iter().map(|&n| (n, n)));
-        NodePairSet::from_pairs(pairs)
     }
 }
 
@@ -401,27 +518,35 @@ mod tests {
 
     #[test]
     fn select_pairs_restricts_and_adds_identity() {
-        let r = Relation {
-            pairs: NodePairSet::from_pairs(vec![(n(0), n(1)), (n(2), n(3)), (n(5), n(0))]),
-            identity: true,
-        };
-        // Unsorted, duplicated lists; (2,2) comes from the identity,
-        // (2,3) from the pairs — self-loop dedup is the boundary's job.
-        let s = r.select_pairs(&[n(2), n(0), n(2)], &[n(3), n(1), n(2)]);
-        assert_eq!(s.as_slice(), &[(n(0), n(1)), (n(2), n(2)), (n(2), n(3))]);
-        let no_id = Relation {
-            pairs: r.pairs.clone(),
-            identity: false,
-        };
-        assert_eq!(no_id.select_pairs(&[n(2)], &[n(2), n(3)]).len(), 1);
+        let list = NodePairSet::from_pairs(vec![(n(0), n(1)), (n(2), n(3)), (n(5), n(0))]);
+        for pairs in [Pairs::Bits(list.to_bits(6)), Pairs::Sorted(list)] {
+            let r = Relation {
+                pairs,
+                identity: true,
+            };
+            // Unsorted, duplicated lists; (2,2) comes from the identity,
+            // (2,3) from the pairs — self-loop dedup is the boundary's job.
+            let s = r.select_pairs(&[n(2), n(0), n(2)], &[n(3), n(1), n(2)]);
+            assert_eq!(s.as_slice(), &[(n(0), n(1)), (n(2), n(2)), (n(2), n(3))]);
+            assert_eq!(
+                r.select_pairs_in(&[n(2), n(0), n(2)], &[n(3), n(1), n(2)], 6),
+                s
+            );
+            let no_id = Relation {
+                pairs: r.pairs.clone(),
+                identity: false,
+            };
+            assert_eq!(no_id.select_pairs(&[n(2)], &[n(2), n(3)]).len(), 1);
+        }
     }
 
     #[test]
-    fn bits_round_trip_and_universe_bound() {
+    fn bits_round_trip() {
         let s = NodePairSet::from_pairs(vec![(n(0), n(70)), (n(3), n(2))]);
-        assert_eq!(s.universe_bound(), 71);
         assert_eq!(NodePairSet::from_bits(&s.to_bits(71)), s);
-        assert_eq!(NodePairSet::new().universe_bound(), 0);
+        let bits = Pairs::Bits(s.to_bits(71));
+        assert_eq!(bits, Pairs::Sorted(s.clone()));
+        assert_eq!(bits.into_sorted(), s);
     }
 
     #[test]
@@ -429,9 +554,8 @@ mod tests {
         let r = Relation::epsilon();
         assert!(r.contains(n(7), n(7)));
         assert!(!r.contains(n(7), n(8)));
-        let m = r.materialize(&[n(1), n(2)]);
-        assert_eq!(m.len(), 2);
-        assert!(m.contains(n(1), n(1)));
+        let m = r.select_pairs(&[n(1), n(2)], &[n(1), n(2)]);
+        assert_eq!(m.as_slice(), &[(n(1), n(1)), (n(2), n(2))]);
     }
 
     #[test]

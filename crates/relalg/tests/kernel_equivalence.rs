@@ -13,10 +13,11 @@ use proptest::prelude::*;
 use rpq_grammar::Tag;
 use rpq_labeling::NodeId;
 use rpq_relalg::{
-    compose_pairs_bits, compose_pairs_in, compose_pairs_kernel, select_pairs_bits, select_pairs_in,
-    select_pairs_kernel, transitive_closure_bits, transitive_closure_in, transitive_closure_pairs,
-    transitive_closure_scc, transitive_closure_scc_csr, BitRelation, Condensation, CsrRelation,
-    NodePairSet, TagIndex,
+    closure_csr, closure_csr_shared, closure_in, compose_in, compose_pairs_bits, compose_pairs_in,
+    compose_pairs_kernel, join_in, select_pairs_bits, select_pairs_in, select_pairs_kernel,
+    transitive_closure_bits, transitive_closure_pairs, transitive_closure_scc,
+    transitive_closure_scc_csr, BitRelation, Condensation, CondensationCache, CsrRelation,
+    NodePairSet, Pairs, Relation, TagIndex,
 };
 use rpq_workloads::runs::{
     cyclic_core_relation, deep_chain_relation, multi_scc_relation, wide_dag_relation,
@@ -32,6 +33,11 @@ fn relation(n: u32, max_pairs: usize) -> impl Strategy<Value = NodePairSet> {
                 .collect(),
         )
     })
+}
+
+/// The dispatched closure of a list, listed.
+fn sorted_closure(r: &NodePairSet, n: usize) -> NodePairSet {
+    closure_in(&Pairs::Sorted(r.clone()), n).into_sorted()
 }
 
 proptest! {
@@ -52,7 +58,7 @@ proptest! {
         let referee = transitive_closure_pairs(&r);
         prop_assert_eq!(&transitive_closure_bits(&r, 70), &referee);
         prop_assert_eq!(&transitive_closure_scc(&r, 70), &referee);
-        prop_assert_eq!(&transitive_closure_in(&r, 70), &referee);
+        prop_assert_eq!(&sorted_closure(&r, 70), &referee);
         // Closure off the CSR arena takes a different construction path.
         let csr = CsrRelation::from_pairs(&r, 70);
         prop_assert_eq!(&rpq_relalg::transitive_closure_csr(&csr), &referee);
@@ -71,7 +77,7 @@ proptest! {
         let referee = transitive_closure_pairs(&r);
         prop_assert_eq!(&transitive_closure_bits(&r, n), &referee);
         prop_assert_eq!(&transitive_closure_scc(&r, n), &referee);
-        prop_assert_eq!(&transitive_closure_in(&r, n), &referee);
+        prop_assert_eq!(&sorted_closure(&r, n), &referee);
     }
 
     #[test]
@@ -188,7 +194,7 @@ fn assert_three_way(r: &NodePairSet, n: usize) {
     let referee = transitive_closure_pairs(r);
     assert_eq!(transitive_closure_bits(r, n), referee);
     assert_eq!(transitive_closure_scc(r, n), referee);
-    assert_eq!(transitive_closure_in(r, n), referee);
+    assert_eq!(sorted_closure(r, n), referee);
 }
 
 #[test]
@@ -266,6 +272,211 @@ fn kernels_agree_on_run_derived_relations() {
                         select_pairs_kernel(&closure, l1, l2)
                     );
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Format equivalence: a relation's explicit pairs are a sorted list or
+// bit rows, whichever kernel produced them. Every operator, fed every
+// combination of input formats, must list exactly the pair-kernel
+// referee's answer.
+// ---------------------------------------------------------------------
+
+/// A universe size (rarely a multiple of 64) and two random relations
+/// over it.
+fn sized_pair(max_pairs: usize) -> impl Strategy<Value = (usize, NodePairSet, NodePairSet)> {
+    (
+        1u32..150,
+        relation(150, max_pairs),
+        relation(150, max_pairs),
+    )
+        .prop_map(|(n, a, b)| {
+            let inside = |r: NodePairSet| -> NodePairSet {
+                r.iter().filter(|(u, v)| u.0 < n && v.0 < n).collect()
+            };
+            (n as usize, inside(a), inside(b))
+        })
+}
+
+/// A fair coin.
+fn flag() -> impl Strategy<Value = bool> {
+    (0u8..2).prop_map(|b| b == 1)
+}
+
+/// `r` in both formats over an `n`-node universe.
+fn formats(r: &NodePairSet, n: usize) -> [Pairs; 2] {
+    [Pairs::Sorted(r.clone()), Pairs::Bits(r.to_bits(n))]
+}
+
+/// The pair-kernel referee of `(a ∪ id?) ∘ (b ∪ id?)`'s explicit pairs.
+fn compose_referee(a: &NodePairSet, id_a: bool, b: &NodePairSet, id_b: bool) -> NodePairSet {
+    let mut out = compose_pairs_kernel(a, b);
+    if id_a {
+        out = out.union(b);
+    }
+    if id_b {
+        out = out.union(a);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn closures_agree_in_every_format(case in sized_pair(200)) {
+        let (n, r, _) = case;
+        let referee = transitive_closure_pairs(&r);
+        let csr = CsrRelation::from_pairs(&r, n);
+        let cache = CondensationCache::new();
+        let mut closures = vec![closure_csr(&csr), closure_csr_shared(&csr, &csr, &cache)];
+        closures.extend(formats(&r, n).iter().map(|p| closure_in(p, n)));
+        for closure in closures {
+            prop_assert_eq!(closure.len(), referee.len());
+            prop_assert_eq!(&closure, &Pairs::Sorted(referee.clone()));
+            prop_assert_eq!(closure.into_sorted(), referee.clone());
+        }
+    }
+
+    #[test]
+    fn joins_agree_in_every_format(
+        case in sized_pair(200),
+        id_a in flag(),
+        id_b in flag(),
+        dense_left in flag(),
+        sparse_right in flag(),
+    ) {
+        let (n, a, b) = case;
+        // A closed left side is dense; dropping every odd source on the
+        // right leaves half its rows empty (the masked row join).
+        let a = if dense_left { transitive_closure_pairs(&a) } else { a };
+        let b: NodePairSet = if sparse_right {
+            b.iter().filter(|(u, _)| u.0 % 2 == 0).collect()
+        } else {
+            b
+        };
+        let referee = compose_referee(&a, id_a, &b, id_b);
+        for pa in formats(&a, n) {
+            for pb in formats(&b, n) {
+                prop_assert_eq!(
+                    join_in(&pa, &pb, n).into_sorted(),
+                    compose_pairs_kernel(&a, &b)
+                );
+                let left = Relation { pairs: pa.clone(), identity: id_a };
+                let right = Relation { pairs: pb, identity: id_b };
+                let joined = compose_in(&left, &right, n);
+                prop_assert_eq!(joined.identity, id_a && id_b);
+                prop_assert_eq!(&joined.pairs, &Pairs::Sorted(referee.clone()));
+                prop_assert_eq!(joined.pairs.into_sorted(), referee.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn unions_agree_in_every_format(
+        case in sized_pair(200),
+        id_a in flag(),
+        id_b in flag(),
+    ) {
+        let (n, a, b) = case;
+        let referee = a.union(&b);
+        for pa in formats(&a, n) {
+            for pb in formats(&b, n) {
+                let left = Relation { pairs: pa.clone(), identity: id_a };
+                let u = left.union(&Relation { pairs: pb, identity: id_b });
+                prop_assert_eq!(u.identity, id_a || id_b);
+                prop_assert_eq!(u.pairs.into_sorted(), referee.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn selection_membership_and_equality_agree_in_every_format(
+        case in sized_pair(300),
+        l1 in prop::collection::vec(0..160u32, 0..60),
+        l2 in prop::collection::vec(0..160u32, 0..60),
+        identity in flag(),
+    ) {
+        let (n, r, _) = case;
+        let l1: Vec<NodeId> = l1.into_iter().map(NodeId).collect();
+        let l2: Vec<NodeId> = l2.into_iter().map(NodeId).collect();
+        // List entries past the universe never match a pair; the
+        // symbolic identity still relates them to themselves.
+        let mut referee = select_pairs_kernel(&r, &l1, &l2);
+        if identity {
+            let diagonal: NodePairSet =
+                l1.iter().filter(|u| l2.contains(u)).map(|&u| (u, u)).collect();
+            referee = referee.union(&diagonal);
+        }
+        let [sorted, bits] = formats(&r, n);
+        for pairs in [&sorted, &bits] {
+            let rel = Relation { pairs: pairs.clone(), identity };
+            prop_assert_eq!(&rel.select_pairs(&l1, &l2), &referee);
+            prop_assert_eq!(&rel.select_pairs_in(&l1, &l2, n), &referee);
+            for u in (0..n as u32).map(NodeId) {
+                for v in (0..n as u32).map(NodeId) {
+                    prop_assert_eq!(
+                        rel.contains(u, v),
+                        (identity && u == v) || r.contains(u, v)
+                    );
+                }
+            }
+        }
+        // Equality reads contents: the same pairs are equal in either
+        // format and over a wider row stride, one more pair is not.
+        prop_assert_eq!(&sorted, &bits);
+        prop_assert_eq!(&bits, &sorted);
+        prop_assert_eq!(&Pairs::Bits(r.to_bits(n + 64)), &sorted);
+        prop_assert_eq!(&Pairs::Bits(r.to_bits(n + 64)), &bits);
+        if !r.contains(NodeId(0), NodeId(0)) {
+            let mut more = r.to_bits(n);
+            more.set(NodeId(0), NodeId(0));
+            let more = Pairs::Bits(more);
+            assert_ne!(more, sorted);
+            assert_ne!(more, bits);
+            assert_ne!(sorted, more);
+        }
+    }
+}
+
+#[test]
+fn empty_relations_behave_alike_in_either_format() {
+    for n in [0usize, 1, 2, 63, 64, 65, 130] {
+        let chain: NodePairSet = (1..n as u32).map(|i| (NodeId(i - 1), NodeId(i))).collect();
+        let all: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let empties = [
+            Pairs::Sorted(NodePairSet::new()),
+            Pairs::Bits(BitRelation::new(n)),
+        ];
+        assert_eq!(empties[0], empties[1]);
+        for empty in &empties {
+            assert!(empty.is_empty());
+            assert_eq!(empty.len(), 0);
+            assert!(closure_in(empty, n).is_empty());
+            let nothing = Relation {
+                pairs: empty.clone(),
+                identity: false,
+            };
+            assert!(nothing.select_pairs_in(&all, &all, n).is_empty());
+            let eps = Relation {
+                pairs: empty.clone(),
+                identity: true,
+            };
+            assert_eq!(eps.select_pairs_in(&all, &all, n).len(), n);
+            for other in formats(&chain, n) {
+                assert!(join_in(empty, &other, n).is_empty());
+                assert!(join_in(&other, empty, n).is_empty());
+                assert_eq!(empty.clone().union(&other).into_sorted(), chain);
+                assert_eq!(other.clone().union(empty).into_sorted(), chain);
+                let r = Relation {
+                    pairs: other,
+                    identity: false,
+                };
+                assert_eq!(compose_in(&eps, &r, n), r);
+                assert_eq!(compose_in(&r, &eps, n), r);
+                assert_eq!(compose_in(&nothing, &r, n), Relation::empty());
             }
         }
     }

@@ -49,11 +49,12 @@ impl<'a> G1<'a> {
                 rel
             }
             Regex::Alt(parts) => {
-                let mut rel = Relation::empty();
-                for p in parts {
-                    rel = rel.union(&self.eval(p));
-                }
-                rel
+                // Fold from the first part, as the decomposed
+                // evaluator does: a union with an empty list would
+                // copy the other side's rows.
+                let mut rels = parts.iter().map(|p| self.eval(p));
+                let first = rels.next().unwrap_or_default();
+                rels.fold(first, |rel, r| rel.union(&r))
             }
             Regex::Star(inner) => {
                 let base = self.eval(inner);

@@ -41,16 +41,29 @@
 //! child on the other side buckets its leaves and meets every class
 //! carried from lower indices.
 //!
+//! Every emission is one source group × one target group, and it goes
+//! to a sink that starts as a pair list. Once the list would hold more
+//! pairs than the `n × ⌈n/64⌉` answer matrix has words (`n` nodes in
+//! the run; a pair is one word), the sink converts it once into
+//! [`BitRelation`] rows, and from then on an emission sets its target
+//! bits in one scratch row and ORs the words they span into each
+//! source row. Rows are only used where the bit kernel can represent
+//! the universe ([`bits_representable`]).
+//!
 //! Cost: `O((|l1| + |l2|) · depth)` row/column steps for masks and
 //! aggregates, plus `O(chain positions × classes × buckets)` for the
-//! sweeps, plus `O(N)` emission with `N` the number of *answers*, plus
-//! `O(N + n)` for a counting sort of the answers by node id (`n` nodes
-//! in the run).
+//! sweeps, plus the emission: `O(N)` for `N` *answers* while the sink is
+//! a list, then a counting sort of the answers by node id in `O(N + n)`;
+//! in rows, `O(|targets| + |sources| · span)` words per group pair and
+//! no sort. A sink never holds more than the larger of `N` pairs and
+//! the matrix.
 
 use crate::plan::SafeQueryPlan;
 use rpq_grammar::{ProductionId, Specification};
 use rpq_labeling::{LabelEntry, ListTree, ListTreeNode, NodeId, Run};
-use rpq_relalg::NodePairSet;
+use rpq_relalg::kernel::bits_representable;
+use rpq_relalg::{BitRelation, NodePairSet, Pairs};
+use std::iter;
 use std::ops::Range;
 
 /// Option S1: nested-loop structural join with O(1) pairwise decodes.
@@ -79,12 +92,22 @@ pub fn all_pairs_filtered(
     l1: &[NodeId],
     l2: &[NodeId],
 ) -> NodePairSet {
-    let masks = if plan.is_reachability() {
-        Masks::Reach(spec)
-    } else {
-        Masks::Plan(plan)
-    };
-    merge_lists(spec, run, masks, plan.accepts_epsilon(), l1, l2)
+    all_pairs_relation(plan, spec, run, l1, l2).into_sorted()
+}
+
+/// [`all_pairs_filtered`] in the format its answer count picks: a
+/// sorted list, or bit rows over the run's universe once the list would
+/// outgrow them — the shape a composite plan's joins consume as is.
+pub fn all_pairs_relation(
+    plan: &SafeQueryPlan,
+    spec: &Specification,
+    run: &Run,
+    l1: &[NodeId],
+    l2: &[NodeId],
+) -> Pairs {
+    let switch_at = rows_switch_point(run.n_nodes());
+    let masks = Masks::of(plan, spec);
+    merge_lists(spec, run, masks, plan.accepts_epsilon(), l1, l2, switch_at)
 }
 
 /// Algorithm 2 without the filter: all-pairs *reachability* in time
@@ -96,9 +119,23 @@ pub fn all_pairs_reachability(
     l2: &[NodeId],
 ) -> NodePairSet {
     // u ⇝ u holds under plain reachability.
-    merge_lists(spec, run, Masks::Reach(spec), true, l1, l2)
+    let switch_at = rows_switch_point(run.n_nodes());
+    merge_lists(spec, run, Masks::Reach(spec), true, l1, l2, switch_at).into_sorted()
 }
 
+/// The answer count at which a pair list holds as many words as the
+/// `n × ⌈n/64⌉` row matrix; never, for universes the bit kernel cannot
+/// represent.
+fn rows_switch_point(n_nodes: usize) -> usize {
+    if bits_representable(n_nodes) {
+        n_nodes * n_nodes.div_ceil(64)
+    } else {
+        usize::MAX
+    }
+}
+
+/// The merge proper; the sink turns into rows once its list would pass
+/// `switch_at` pairs.
 fn merge_lists(
     spec: &Specification,
     run: &Run,
@@ -106,20 +143,98 @@ fn merge_lists(
     epsilon: bool,
     l1: &[NodeId],
     l2: &[NodeId],
-) -> NodePairSet {
+    switch_at: usize,
+) -> Pairs {
+    let src_tree = ListTree::build(run, l1);
+    // A composite leaf merges the universe with itself: one trie serves
+    // both sides, which differ only in their masks.
+    let dst_tree = (l1 != l2).then(|| ListTree::build(run, l2));
+    let dst_tree = dst_tree.as_ref().unwrap_or(&src_tree);
+    if src_tree.n_leaves() == 0 || dst_tree.n_leaves() == 0 {
+        return Pairs::default();
+    }
     let merger = Merger {
         spec,
         masks,
         epsilon,
-        src: Side::build(run, l1, masks.start(), |row, e| masks.exit_step(row, e)),
-        dst: Side::build(run, l2, masks.accept(), |col, e| masks.enter_step(col, e)),
+        src: Side::build(run, &src_tree, masks.start(), |row, e| {
+            masks.exit_step(row, e)
+        }),
+        dst: Side::build(run, dst_tree, masks.accept(), |col, e| {
+            masks.enter_step(col, e)
+        }),
     };
-    if merger.src.tree.n_leaves() == 0 || merger.dst.tree.n_leaves() == 0 {
-        return NodePairSet::new();
-    }
-    let mut scratch = Scratch::default();
+    let mut scratch = Scratch {
+        sink: Sink::List {
+            pairs: Vec::new(),
+            switch_at,
+            n_nodes: run.n_nodes(),
+        },
+        carried: Vec::new(),
+        visited: Vec::new(),
+        carried_at: Vec::new(),
+        visited_at: Vec::new(),
+        spare: Vec::new(),
+    };
     merger.merge(0, 0, 0, &mut scratch);
-    sorted_answers(scratch.out, run.n_nodes())
+    scratch.sink.finish()
+}
+
+/// Where the merge writes its answers: a pair list until it would pass
+/// `switch_at` pairs, then blocked rows over the `n_nodes` universe.
+enum Sink {
+    List {
+        pairs: Vec<(NodeId, NodeId)>,
+        switch_at: usize,
+        n_nodes: usize,
+    },
+    Rows {
+        rows: BitRelation,
+        /// The scratch target row; all zero between emissions.
+        mask: Vec<u64>,
+    },
+}
+
+impl Sink {
+    /// Add `sources × targets`. The emission that would take the list
+    /// past its switch point moves the list into rows first.
+    fn emit<S, T>(&mut self, sources: S, targets: T)
+    where
+        S: ExactSizeIterator<Item = NodeId>,
+        T: ExactSizeIterator<Item = NodeId> + Clone,
+    {
+        if let Sink::List {
+            pairs,
+            switch_at,
+            n_nodes,
+        } = self
+        {
+            let n = sources.len().saturating_mul(targets.len());
+            if n <= switch_at.saturating_sub(pairs.len()) {
+                for u in sources {
+                    pairs.extend(targets.clone().map(|v| (u, v)));
+                }
+                return;
+            }
+            let mut rows = BitRelation::new(*n_nodes);
+            for &(u, v) in pairs.iter() {
+                rows.set(u, v);
+            }
+            let mask = vec![0; rows.words_per_row()];
+            *self = Sink::Rows { rows, mask };
+        }
+        if let Sink::Rows { rows, mask } = self {
+            rows.set_product(sources, targets, mask);
+        }
+    }
+
+    /// The answers: a list is sorted, rows already are a set.
+    fn finish(self) -> Pairs {
+        match self {
+            Sink::List { pairs, n_nodes, .. } => Pairs::Sorted(sorted_answers(pairs, n_nodes)),
+            Sink::Rows { rows, .. } => Pairs::Bits(rows),
+        }
+    }
 }
 
 /// The merge's answers as a set. Every pair is emitted exactly once
@@ -169,7 +284,16 @@ enum Masks<'a> {
     Reach(&'a Specification),
 }
 
-impl Masks<'_> {
+impl<'a> Masks<'a> {
+    /// The algebra `plan` runs over: plain reachability needs no DFA.
+    fn of(plan: &'a SafeQueryPlan, spec: &'a Specification) -> Masks<'a> {
+        if plan.is_reachability() {
+            Masks::Reach(spec)
+        } else {
+            Masks::Plan(plan)
+        }
+    }
+
     /// A source leaf's own row: the start state.
     fn start(self) -> u64 {
         match self {
@@ -238,8 +362,8 @@ impl Masks<'_> {
 
 /// One list as a [`ListTree`] plus its masks (rows for the source list,
 /// columns for the target list).
-struct Side {
-    tree: ListTree,
+struct Side<'t> {
+    tree: &'t ListTree,
     /// The leaf at position `p` of `tree.leaves()` has mask
     /// `masks[off[p] + d]` as seen from its ancestor at depth `d`.
     off: Vec<u32>,
@@ -248,16 +372,15 @@ struct Side {
     agg: Vec<u64>,
 }
 
-impl Side {
+impl<'t> Side<'t> {
     /// `leaf_mask` is a leaf's mask at its own depth; `step` carries a
     /// mask at a child to its parent across the child's label entry.
     fn build(
         run: &Run,
-        list: &[NodeId],
+        tree: &'t ListTree,
         leaf_mask: u64,
         step: impl Fn(u64, LabelEntry) -> u64,
-    ) -> Side {
-        let tree = ListTree::build(run, list);
+    ) -> Side<'t> {
         let mut off = Vec::with_capacity(tree.n_leaves());
         let mut masks = Vec::new();
         for &id in tree.leaves() {
@@ -331,10 +454,9 @@ enum Dir {
 /// position.
 type Class = (u64, Vec<NodeId>);
 
-/// Buffers reused across one merge.
-#[derive(Default)]
+/// The answers and the buffers reused across one merge.
 struct Scratch {
-    out: Vec<(NodeId, NodeId)>,
+    sink: Sink,
     carried: Vec<(u64, NodeId)>,
     visited: Vec<(u64, NodeId)>,
     /// Case 1: where each child's buckets sit in `carried`/`visited`.
@@ -348,8 +470,8 @@ struct Merger<'a> {
     spec: &'a Specification,
     masks: Masks<'a>,
     epsilon: bool,
-    src: Side,
-    dst: Side,
+    src: Side<'a>,
+    dst: Side<'a>,
 }
 
 impl Merger<'_> {
@@ -361,7 +483,7 @@ impl Merger<'_> {
         if let (Some(u), Some(v)) = (a.leaf, b.leaf) {
             debug_assert_eq!(u, v, "equal labels denote the same node");
             if self.epsilon {
-                s.out.push((u, v));
+                s.sink.emit(iter::once(u), iter::once(v));
             }
         }
         if a.children.is_empty() || b.children.is_empty() {
@@ -407,9 +529,8 @@ impl Merger<'_> {
                     let w = across(us[0].0);
                     for vs in buckets(&s.visited[vs.clone()]) {
                         if w & vs[0].0 != 0 {
-                            for &(_, u) in us {
-                                s.out.extend(vs.iter().map(|&(_, v)| (u, v)));
-                            }
+                            s.sink
+                                .emit(us.iter().map(|&(_, u)| u), vs.iter().map(|&(_, v)| v));
                         }
                     }
                 }
@@ -556,11 +677,10 @@ impl Merger<'_> {
                     if mask & bucket[0].0 == 0 {
                         continue;
                     }
-                    for &c in list {
-                        s.out.extend(bucket.iter().map(|&(_, w)| match dir {
-                            Dir::Down => (c, w),
-                            Dir::Up => (w, c),
-                        }));
+                    let visited = bucket.iter().map(|&(_, w)| w);
+                    match dir {
+                        Dir::Down => s.sink.emit(list.iter().copied(), visited),
+                        Dir::Up => s.sink.emit(visited, list.iter().copied()),
                     }
                 }
             }
@@ -690,11 +810,13 @@ mod tests {
         let spec = fig2();
         let run = fig2_run(&spec);
         let all: Vec<NodeId> = run.node_ids().collect();
-        for q in ["_*", "_* e _*", "_* b _*", "d d", "d+", "b+"] {
+        assert_ne!(run.n_nodes() % 64, 0);
+        for q in ["_*", "_* e _*", "_* b _*", "(_* e _*)?", "d d", "d+", "b+"] {
             let p = plan(&spec, q);
             let nested = all_pairs_nested(&p, &run, &all, &all);
             let filtered = all_pairs_filtered(&p, &spec, &run, &all, &all);
             assert_eq!(nested, filtered, "query {q}");
+            check_switch_points(&spec, &run, &p, &all, &all, q);
         }
     }
 
@@ -772,6 +894,87 @@ mod tests {
         assert_eq!(self_pairs.len(), 1);
     }
 
+    /// The merge at every switch point that matters: rows from the
+    /// first emission (0), from the second pair on (1), from half the
+    /// answers on (a switch mid-merge), and never. Each must equal the
+    /// nested decode, and the sink must end in rows exactly when the
+    /// answers outnumber the switch point.
+    fn check_switch_points(
+        spec: &Specification,
+        run: &Run,
+        p: &SafeQueryPlan,
+        l1: &[NodeId],
+        l2: &[NodeId],
+        what: &str,
+    ) {
+        let nested = all_pairs_nested(p, run, l1, l2);
+        for switch_at in [0, 1, nested.len() / 2, usize::MAX] {
+            let masks = Masks::of(p, spec);
+            let got = merge_lists(spec, run, masks, p.accepts_epsilon(), l1, l2, switch_at);
+            assert_eq!(
+                matches!(got, Pairs::Bits(_)),
+                nested.len() > switch_at,
+                "{what}: format at switch point {switch_at}"
+            );
+            assert_eq!(
+                got,
+                Pairs::Sorted(nested.clone()),
+                "{what}: switch point {switch_at}"
+            );
+        }
+    }
+
+    /// The `allpairs_sweep` fixtures: 3k-edge BioAID and QBLast runs and
+    /// the two-entry 2-cycle, each with IFQs k ∈ {1, 3, 5}, `_*` (the
+    /// reachability masks), an ε-accepting optional IFQ, and lists that
+    /// share one trie or cross both ways round.
+    #[test]
+    fn every_switch_point_matches_nested_on_the_sweep_fixtures() {
+        use rpq_automata::Regex;
+        use rpq_workloads::{paper_examples, realistic, runs};
+        let mut fixtures: Vec<(Specification, Run, Vec<String>)> =
+            [realistic::bioaid_like(), realistic::qblast_like()]
+                .into_iter()
+                .map(|real| {
+                    let run = runs::simulate(&real.spec, 3000, 17).unwrap();
+                    (real.spec, run, real.pool_tags)
+                })
+                .collect();
+        let two = paper_examples::two_entry_cycle_spec();
+        let run = runs::simulate_fork(&two, 0, 1500, 5).unwrap();
+        let tags = ["in", "mid", "in2", "out"].map(String::from).to_vec();
+        fixtures.push((two, run, tags));
+        assert!(fixtures.iter().any(|(_, run, _)| run.n_nodes() % 64 != 0));
+        for (spec, run, tags) in &fixtures {
+            let sym = |name: &str| Regex::Sym(Symbol(spec.tag_by_name(name).unwrap().0));
+            let ifq = |k: usize| {
+                let mut parts = vec![Regex::any_star()];
+                for i in 0..k {
+                    parts.push(sym(&tags[(i * 3 + k) % tags.len()]));
+                    parts.push(Regex::any_star());
+                }
+                Regex::concat(parts)
+            };
+            let queries = [
+                ifq(1),
+                ifq(3),
+                ifq(5),
+                Regex::any_star(),
+                Regex::optional(ifq(1)),
+            ];
+            let a = runs::sample_nodes(run, 200, 1);
+            let b = runs::sample_nodes(run, 200, 2);
+            for q in &queries {
+                let p =
+                    SafeQueryPlan::compile(spec, compile_minimal_dfa(q, spec.n_tags())).unwrap();
+                assert_eq!(p.is_reachability(), *q == Regex::any_star(), "{q:?}");
+                for (l1, l2) in [(&a, &a), (&a, &b), (&b, &a)] {
+                    check_switch_points(spec, run, &p, l1, l2, &format!("{q:?}"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn filtered_matches_nested_on_larger_runs() {
         let spec = fig2();
@@ -787,6 +990,7 @@ mod tests {
                 let nested = all_pairs_nested(&p, &run, &all, &all);
                 let filtered = all_pairs_filtered(&p, &spec, &run, &all, &all);
                 assert_eq!(nested, filtered, "seed {seed} query {q}");
+                check_switch_points(&spec, &run, &p, &all, &all, q);
             }
         }
     }

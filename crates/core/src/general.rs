@@ -9,7 +9,7 @@
 //! symbol, wildcard, ε) are always answered from the tag index — exact
 //! and cheaper than a structural join.
 
-use crate::allpairs::{all_pairs_filtered, all_pairs_nested};
+use crate::allpairs::{all_pairs_filtered, all_pairs_nested, all_pairs_relation};
 use crate::plan::{PlanError, SafeQueryPlan};
 use rpq_automata::{compile_minimal_dfa, Dfa, Regex};
 use rpq_grammar::{Specification, Tag};
@@ -362,19 +362,21 @@ pub fn eval_node(node: &PlanNode, ctx: &EvalCtx<'_>) -> Relation {
                     return eval_node(&rel_node, ctx);
                 }
             }
-            let pairs = all_pairs_filtered(plan, ctx.spec, ctx.run, ctx.universe, ctx.universe);
+            // The merge hands back a sorted list or, once its answers
+            // outnumber the words of the row matrix, bit rows that the
+            // joins and closures above consume without conversion.
+            let pairs = all_pairs_relation(plan, ctx.spec, ctx.run, ctx.universe, ctx.universe);
             // ε acceptance is already reflected in the self pairs the
             // safe evaluator emits; strip them back out into the
             // symbolic identity so downstream composition stays sparse.
-            if plan.accepts_epsilon() {
-                let non_reflexive =
-                    NodePairSet::from_sorted_unique(pairs.iter().filter(|(u, v)| u != v).collect());
-                Relation {
-                    pairs: Pairs::Sorted(non_reflexive),
-                    identity: true,
-                }
-            } else {
-                Relation::from_pairs(pairs)
+            let identity = plan.accepts_epsilon();
+            Relation {
+                pairs: if identity {
+                    pairs.without_diagonal()
+                } else {
+                    pairs
+                },
+                identity,
             }
         }
         PlanNode::Sym(tag) => Relation::from_pairs(ctx.index.edges(*tag).clone()),
@@ -400,11 +402,11 @@ pub fn eval_node(node: &PlanNode, ctx: &EvalCtx<'_>) -> Relation {
             eval_chain(children, &order, 0, children.len() - 1, ctx)
         }
         PlanNode::Alt(children) => {
-            let mut rel = Relation::empty();
-            for c in children {
-                rel = rel.union(&eval_node(c, ctx));
-            }
-            rel
+            // Fold from the first child: a union with an empty list
+            // would copy the other side's rows.
+            let mut rels = children.iter().map(|c| eval_node(c, ctx));
+            let first = rels.next().unwrap_or_default();
+            rels.fold(first, |rel, r| rel.union(&r))
         }
         PlanNode::Star(inner) => Relation {
             pairs: closure_of(inner, ctx),

@@ -37,7 +37,9 @@ pub mod request;
 pub mod safety;
 pub mod session;
 
-pub use allpairs::{all_pairs_filtered, all_pairs_nested, all_pairs_reachability};
+pub use allpairs::{
+    all_pairs_filtered, all_pairs_nested, all_pairs_reachability, all_pairs_relation,
+};
 pub use batch::{BatchItem, BatchOptions, BatchOutcome, RunRef, RunSource};
 pub use cost::{ChainOrder, CostModel};
 pub use error::RpqError;

@@ -122,6 +122,47 @@ impl BitRelation {
         self.words[start + (v.index() >> 6)] >> (v.index() & 63) & 1 == 1
     }
 
+    /// Add every pair of `sources × targets`: the targets are set in
+    /// `scratch`, one blocked row, which is ORed into each source row
+    /// over the words the targets span and then cleared. `scratch` must
+    /// be an all-zero row of [`BitRelation::words_per_row`] words; it is
+    /// all zero again on return.
+    pub fn set_product(
+        &mut self,
+        sources: impl IntoIterator<Item = NodeId>,
+        targets: impl IntoIterator<Item = NodeId>,
+        scratch: &mut [u64],
+    ) {
+        debug_assert_eq!(scratch.len(), self.words_per_row);
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for v in targets {
+            let w = v.index() >> 6;
+            scratch[w] |= 1 << (v.index() & 63);
+            lo = lo.min(w);
+            hi = hi.max(w);
+        }
+        if lo > hi {
+            return;
+        }
+        let span = lo..hi + 1;
+        for u in sources {
+            let start = self.row_index(u.index());
+            rowops::or_into(
+                &mut self.words[start + span.start..start + span.end],
+                &scratch[span.clone()],
+            );
+        }
+        scratch[span].fill(0);
+    }
+
+    /// Remove every reflexive pair `(u, u)`: one word per row.
+    pub fn clear_diagonal(&mut self) {
+        for u in 0..self.n_nodes {
+            let start = self.row_index(u);
+            self.words[start + (u >> 6)] &= !(1 << (u & 63));
+        }
+    }
+
     /// Number of pairs (popcount over all rows).
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -530,6 +571,22 @@ mod tests {
         assert_eq!(sel, pairs(&[(0, 70), (2, 70), (3, 3)]));
         assert!(bits.select_pairs(&[], &[n(70)]).is_empty());
         assert!(bits.select_pairs(&[n(0)], &[]).is_empty());
+    }
+
+    #[test]
+    fn set_product_and_clear_diagonal() {
+        let mut bits = BitRelation::new(130);
+        let mut scratch = vec![0u64; bits.words_per_row()];
+        bits.set_product([n(0), n(129)], [n(129), n(1), n(64)], &mut scratch);
+        assert!(scratch.iter().all(|&w| w == 0), "scratch row cleared");
+        bits.set_product([n(5)], [n(5)], &mut scratch);
+        bits.set_product([n(7)], [], &mut scratch);
+        let off_diagonal = [(0, 1), (0, 64), (0, 129), (129, 1), (129, 64)];
+        let mut all = off_diagonal.to_vec();
+        all.extend([(5, 5), (129, 129)]);
+        assert_eq!(bits.to_pairs(), pairs(&all));
+        bits.clear_diagonal();
+        assert_eq!(bits.to_pairs(), pairs(&off_diagonal));
     }
 
     #[test]

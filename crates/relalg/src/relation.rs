@@ -345,6 +345,20 @@ impl Pairs {
         }
     }
 
+    /// The pairs without their reflexive `(u, u)`, in the same format:
+    /// a list is filtered, bit rows clear one word per row.
+    pub fn without_diagonal(self) -> Pairs {
+        match self {
+            Pairs::Sorted(s) => Pairs::Sorted(NodePairSet {
+                pairs: s.pairs.into_iter().filter(|(u, v)| u != v).collect(),
+            }),
+            Pairs::Bits(mut b) => {
+                b.clear_diagonal();
+                Pairs::Bits(b)
+            }
+        }
+    }
+
     /// Restrict to `l1 × l2` (lists may arrive unsorted and with
     /// duplicates). A list takes the pair-kernel merge
     /// ([`crate::join::select_pairs_kernel`]); bit rows AND a target
@@ -547,6 +561,18 @@ mod tests {
         let bits = Pairs::Bits(s.to_bits(71));
         assert_eq!(bits, Pairs::Sorted(s.clone()));
         assert_eq!(bits.into_sorted(), s);
+    }
+
+    #[test]
+    fn without_diagonal_keeps_the_format() {
+        let s = NodePairSet::from_pairs(vec![(n(0), n(0)), (n(0), n(70)), (n(70), n(70))]);
+        let off = NodePairSet::from_pairs(vec![(n(0), n(70))]);
+        let bits = Pairs::Bits(s.to_bits(71)).without_diagonal();
+        assert!(matches!(bits, Pairs::Bits(_)));
+        assert_eq!(bits.into_sorted(), off);
+        let list = Pairs::Sorted(s).without_diagonal();
+        assert!(matches!(list, Pairs::Sorted(_)));
+        assert_eq!(list.into_sorted(), off);
     }
 
     #[test]

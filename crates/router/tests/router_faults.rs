@@ -334,7 +334,7 @@ fn a_stalled_backend_costs_one_deadline_not_a_hang() {
 }
 
 /// Catalog-epoch divergence: a run pushed to one backend only moves
-/// that backend's epoch; replicas that don't hold it yet refuse with
+/// that backend's epoch; a backend that does not hold it refuses with
 /// the stale-replica error, the syncer notices the epoch change and
 /// re-replicates, and the fleet then survives losing the donor.
 #[test]
@@ -354,7 +354,17 @@ fn epoch_divergence_resyncs_and_stale_replicas_refuse() {
         fleet.runs.iter().all(|r| r.fingerprint() != (hi, lo)),
         "the fresh run must be new to the fleet"
     );
-    let donor = 2usize;
+    // The donor is one of the run's ring replicas and the stale backend
+    // the one outside them. The syncer copies a run to its ring
+    // replicas only, so it can never hand the stale backend the run
+    // between the push and the refusal checked below — with a stale
+    // *replica* that check would race the syncer's next round.
+    let ring = HashRing::new(BACKENDS);
+    let replicas = ring.replicas_for(hi, lo, REPLICATION);
+    let donor = replicas[0];
+    let stale = (0..BACKENDS)
+        .find(|b| !replicas.contains(b))
+        .expect("fewer replicas than backends");
     let epoch_before: Vec<u64> = fleet
         .backends
         .iter()
@@ -365,9 +375,8 @@ fn epoch_divergence_resyncs_and_stale_replicas_refuse() {
         .unwrap();
     assert!(!deduplicated);
     assert!(epoch > epoch_before[donor], "a push must move the epoch");
-    // A replica that does not hold the run refuses it as stale rather
+    // A backend that does not hold the run refuses it as stale rather
     // than answering wrong.
-    let stale = (donor + 1) % BACKENDS;
     match connect(fleet.backends[stale])
         .request(&WireRequest::Query(QuerySpec {
             query: QUERIES[0].to_owned(),
@@ -390,7 +399,6 @@ fn epoch_divergence_resyncs_and_stale_replicas_refuse() {
     }
     // The syncer spots the divergent epoch and re-replicates; after
     // convergence the donor itself is expendable.
-    let ring = HashRing::new(BACKENDS);
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let placed = ring.replicas_for(hi, lo, REPLICATION).into_iter().all(|b| {

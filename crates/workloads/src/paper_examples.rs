@@ -181,6 +181,65 @@ pub fn two_phase_cycle_spec() -> Specification {
     b.build().expect("two-phase cycle spec is well-formed")
 }
 
+/// A two-module cycle `A → B → A` whose start production holds both an
+/// `A` and a `B`, so every run has one chain starting at phase 0 and one
+/// starting at phase 1. Every production of `A` ends on an `ea` edge and
+/// every production of `B` on an `eb` edge, so "the last marker seen is
+/// `ab` or `ea`" is safe while its descent steps (`ab` vs `ba`) and
+/// ascent steps (`ea` vs `eb`) differ per phase and do not commute. The
+/// neutral `na`/`nb` edge after the recursive position keeps the
+/// ascent steps visible to a target right behind it.
+pub fn two_entry_cycle_spec() -> Specification {
+    let mut b = SpecificationBuilder::new();
+    for m in ["x", "y", "z"] {
+        b.atomic(m);
+    }
+    for m in ["S", "A", "B"] {
+        b.composite(m);
+    }
+    b.production("S", |w| {
+        let x = w.node("x");
+        let a = w.node("A");
+        let y = w.node("y");
+        let bb = w.node("B");
+        let z = w.node("z");
+        w.edge_named(x, a, "in");
+        w.edge_named(a, y, "mid");
+        w.edge_named(y, bb, "in2");
+        w.edge_named(bb, z, "out");
+    });
+    b.production("A", |w| {
+        let x = w.node("x");
+        let bb = w.node("B");
+        let y = w.node("y");
+        let z = w.node("z");
+        w.edge_named(x, bb, "ab");
+        w.edge_named(bb, y, "na");
+        w.edge_named(y, z, "ea");
+    });
+    b.production("B", |w| {
+        let x = w.node("x");
+        let a = w.node("A");
+        let y = w.node("y");
+        let z = w.node("z");
+        w.edge_named(x, a, "ba");
+        w.edge_named(a, y, "nb");
+        w.edge_named(y, z, "eb");
+    });
+    b.production("A", |w| {
+        let x = w.node("x");
+        let z = w.node("z");
+        w.edge_named(x, z, "ea");
+    });
+    b.production("B", |w| {
+        let y = w.node("y");
+        let z = w.node("z");
+        w.edge_named(y, z, "eb");
+    });
+    b.start("S");
+    b.build().expect("two-entry cycle spec is well-formed")
+}
+
 /// A strictly linear specification with a **three-module cycle**
 /// `A → B → C → A` whose bodies are small diamonds.
 pub fn three_phase_cycle_spec() -> Specification {

@@ -15,70 +15,11 @@ use rpq_core::{
     all_pairs_filtered, all_pairs_nested, all_pairs_reachability, EvalStrategy, QueryRequest,
     SafeQueryPlan, Session,
 };
-use rpq_grammar::{Specification, SpecificationBuilder};
+use rpq_grammar::Specification;
 use rpq_labeling::{LabelEntry, NodeId, Run};
 use rpq_workloads::{paper_examples, realistic, runs, QueryGen};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-
-/// A two-module cycle `A → B → A` whose start production holds both an
-/// `A` and a `B`, so every run has one chain starting at phase 0 and one
-/// starting at phase 1. Every production of `A` ends on an `ea` edge and
-/// every production of `B` on an `eb` edge, so "the last marker seen is
-/// `ab` or `ea`" is safe while its descent steps (`ab` vs `ba`) and
-/// ascent steps (`ea` vs `eb`) differ per phase and do not commute. The
-/// neutral `na`/`nb` edge after the recursive position keeps the
-/// ascent steps visible to a target right behind it.
-fn two_entry_cycle_spec() -> Specification {
-    let mut b = SpecificationBuilder::new();
-    for m in ["x", "y", "z"] {
-        b.atomic(m);
-    }
-    for m in ["S", "A", "B"] {
-        b.composite(m);
-    }
-    b.production("S", |w| {
-        let x = w.node("x");
-        let a = w.node("A");
-        let y = w.node("y");
-        let bb = w.node("B");
-        let z = w.node("z");
-        w.edge_named(x, a, "in");
-        w.edge_named(a, y, "mid");
-        w.edge_named(y, bb, "in2");
-        w.edge_named(bb, z, "out");
-    });
-    b.production("A", |w| {
-        let x = w.node("x");
-        let bb = w.node("B");
-        let y = w.node("y");
-        let z = w.node("z");
-        w.edge_named(x, bb, "ab");
-        w.edge_named(bb, y, "na");
-        w.edge_named(y, z, "ea");
-    });
-    b.production("B", |w| {
-        let x = w.node("x");
-        let a = w.node("A");
-        let y = w.node("y");
-        let z = w.node("z");
-        w.edge_named(x, a, "ba");
-        w.edge_named(a, y, "nb");
-        w.edge_named(y, z, "eb");
-    });
-    b.production("A", |w| {
-        let x = w.node("x");
-        let z = w.node("z");
-        w.edge_named(x, z, "ea");
-    });
-    b.production("B", |w| {
-        let y = w.node("y");
-        let z = w.node("z");
-        w.edge_named(y, z, "eb");
-    });
-    b.start("S");
-    b.build().expect("two-entry cycle spec is well-formed")
-}
 
 /// One run with its safe queries and its recursion chains.
 struct Fixture {
@@ -219,7 +160,7 @@ fn fixtures() -> &'static [Fixture] {
                 None,
             ));
         }
-        let two = two_entry_cycle_spec();
+        let two = paper_examples::two_entry_cycle_spec();
         let run = runs::simulate_fork(&two, 0, 1500, 5).expect("derives");
         out.push(Fixture::new(
             "two-entry cycle",

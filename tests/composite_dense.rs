@@ -10,8 +10,10 @@
 
 use rpq::prelude::*;
 use rpq_baselines::{Referee, G1};
-use rpq_core::PlanNode;
+use rpq_core::{all_pairs_filtered, eval_node, EvalCtx, PlanNode};
+use rpq_relalg::{NodePairSet, Pairs};
 use rpq_workloads::{bioaid_like, qblast_like, runs};
+use std::sync::Arc;
 
 /// `(query, matches on the 1 000-edge seed-3 run)` — the counts are
 /// what the referee answers, pinned so a change in the fixtures shows.
@@ -109,6 +111,45 @@ fn bioaid_composite_plans_and_g1_match_the_referee() {
         check(&session, &run, &BIOAID) > 0,
         "no bits/scc closure ran"
     );
+}
+
+/// A label-merged leaf hands the join bit rows once its answers
+/// outnumber the words of the row matrix (`_*`: ~226k pairs against
+/// 741 × 12 words) and a sorted list below that (`t0 _*`: 1 282 pairs).
+/// Either way the contents are the merge's answers, with an
+/// ε-accepting leaf's diagonal moved into the symbolic identity.
+#[test]
+fn safe_eval_leaves_come_out_in_the_format_their_size_picks() {
+    let (session, run) = fixture(bioaid_like().spec);
+    let index = TagIndex::build(&run, session.spec().n_tags());
+    let all: Vec<NodeId> = run.node_ids().collect();
+    let ctx = EvalCtx {
+        spec: session.spec(),
+        run: &run,
+        index: &index,
+        csr: None,
+        universe: &all,
+        policy: SubqueryPolicy::AlwaysLabels,
+        condensations: None,
+    };
+    for (text, dense) in [("_*", true), ("t0 _*", false)] {
+        let query = session.prepare(text).expect("query plans");
+        let plan = session.plan_safe(query.regex()).expect("leaf is safe");
+        let answers = all_pairs_filtered(&plan, session.spec(), &run, &all, &all);
+        let epsilon = plan.accepts_epsilon();
+        assert_eq!(epsilon, text == "_*");
+        let leaf = PlanNode::SafeEval(Arc::new(plan), query.regex().clone());
+        let rel = eval_node(&leaf, &ctx);
+        assert_eq!(matches!(rel.pairs, Pairs::Bits(_)), dense, "{text}");
+        assert_eq!(rel.identity, epsilon, "{text}");
+        let expected: NodePairSet = answers.iter().filter(|(u, v)| !epsilon || u != v).collect();
+        assert_eq!(rel.pairs, Pairs::Sorted(expected), "{text}");
+        assert_eq!(
+            rel.select_pairs_in(&all, &all, run.n_nodes()),
+            answers,
+            "{text}"
+        );
+    }
 }
 
 #[test]

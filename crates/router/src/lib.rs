@@ -14,6 +14,13 @@
 //! failed query. When *no* replica answers, the client receives a
 //! graceful [`WireResponse::Unavailable`] frame instead of a hang.
 //!
+//! The front side runs on the backends' own network front end
+//! ([`rpq_serve::front`]): the same accept loop, admission control
+//! (`workers + queue` live connections, graceful
+//! [`WireResponse::Overloaded`] refusals), idle keep-alive parking,
+//! deadlines and chunked responses. This crate keeps only the routing
+//! dispatch and its two background loops.
+//!
 //! A background sync loop keeps replication flowing: it watches each
 //! backend's catalog epoch (re-reading inventories only when the epoch
 //! moves) and copies any run missing from one of its ring-assigned
@@ -103,21 +110,18 @@ use health::{Availability, HealthTable};
 use ring::HashRing;
 use rpq_core::RpqError;
 use rpq_obs::{Counter, Registry};
+use rpq_serve::front::{Front, FrontCounters, Limits, Link, Reply, Service};
 use rpq_serve::protocol::{
-    self, error_kind, QuerySpec, RunAddr, WireMetricsReply, WireRequest, WireResponse, WireResult,
-    WireRunInfo, WireStatsReply,
+    QuerySpec, RunAddr, WireMetricsReply, WireRequest, WireResponse, WireRunInfo, WireStatsReply,
 };
-use rpq_serve::{RetryPolicy, ServeClient, WireOutcome};
+use rpq_serve::{RetryPolicy, ServeClient};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::SocketAddr;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Front-side read-timeout tick (shutdown poll cadence).
-const READ_TICK: Duration = Duration::from_millis(50);
+pub use rpq_serve::ShutdownHandle;
 
 /// Router configuration (the CLI's `rpq router` flags).
 #[derive(Debug, Clone)]
@@ -156,7 +160,9 @@ pub struct RouterConfig {
     /// Result entries per streamed chunk on the front side, mirroring
     /// [`rpq_serve::ServeConfig::chunk_entries`].
     pub chunk_entries: usize,
-    /// Idle keep-alive bound for front-side connections.
+    /// Idle keep-alive bound for front-side connections: an idle
+    /// client is parked with the readiness poller (it pins no worker)
+    /// and closed once it stays quiet this long.
     pub idle_timeout: Duration,
     /// Optional plain-text metrics listener, mirroring
     /// [`rpq_serve::ServeConfig::metrics_addr`]: every connection gets
@@ -246,95 +252,21 @@ impl Counters {
     }
 }
 
-/// A clonable handle that stops a running router from another thread.
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl ShutdownHandle {
-    /// Ask the router to stop accepting and drain.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Has shutdown been requested?
-    pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
-/// The dispatch queue between the accept loop and the workers.
-struct ConnQueue {
-    state: Mutex<(VecDeque<TcpStream>, bool)>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-impl ConnQueue {
-    fn new(capacity: usize) -> ConnQueue {
-        ConnQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-            capacity,
-        }
-    }
-
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut state = self.state.lock().expect("conn queue lock");
-        if state.0.len() >= self.capacity {
-            return Err(stream);
-        }
-        state.0.push_back(stream);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.state.lock().expect("conn queue lock");
-        loop {
-            if let Some(stream) = state.0.pop_front() {
-                return Some(stream);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.ready.wait(state).expect("conn queue wait");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("conn queue lock").1 = true;
-        self.ready.notify_all();
-    }
-}
-
-/// Result of one patient front-side read.
-enum ReadOutcome {
-    Filled,
-    Done,
-}
-
 /// A bound routing tier over a fleet of backends.
 pub struct Router {
-    listener: TcpListener,
+    front: Front,
     backends: Vec<SocketAddr>,
     ring: HashRing,
     health: HealthTable,
     replication: usize,
-    workers: usize,
-    queue_cap: usize,
+    /// Per-attempt deadline on the back side (the front end applies
+    /// the same bound to front-side reads and writes).
     deadline: Duration,
     retry: RetryPolicy,
     probe_interval: Duration,
     sync_interval: Option<Duration>,
-    chunk_entries: usize,
-    idle_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
     registry: Arc<Registry>,
     counters: Counters,
-    metrics_listener: Option<TcpListener>,
     /// Warm back-side connections, one stack per backend: probes,
     /// inventory scans and failover attempts reuse a connected
     /// [`ServeClient`] instead of paying a TCP connect each time.
@@ -352,80 +284,64 @@ impl Router {
                 "a router needs at least one backend (--backend ADDR)".to_owned(),
             ));
         }
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| RpqError::io(format!("cannot bind {}", config.addr), e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| RpqError::io("cannot set the listener non-blocking", e))?;
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            config.workers
-        };
-        let metrics_listener = match &config.metrics_addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)
-                    .map_err(|e| RpqError::io(format!("cannot bind metrics address {addr}"), e))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| RpqError::io("cannot set the metrics listener non-blocking", e))?;
-                Some(l)
-            }
-            None => None,
-        };
         let registry = Arc::new(Registry::new());
         let counters = Counters::new(&registry);
+        let front = Front::bind(
+            &config.addr,
+            config.metrics_addr.as_deref(),
+            Limits {
+                workers: config.workers,
+                queue: config.queue,
+                idle_timeout: config.idle_timeout,
+                deadline: config.deadline,
+                chunk_entries: config.chunk_entries,
+            },
+            FrontCounters {
+                accepted: counters.accepted,
+                requests: counters.requests,
+                overloaded: counters.overloaded,
+                request_errors: None,
+                serialize_micros: None,
+            },
+        )?;
         let pools = (0..config.backends.len())
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         Ok(Router {
+            front,
             pools,
-            listener,
             ring: HashRing::new(config.backends.len()),
             health: HealthTable::new(config.backends.len(), config.eject_after, config.cooldown),
             backends: config.backends.clone(),
             replication: config.replication.clamp(1, config.backends.len()),
-            workers,
-            queue_cap: config.queue.max(1),
             deadline: config.deadline,
             retry: config.retry,
             probe_interval: config.probe_interval,
             sync_interval: config.sync_interval,
-            chunk_entries: config.chunk_entries.max(1),
-            idle_timeout: config.idle_timeout,
-            shutdown: Arc::new(AtomicBool::new(false)),
             registry,
             counters,
-            metrics_listener,
         })
     }
 
     /// The bound metrics-exposition address, when
     /// [`RouterConfig::metrics_addr`] was set.
     pub fn metrics_local_addr(&self) -> Option<SocketAddr> {
-        self.metrics_listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok())
+        self.front.metrics_local_addr()
     }
 
     /// The bound front address (read the ephemeral port here).
     pub fn local_addr(&self) -> Result<SocketAddr, RpqError> {
-        self.listener
-            .local_addr()
-            .map_err(|e| RpqError::io("cannot read the bound address", e))
+        self.front.local_addr()
     }
 
     /// Worker threads the router will run.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.front.workers()
     }
 
     /// A handle that stops this router from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            flag: Arc::clone(&self.shutdown),
-        }
+        self.front.shutdown_handle()
     }
 
     /// Route until shutdown (handle, protocol verb, or the optional
@@ -433,47 +349,14 @@ impl Router {
     /// Blocks the calling thread; workers, prober and syncer run
     /// scoped inside.
     pub fn run(self, external: Option<&AtomicBool>) -> RouterReport {
-        let queue = ConnQueue::new(self.queue_cap);
         std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| {
-                    while let Some(stream) = queue.pop() {
-                        self.serve_connection(stream);
-                    }
-                });
-            }
+            // The prober and syncer stop on the front end's shutdown
+            // flag, which the front end raises for `external` too.
             scope.spawn(|| self.run_prober());
             if self.sync_interval.is_some() {
                 scope.spawn(|| self.run_syncer());
             }
-            if self.metrics_listener.is_some() {
-                scope.spawn(|| self.serve_metrics_scrapes());
-            }
-            loop {
-                if external.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                    self.shutdown.store(true, Ordering::Relaxed);
-                }
-                if self.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        self.counters.accepted.incr();
-                        if let Err(rejected) = queue.push(stream) {
-                            self.counters.overloaded.incr();
-                            self.refuse(rejected);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
-            queue.close();
+            self.front.run(&self, external);
         });
         RouterReport {
             accepted: self.counters.accepted.get(),
@@ -486,266 +369,31 @@ impl Router {
         }
     }
 
-    /// The metrics-exposition loop: accept, dump the fleet-wide text
-    /// exposition, close (mirrors the backend server's listener).
-    fn serve_metrics_scrapes(&self) {
-        let listener = self
-            .metrics_listener
-            .as_ref()
-            .expect("metrics listener present when this loop runs");
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    let text = self.fleet_metrics().to_snapshot().to_text();
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-                    let _ = stream.write_all(text.as_bytes());
-                    let _ = stream.flush();
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted =>
-                {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-    }
-
-    /// Graceful refusal: one Overloaded frame, then close (mirrors the
-    /// backend server's refusal, RST-safe drain included).
-    fn refuse(&self, mut stream: TcpStream) {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-        if protocol::write_message(
-            &mut stream,
-            &WireResponse::Overloaded {
-                queue: self.queue_cap as u64,
-            },
-        )
-        .is_err()
-        {
-            return;
-        }
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-        let mut sink = [0u8; 4096];
-        for _ in 0..16 {
-            match stream.read(&mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Front side: one connection's request/response loop.
-    // -----------------------------------------------------------------
-
-    /// Serve requests on one front connection until the peer closes, a
-    /// transport error occurs, or shutdown drains it.
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(READ_TICK));
-        let _ = stream.set_write_timeout(Some(self.deadline));
-        let _ = stream.set_nodelay(true);
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let request = match self.read_request(&mut stream) {
-                Ok(Some(request)) => request,
-                Ok(None) => return,
-                Err(e) => {
-                    let _ = protocol::write_message(
-                        &mut stream,
-                        &WireResponse::Error {
-                            kind: error_kind(&e).to_owned(),
-                            message: e.to_string(),
-                        },
-                    );
-                    return;
-                }
-            };
-            self.counters.requests.incr();
-            let dispatched = Instant::now();
-            let (response, stop) = self.dispatch(request);
-            self.counters
-                .request_micros
-                .record(dispatched.elapsed().as_micros() as u64);
-            match self.write_response(&mut stream, &response) {
-                Ok(()) => {}
-                Err(e @ RpqError::Invalid(_)) => {
-                    let substitute = WireResponse::Error {
-                        kind: error_kind(&e).to_owned(),
-                        message: e.to_string(),
-                    };
-                    if protocol::write_message(&mut stream, &substitute).is_err() {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-            if stop {
-                return;
-            }
-        }
-    }
-
-    /// Read one request, waking on the read timeout to poll the
-    /// shutdown flag and the idle bound.
-    fn read_request(&self, stream: &mut TcpStream) -> Result<Option<WireRequest>, RpqError> {
-        let mut header = [0u8; 9];
-        let mut in_frame = false;
-        match self.read_patient(stream, &mut header, &mut in_frame)? {
-            ReadOutcome::Done => return Ok(None),
-            ReadOutcome::Filled => {}
-        }
-        let len = protocol::frame_len(&header)?;
-        let mut payload = vec![0u8; len];
-        match self.read_patient(stream, &mut payload, &mut in_frame)? {
-            ReadOutcome::Done => Err(RpqError::invalid(
-                "stream ended inside a frame payload".to_owned(),
-            )),
-            ReadOutcome::Filled => Ok(Some(protocol::decode_payload(&payload)?)),
-        }
-    }
-
-    /// Fill `buf`, retrying read timeouts: idle between frames up to
-    /// `idle_timeout`, stalls inside a frame up to `deadline`.
-    fn read_patient(
-        &self,
-        stream: &mut TcpStream,
-        buf: &mut [u8],
-        in_frame: &mut bool,
-    ) -> Result<ReadOutcome, RpqError> {
-        let mut filled = 0;
-        let mut stall_started: Option<Instant> = None;
-        let mut idle_started: Option<Instant> = None;
-        while filled < buf.len() {
-            match stream.read(&mut buf[filled..]) {
-                Ok(0) if !*in_frame && filled == 0 => return Ok(ReadOutcome::Done),
-                Ok(0) => {
-                    return Err(RpqError::invalid(
-                        "stream ended inside a protocol frame".to_owned(),
-                    ))
-                }
-                Ok(n) => {
-                    filled += n;
-                    *in_frame = true;
-                    stall_started = None;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if !*in_frame && filled == 0 {
-                        if self.shutdown.load(Ordering::Relaxed) {
-                            return Ok(ReadOutcome::Done);
-                        }
-                        let t0 = *idle_started.get_or_insert_with(Instant::now);
-                        if t0.elapsed() > self.idle_timeout {
-                            return Ok(ReadOutcome::Done);
-                        }
-                        continue;
-                    }
-                    let t0 = *stall_started.get_or_insert_with(Instant::now);
-                    if t0.elapsed() > self.deadline {
-                        return Err(RpqError::invalid(format!(
-                            "peer stalled mid-frame past the {:?} deadline",
-                            self.deadline
-                        )));
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(RpqError::io("cannot read request frame", e)),
-            }
-        }
-        Ok(ReadOutcome::Filled)
-    }
-
-    /// Write one response, chunking oversized outcomes like the
-    /// backend server does — the router reassembles backend streams
-    /// in full (so a mid-stream backend death can fail over to a clean
-    /// retry) and re-chunks on the way out.
-    fn write_response(
-        &self,
-        stream: &mut TcpStream,
-        response: &WireResponse,
-    ) -> Result<(), RpqError> {
-        if let WireResponse::Outcome(outcome) = response {
-            if outcome.result.len() > self.chunk_entries {
-                return self.write_streamed(stream, outcome);
-            }
-        }
-        protocol::write_message(stream, response)
-    }
-
-    /// The chunked response path (header + bounded `Chunk` frames).
-    fn write_streamed(
-        &self,
-        stream: &mut TcpStream,
-        outcome: &WireOutcome,
-    ) -> Result<(), RpqError> {
-        let header = WireOutcome {
-            result: outcome.result.empty_like(),
-            ..outcome.clone()
-        };
-        protocol::write_message(stream, &WireResponse::OutcomeStream(header))?;
-        let emit = |stream: &mut TcpStream, last: bool, part: WireResult| {
-            protocol::write_message(stream, &WireResponse::Chunk { last, part })
-        };
-        match &outcome.result {
-            WireResult::Pairs(pairs) => {
-                let slices = pairs.chunks(self.chunk_entries);
-                let n = slices.len();
-                for (i, slice) in slices.enumerate() {
-                    emit(stream, i + 1 == n, WireResult::Pairs(slice.to_vec()))?;
-                }
-            }
-            WireResult::Nodes(nodes) => {
-                let slices = nodes.chunks(self.chunk_entries);
-                let n = slices.len();
-                for (i, slice) in slices.enumerate() {
-                    emit(stream, i + 1 == n, WireResult::Nodes(slice.to_vec()))?;
-                }
-            }
-            WireResult::Bool(_) => emit(stream, true, outcome.result.clone())?,
-        }
-        Ok(())
-    }
-
     // -----------------------------------------------------------------
     // Dispatch.
     // -----------------------------------------------------------------
 
-    /// Dispatch one front request; the bool asks the loop to stop.
-    fn dispatch(&self, request: WireRequest) -> (WireResponse, bool) {
-        match request {
+    /// Dispatch one front request.
+    fn dispatch(&self, request: WireRequest) -> Reply {
+        let response = match request {
             // The router answers for its own liveness — a fleet whose
             // backends are all down still pings (and reports
             // Unavailable for real work).
-            WireRequest::Ping => (WireResponse::Pong, false),
+            WireRequest::Ping => WireResponse::Pong,
             WireRequest::Shutdown => {
-                self.shutdown.store(true, Ordering::Relaxed);
-                (WireResponse::ShuttingDown, true)
+                self.front.shutdown();
+                return Reply::Last(WireResponse::ShuttingDown);
             }
-            WireRequest::Stats => (self.fleet_stats(), false),
-            WireRequest::Metrics => (WireResponse::Metrics(self.fleet_metrics()), false),
+            WireRequest::Stats => self.fleet_stats(),
+            WireRequest::Metrics => WireResponse::Metrics(self.fleet_metrics()),
             WireRequest::ListRuns => match self.inventory() {
-                Ok(merged) => (WireResponse::Runs(merged), false),
+                Ok(merged) => WireResponse::Runs(merged),
                 Err(message) => {
                     self.counters.unavailable.incr();
-                    (WireResponse::Unavailable { message }, false)
+                    WireResponse::Unavailable { message }
                 }
             },
-            WireRequest::Query(spec) => (self.route_query(spec), false),
+            WireRequest::Query(spec) => self.route_query(spec),
             // Stateful verbs are refused with a pointer, not proxied:
             // appends and subscriptions bind to one backend's open-run
             // growth signal, and replication verbs are the sync loop's
@@ -754,17 +402,13 @@ impl Router {
             | WireRequest::Subscribe(_)
             | WireRequest::Unsubscribe
             | WireRequest::FetchRun(_)
-            | WireRequest::PushRun { .. } => (
-                WireResponse::Error {
-                    kind: "invalid".to_owned(),
-                    message: "the router serves query traffic only \
-                              (Query/ListRuns/Stats/Metrics/Ping/Shutdown); send \
-                              live-ingestion and replication verbs directly to a backend"
-                        .to_owned(),
-                },
-                false,
-            ),
-        }
+            | WireRequest::PushRun { .. } => WireResponse::error(&RpqError::invalid(
+                "the router serves query traffic only \
+                 (Query/ListRuns/Stats/Metrics/Ping/Shutdown); send \
+                 live-ingestion and replication verbs directly to a backend",
+            )),
+        };
+        Reply::Respond(response)
     }
 
     /// A freshly connected client against one backend, every I/O
@@ -821,6 +465,26 @@ impl Router {
         }
     }
 
+    /// Run `f` against every backend that is not cooling off, in fleet
+    /// order, recording each outcome in the health table; the answers
+    /// of those that replied.
+    fn scan<T>(&self, mut f: impl FnMut(&mut ServeClient) -> Result<T, RpqError>) -> Vec<T> {
+        let mut answers = Vec::new();
+        for backend in 0..self.backends.len() {
+            if self.health.availability(backend) == Availability::Ejected {
+                continue;
+            }
+            match self.with_backend(backend, &mut f) {
+                Ok(answer) => {
+                    self.health.record_success(backend);
+                    answers.push(answer);
+                }
+                Err(_) => self.health.record_failure(backend),
+            }
+        }
+        answers
+    }
+
     /// Route one query: resolve positional addressing against the
     /// merged inventory, then try the run's replicas in
     /// health-preferred ring order with backoff between failovers.
@@ -837,13 +501,10 @@ impl Router {
                         (info.fp_hi, info.fp_lo)
                     }
                     None => {
-                        return WireResponse::Error {
-                            kind: "invalid".to_owned(),
-                            message: format!(
-                                "run #{i} out of range for a {}-run fleet",
-                                merged.len()
-                            ),
-                        }
+                        return WireResponse::error(&RpqError::invalid(format!(
+                            "run #{i} out of range for a {}-run fleet",
+                            merged.len()
+                        )))
                     }
                 },
                 Err(message) => {
@@ -909,25 +570,13 @@ impl Router {
     /// re-numbered with fleet-wide positional ids. `Err` carries the
     /// Unavailable message when *no* backend answered.
     fn inventory(&self) -> Result<Vec<WireRunInfo>, String> {
-        let mut merged: BTreeMap<(u64, u64), WireRunInfo> = BTreeMap::new();
-        let mut reached = 0;
-        for backend in 0..self.backends.len() {
-            if self.health.availability(backend) == Availability::Ejected {
-                continue;
-            }
-            match self.with_backend(backend, |c| c.runs()) {
-                Ok(runs) => {
-                    self.health.record_success(backend);
-                    reached += 1;
-                    for info in runs {
-                        merged.entry((info.fp_hi, info.fp_lo)).or_insert(info);
-                    }
-                }
-                Err(_) => self.health.record_failure(backend),
-            }
-        }
-        if reached == 0 {
+        let inventories = self.scan(|c| c.runs());
+        if inventories.is_empty() {
             return Err("no backend answered the inventory scan; the fleet is down".to_owned());
+        }
+        let mut merged: BTreeMap<(u64, u64), WireRunInfo> = BTreeMap::new();
+        for info in inventories.into_iter().flatten() {
+            merged.entry((info.fp_hi, info.fp_lo)).or_insert(info);
         }
         Ok(merged
             .into_values()
@@ -943,26 +592,16 @@ impl Router {
     /// field-wise. (Per-backend numbers — epochs in particular — come
     /// from querying a backend directly.)
     fn fleet_stats(&self) -> WireResponse {
-        let mut total = WireStatsReply::default();
-        let mut reached = 0;
-        for backend in 0..self.backends.len() {
-            if self.health.availability(backend) == Availability::Ejected {
-                continue;
-            }
-            match self.with_backend(backend, |c| c.stats()) {
-                Ok(stats) => {
-                    self.health.record_success(backend);
-                    reached += 1;
-                    add_stats(&mut total, &stats);
-                }
-                Err(_) => self.health.record_failure(backend),
-            }
-        }
-        if reached == 0 {
+        let replies = self.scan(|c| c.stats());
+        if replies.is_empty() {
             self.counters.unavailable.incr();
             return WireResponse::Unavailable {
                 message: "no backend answered the stats scan; the fleet is down".to_owned(),
             };
+        }
+        let mut total = WireStatsReply::default();
+        for stats in &replies {
+            add_stats(&mut total, stats);
         }
         // The router's own failover pauses ride along: a fleet client
         // asking for Stats sees retry pressure wherever it arises.
@@ -989,18 +628,9 @@ impl Router {
         let mut snap = self.registry.snapshot();
         snap.merge(&rpq_obs::global().snapshot());
         let mut slow = Vec::new();
-        for backend in 0..self.backends.len() {
-            if self.health.availability(backend) == Availability::Ejected {
-                continue;
-            }
-            match self.with_backend(backend, |c| c.metrics()) {
-                Ok(reply) => {
-                    self.health.record_success(backend);
-                    snap.merge(&reply.to_snapshot());
-                    slow.extend(reply.slow);
-                }
-                Err(_) => self.health.record_failure(backend),
-            }
+        for reply in self.scan(|c| c.metrics()) {
+            snap.merge(&reply.to_snapshot());
+            slow.extend(reply.slow);
         }
         let mut reply = WireMetricsReply::from_snapshot(&snap, Vec::new());
         reply.slow = slow;
@@ -1015,12 +645,12 @@ impl Router {
     fn pace(&self, total: Duration) -> bool {
         let started = Instant::now();
         while started.elapsed() < total {
-            if self.shutdown.load(Ordering::Relaxed) {
+            if self.front.is_shutdown() {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(25).min(total));
         }
-        !self.shutdown.load(Ordering::Relaxed)
+        !self.front.is_shutdown()
     }
 
     /// The prober: pings every backend that is not cooling off, so
@@ -1029,7 +659,7 @@ impl Router {
     fn run_prober(&self) {
         loop {
             for backend in 0..self.backends.len() {
-                if self.shutdown.load(Ordering::Relaxed) {
+                if self.front.is_shutdown() {
                     return;
                 }
                 if self.health.availability(backend) == Availability::Ejected {
@@ -1069,7 +699,7 @@ impl Router {
         // on its catalog epoch (unchanged epoch → cached inventory).
         let mut view: Vec<Option<Vec<WireRunInfo>>> = vec![None; self.backends.len()];
         for backend in 0..self.backends.len() {
-            if self.shutdown.load(Ordering::Relaxed) {
+            if self.front.is_shutdown() {
                 return;
             }
             if self.health.availability(backend) == Availability::Ejected {
@@ -1115,7 +745,7 @@ impl Router {
         }
         for (&(fp_hi, fp_lo), holding) in &holders {
             for &replica in &self.ring.replicas_for(fp_hi, fp_lo, self.replication) {
-                if self.shutdown.load(Ordering::Relaxed) {
+                if self.front.is_shutdown() {
                     return;
                 }
                 if view[replica].is_none() || holding.contains(&replica) {
@@ -1144,6 +774,22 @@ impl Router {
                 }
             }
         }
+    }
+}
+
+impl Service for Router {
+    fn respond(&self, request: WireRequest, _link: &mut Link<'_>) -> Reply {
+        let dispatched = Instant::now();
+        let reply = self.dispatch(request);
+        // Front-side dispatch latency, back-side trip included.
+        self.counters
+            .request_micros
+            .record(dispatched.elapsed().as_micros() as u64);
+        reply
+    }
+
+    fn metrics_text(&self) -> String {
+        self.fleet_metrics().to_snapshot().to_text()
     }
 }
 

@@ -16,12 +16,15 @@
 //!   [`QueryRequest`](rpq_core::QueryRequest) mode, run addressing by
 //!   store fingerprint, and responses carrying outcomes plus
 //!   per-request evaluation metadata and timing;
-//! * [`server`] — a TCP server over a bounded worker pool (hand-rolled
-//!   `std::net` accept loop, mirroring the scoped-pool style of the
-//!   batch executor) with admission control: bounded waiting queue,
-//!   configurable max in-flight, graceful [`Overloaded`] refusals, a
-//!   stats verb snapshotting session/store/service counters, and clean
-//!   SIGTERM/ctrl-c shutdown — plus the protocol-v3 live verbs:
+//! * [`front`] — the network front end both serving tiers run on: a
+//!   hand-rolled `std::net` accept loop over a bounded worker pool
+//!   (mirroring the scoped-pool style of the batch executor) with
+//!   admission control and graceful [`Overloaded`] refusals, idle
+//!   keep-alive parking, per-request deadlines, chunked responses, and
+//!   clean SIGTERM/ctrl-c shutdown;
+//! * [`server`] — the backend tier's dispatch on that front end: a
+//!   stats verb snapshotting session/store/service counters, the
+//!   metrics verbs, replication verbs, and the protocol-v3 live verbs:
 //!   `Append` grows an open run (the store maintains its indexes
 //!   incrementally, the session refreshes at fingerprint granularity)
 //!   and `Subscribe` stands a query up over it, pushing only *newly
@@ -76,15 +79,17 @@
 
 pub mod client;
 pub mod faults;
+pub mod front;
 pub mod protocol;
 pub mod retry;
 pub mod server;
 pub mod signals;
 
 pub use client::ServeClient;
+pub use front::ShutdownHandle;
 pub use protocol::{
     QuerySpec, RunAddr, WireAppended, WireHistogram, WireMetricsReply, WireMode, WireOutcome,
     WireRequest, WireResponse, WireResult, WireRunInfo, WireSlowQuery, WireStatsReply,
 };
 pub use retry::RetryPolicy;
-pub use server::{ServeConfig, ServeReport, Server, ShutdownHandle};
+pub use server::{ServeConfig, ServeReport, Server};

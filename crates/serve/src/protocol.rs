@@ -733,6 +733,17 @@ pub fn error_kind(e: &RpqError) -> &'static str {
     }
 }
 
+impl WireResponse {
+    /// The [`WireResponse::Error`] frame reporting `e`: its stable
+    /// [`error_kind`] and its message.
+    pub fn error(e: &RpqError) -> WireResponse {
+        WireResponse::Error {
+            kind: error_kind(e).to_owned(),
+            message: e.to_string(),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Framing.
 // ---------------------------------------------------------------------
@@ -1197,13 +1208,15 @@ mod tests {
 
     #[test]
     fn error_kinds_are_stable() {
-        assert_eq!(error_kind(&RpqError::invalid("x")), "invalid");
-        assert_eq!(
-            error_kind(&RpqError::io(
-                "x",
-                std::io::Error::new(std::io::ErrorKind::NotFound, "y")
-            )),
-            "io"
-        );
+        let io = RpqError::io("x", std::io::Error::new(std::io::ErrorKind::NotFound, "y"));
+        for (e, kind) in [(RpqError::invalid("x"), "invalid"), (io, "io")] {
+            assert_eq!(
+                WireResponse::error(&e),
+                WireResponse::Error {
+                    kind: kind.to_owned(),
+                    message: e.to_string(),
+                }
+            );
+        }
     }
 }

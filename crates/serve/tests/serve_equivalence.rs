@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use rpq_core::{QueryOutcome, Session};
 use rpq_labeling::{Run, RunBuilder};
+use rpq_router::{Router, RouterConfig};
 use rpq_serve::protocol::{QuerySpec, RunAddr, WireMode, WireResponse, WireResult};
 use rpq_serve::{ServeClient, ServeConfig, Server};
 use rpq_store::RunStore;
@@ -251,30 +252,23 @@ const fn cases_len() -> u64 {
     5
 }
 
-#[test]
-fn overload_is_a_graceful_refusal_and_shutdown_drains() {
-    // A private 1-worker, 1-slot server so saturation is deterministic.
-    let dir = temp_dir("overload");
+/// A store holding one small run, in its own directory.
+fn one_run_store(name: &str, seed: u64) -> (PathBuf, RunStore) {
+    let dir = temp_dir(name);
     let spec = Arc::new(rpq_workloads::paper_examples::fig2_spec());
     let store = RunStore::create(&dir, Arc::clone(&spec)).unwrap();
     let run = RunBuilder::new(&spec)
-        .seed(9)
+        .seed(seed)
         .target_edges(60)
         .build()
         .unwrap();
     store.ingest(&run).unwrap();
-    let server = Server::bind(
-        store,
-        &ServeConfig {
-            workers: 1,
-            queue: 1,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr().unwrap();
-    let serving = std::thread::spawn(move || server.run(None));
+    (dir, store)
+}
 
+/// The admission scenario against a 1-worker, 1-slot front end at
+/// `addr`, ending with a protocol-level shutdown.
+fn saturate_then_shut_down(addr: SocketAddr) {
     // A occupies the only worker (the ping proves it was dequeued).
     let mut a = connect(addr);
     a.ping().unwrap();
@@ -296,13 +290,59 @@ fn overload_is_a_graceful_refusal_and_shutdown_drains() {
         b
     };
 
-    // Protocol-level shutdown acknowledges, then the server drains and
-    // run() returns with truthful counters.
+    // Protocol-level shutdown acknowledges, then the front end drains
+    // and run() returns.
     b.shutdown_server().unwrap();
+}
+
+#[test]
+fn overload_is_a_graceful_refusal_and_shutdown_drains() {
+    // A private 1-worker, 1-slot server so saturation is deterministic.
+    let (dir, store) = one_run_store("overload", 9);
+    let server = Server::bind(
+        store,
+        &ServeConfig {
+            workers: 1,
+            queue: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let serving = std::thread::spawn(move || server.run(None));
+    saturate_then_shut_down(addr);
+    // run() returns with truthful counters.
     let report = serving.join().unwrap();
     assert!(report.accepted >= 3);
     assert_eq!(report.overloaded, 1);
     assert!(report.requests >= 3);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The router runs on the same front end: the same scenario against
+    // a 1-worker, 1-slot router (over an ordinary backend) refuses the
+    // same way and reports the same counts.
+    let (dir, store) = one_run_store("overload_routed", 9);
+    let backend = Server::bind(store, &ServeConfig::default()).unwrap();
+    let backend_addr = backend.local_addr().unwrap();
+    let backend_handle = backend.shutdown_handle();
+    let backend_serving = std::thread::spawn(move || backend.run(None));
+    let router = Router::bind(&RouterConfig {
+        backends: vec![backend_addr],
+        workers: 1,
+        queue: 1,
+        sync_interval: None,
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    let addr = router.local_addr().unwrap();
+    let routing = std::thread::spawn(move || router.run(None));
+    saturate_then_shut_down(addr);
+    let report = routing.join().unwrap();
+    assert!(report.accepted >= 3);
+    assert_eq!(report.overloaded, 1);
+    assert!(report.requests >= 3);
+    backend_handle.shutdown();
+    backend_serving.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

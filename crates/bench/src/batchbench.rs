@@ -21,7 +21,7 @@
 //!   and the reload/rebuild counters prove which path ran.
 
 use crate::timing::{fmt_secs, Table};
-use rpq_core::{BatchOptions, QueryRequest, Session, SessionStats, SubqueryPolicy};
+use rpq_core::{BatchOptions, QueryRequest, Session, SessionStats};
 use rpq_store::{RunStore, StoreStats};
 use rpq_workloads::{bioaid_like, runs};
 use std::path::PathBuf;
@@ -124,8 +124,8 @@ pub fn measure(full: bool) -> BatchMeasurement {
     let real = bioaid_like();
     let spec = Arc::new(real.spec.clone());
 
-    // Thread sweep: an IFQ over the dataset's pool tags, planned
-    // relationally so every run pays real index + closure work.
+    // Thread sweep: an IFQ over the dataset's pool tags, planned as
+    // any session plans it.
     // Cold/warm legs: the bare symbol — an index-answered composite
     // leaf whose evaluation is a lookup, leaving artifact acquisition
     // as the legs' dominant cost.
@@ -152,9 +152,7 @@ pub fn measure(full: bool) -> BatchMeasurement {
     // ---- cold leg: every artifact derived from its run -------------
     let cold = {
         let session = Session::new(store.spec_arc());
-        let query = session
-            .prepare_with(&store_query_text, SubqueryPolicy::AlwaysRelational)
-            .expect("query compiles");
+        let query = session.prepare(&store_query_text).expect("query compiles");
         let store_before = store.stats();
         let outcome = session.evaluate_batch(&query, &store, &request, &BatchOptions::threads(4));
         assert_eq!(outcome.n_err(), 0);
@@ -171,9 +169,7 @@ pub fn measure(full: bool) -> BatchMeasurement {
     let store = RunStore::open(&dir).expect("reopen scratch store");
     let warm = {
         let session = Session::new(store.spec_arc());
-        let query = session
-            .prepare_with(&store_query_text, SubqueryPolicy::AlwaysRelational)
-            .expect("query compiles");
+        let query = session.prepare(&store_query_text).expect("query compiles");
         let store_before = store.stats();
         let outcome = session.evaluate_batch(&query, &store, &request, &BatchOptions::threads(4));
         assert_eq!(outcome.n_err(), 0);
@@ -192,9 +188,7 @@ pub fn measure(full: bool) -> BatchMeasurement {
     let mut one_thread_secs = 0.0;
     for &threads in &[1usize, 2, 4, 8] {
         let session = Session::new(store.spec_arc());
-        let query = session
-            .prepare_with(&query_text, SubqueryPolicy::AlwaysRelational)
-            .expect("query compiles");
+        let query = session.prepare(&query_text).expect("query compiles");
         let outcome =
             session.evaluate_batch(&query, &store, &request, &BatchOptions::threads(threads));
         assert_eq!(outcome.n_err(), 0);

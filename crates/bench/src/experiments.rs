@@ -447,19 +447,19 @@ pub fn fig13gh(d: &Dataset, scale: Scale) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// Fig. 15a/15b — improvement of optRPL on unsafe general queries.
+// Fig. 15a/15b — improvement of the decomposing planner on unsafe queries.
 // ---------------------------------------------------------------------
 
 /// Generate random queries, keep the unsafe ones, and report the
-/// improvement of the decomposing planner (optRPL) over baseline G1,
+/// improvement of the decomposing planner (costRPL) over baseline G1,
 /// sorted descending as in the paper's bar charts.
 pub fn fig15(d: &Dataset, scale: Scale) -> Table {
     let mut table = Table::new(
         &format!(
-            "Fig 15: improvement over G1 on unsafe queries ({}) — optRPL = always-labels (the paper), costRPL = cost-based (our extension)",
+            "Fig 15: improvement over G1 on unsafe queries ({}) — costRPL = decomposed plan, each safe part on labels or joins by cost",
             d.name()
         ),
-        &["query", "safe parts", "matches", "G1", "optRPL", "impr", "costRPL", "impr"],
+        &["query", "safe parts", "matches", "G1", "costRPL", "impr"],
     );
     let edges = if scale == Scale::Full { 2000 } else { 600 };
     let n_queries = if scale == Scale::Full { 40 } else { 10 };
@@ -490,29 +490,15 @@ pub fn fig15(d: &Dataset, scale: Scale) -> Table {
 
     let mut rows: Vec<(f64, Vec<String>)> = Vec::new();
     for (i, q) in unsafe_queries.iter().enumerate() {
-        use rpq_core::SubqueryPolicy;
-        let plan_labels = session
-            .prepare_regex_with(q, SubqueryPolicy::AlwaysLabels)
-            .expect("plan compiles");
-        let plan_cost = session
-            .prepare_regex_with(q, SubqueryPolicy::CostBased)
-            .expect("plan compiles");
+        let plan_cost = session.prepare_regex(q).expect("plan compiles");
         let g1 = G1::new(&index);
         let reference = g1.all_pairs(q, &all, &all);
-        let ours = session.all_pairs(&plan_labels, &run, &all, &all);
-        assert_eq!(reference, ours, "correctness cross-check (labels)");
         let ours_cost = session.all_pairs(&plan_cost, &run, &all, &all);
-        assert_eq!(reference, ours_cost, "correctness cross-check (cost)");
+        assert_eq!(reference, ours_cost, "correctness cross-check");
 
         let (t_g1, _) = time_stats_secs(
             || {
                 std::hint::black_box(g1.all_pairs(q, &all, &all));
-            },
-            scale.reps(),
-        );
-        let (t_labels, _) = time_stats_secs(
-            || {
-                std::hint::black_box(session.all_pairs(&plan_labels, &run, &all, &all));
             },
             scale.reps(),
         );
@@ -522,17 +508,14 @@ pub fn fig15(d: &Dataset, scale: Scale) -> Table {
             },
             scale.reps(),
         );
-        let impr_labels = 100.0 * (t_g1 - t_labels) / t_g1;
         let impr_cost = 100.0 * (t_g1 - t_cost) / t_g1;
         rows.push((
-            impr_labels,
+            impr_cost,
             vec![
                 format!("U{}", i + 1),
-                format!("{}", plan_labels.stats().n_safe_subqueries),
+                format!("{}", plan_cost.stats().n_safe_subqueries),
                 format!("{}", reference.len()),
                 fmt_secs(t_g1),
-                fmt_secs(t_labels),
-                format!("{impr_labels:.1}%"),
                 fmt_secs(t_cost),
                 format!("{impr_cost:.1}%"),
             ],

@@ -1,8 +1,9 @@
 //! Lazy-vs-materialized strategy A/B at the session level: the same
 //! prepared composite query over the same cached CSR arena, answered
 //! once by the on-the-fly DFA×graph product search and once by the
-//! materialized relational pipeline — plus the `Auto` cost model,
-//! which must track whichever side wins.
+//! materialized relational pipeline (both forced through the session's
+//! test hook) — plus the session's own pick, which must track
+//! whichever side wins.
 //!
 //! The sweep rides along with the kernel A/B in `BENCH_relalg.json`
 //! (section `strategy_sweep`, from `repro -- relalg`). Workloads are
@@ -12,7 +13,7 @@
 //! accepting hit and `Reachable` is one search, while the relational
 //! pipeline pays for the whole relation either way. Full-universe
 //! `AllPairs` is the converse case — one product search per source —
-//! where `Auto` must keep picking the materialized side.
+//! where the session must keep picking the materialized side.
 
 use crate::datasets::Dataset;
 use crate::timing::{fmt_secs, time_avg_secs, Table};
@@ -36,9 +37,9 @@ pub struct StrategyMeasurement {
     pub lazy_secs: f64,
     /// Forced-materialized seconds per call.
     pub materialized_secs: f64,
-    /// `Auto` seconds per call.
+    /// Seconds per call when the session picks the engine.
     pub auto_secs: f64,
-    /// The strategy `Auto` resolved to.
+    /// The engine the session picked.
     pub auto_picked: &'static str,
 }
 
@@ -48,7 +49,7 @@ impl StrategyMeasurement {
         self.materialized_secs / self.lazy_secs
     }
 
-    /// `Auto` time relative to the faster forced strategy (1.0 is a
+    /// The session's pick's time relative to the faster forced strategy (1.0 is a
     /// perfect pick; the cost model should stay within ~1.1).
     pub fn auto_vs_best(&self) -> f64 {
         self.auto_secs / self.lazy_secs.min(self.materialized_secs)
@@ -67,22 +68,22 @@ fn measure_request(
     let query = session.prepare(query_text).expect("query prepares");
     // Warm every per-run artifact (tag index and CSR arena) and
     // cross-check the strategies before timing anything.
-    let lazy = session.evaluate_with_strategy(&query, run, request, EvalStrategy::Lazy);
-    let materialized =
-        session.evaluate_with_strategy(&query, run, request, EvalStrategy::Materialized);
+    let lazy = session.evaluate_forced(&query, run, request, EvalStrategy::Lazy);
+    let materialized = session.evaluate_forced(&query, run, request, EvalStrategy::Materialized);
     assert_eq!(
         lazy.result, materialized.result,
         "strategies disagree on {query_text} ({mode})"
     );
-    let auto = session.evaluate_with_strategy(&query, run, request, EvalStrategy::Auto);
-    let auto_picked = auto.meta.strategy.name();
+    let auto_picked = session.evaluate(&query, run, request).meta.strategy.name();
 
-    let time = |strategy: EvalStrategy| {
+    // `None` times the session's own pick.
+    let time = |forced: Option<EvalStrategy>| {
         time_avg_secs(
             || {
-                std::hint::black_box(
-                    session.evaluate_with_strategy(&query, run, request, strategy),
-                );
+                std::hint::black_box(match forced {
+                    Some(engine) => session.evaluate_forced(&query, run, request, engine),
+                    None => session.evaluate(&query, run, request),
+                });
             },
             reps,
         )
@@ -93,9 +94,9 @@ fn measure_request(
         mode,
         n_nodes: run.n_nodes(),
         n_edges: run.n_edges(),
-        lazy_secs: time(EvalStrategy::Lazy),
-        materialized_secs: time(EvalStrategy::Materialized),
-        auto_secs: time(EvalStrategy::Auto),
+        lazy_secs: time(Some(EvalStrategy::Lazy)),
+        materialized_secs: time(Some(EvalStrategy::Materialized)),
+        auto_secs: time(None),
         auto_picked,
     }
 }

@@ -361,16 +361,14 @@ mod tests {
         let runs = corpus(&session, 5);
         let query = session.prepare("go").unwrap();
         let all: Vec<rpq_labeling::NodeId> = runs[0].node_ids().collect();
-        // Forced materialized: index-cache LRU recency is the subject,
-        // and only the materialized pipeline touches that cache on
-        // every composite evaluation (the lazy product search works
-        // off the CSR cache instead).
+        // `go` is a closure-free index leaf, so the session evaluates
+        // it materialized, which touches the index cache on every
+        // evaluation: index-cache LRU recency is the subject.
         let eval = |run: &_| {
-            session.evaluate_with_strategy(
+            session.evaluate(
                 &query,
                 run,
                 &QueryRequest::all_pairs(all.clone(), all.clone()),
-                crate::lazy::EvalStrategy::Materialized,
             )
         };
         for run in &runs {
@@ -406,14 +404,10 @@ mod tests {
 
         let query = session.prepare("go").unwrap();
         let all: Vec<rpq_labeling::NodeId> = run.node_ids().collect();
-        // Forced materialized, which consults the index cache on every
-        // composite evaluation — the seeded entry must hit.
-        session.evaluate_with_strategy(
-            &query,
-            &run,
-            &QueryRequest::all_pairs(all.clone(), all),
-            crate::lazy::EvalStrategy::Materialized,
-        );
+        // A closure-free leaf evaluates materialized, which consults
+        // the index cache — the seeded entry must hit.
+        let outcome = session.evaluate(&query, &run, &QueryRequest::all_pairs(all.clone(), all));
+        assert_eq!(outcome.meta.strategy, crate::EvalStrategy::Materialized);
         assert_eq!(session.stats().index_hits, 1);
         assert_eq!(session.stats().index_misses, 0);
     }

@@ -21,53 +21,13 @@ use rpq_relalg::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// How safe subqueries inside a decomposed plan are evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SubqueryPolicy {
-    /// Always use the label-based all-pairs merge (the paper's optRPL).
-    AlwaysLabels,
-    /// Let the cost model pick label-based vs relational per subquery
-    /// (the cost-based optimizer the paper's conclusion sketches).
-    CostBased,
-    /// Never use labels: evaluate the whole query with relational
-    /// joins and fixpoints, exactly as baseline G1 would. Useful as a
-    /// CLI-selectable referee and for measuring what the labels buy.
-    AlwaysRelational,
-}
-
-impl SubqueryPolicy {
-    /// CLI names of the valid policies.
-    pub const NAMES: [&'static str; 3] = ["cost", "memo", "naive"];
-
-    /// Parse a CLI policy name (`cost` → cost-based, `memo` →
-    /// label-based memo, `naive` → pure relational).
-    pub fn from_cli_name(name: &str) -> Option<SubqueryPolicy> {
-        match name {
-            "cost" => Some(SubqueryPolicy::CostBased),
-            "memo" => Some(SubqueryPolicy::AlwaysLabels),
-            "naive" => Some(SubqueryPolicy::AlwaysRelational),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this policy (inverse of
-    /// [`SubqueryPolicy::from_cli_name`]).
-    pub fn cli_name(self) -> &'static str {
-        match self {
-            SubqueryPolicy::CostBased => "cost",
-            SubqueryPolicy::AlwaysLabels => "memo",
-            SubqueryPolicy::AlwaysRelational => "naive",
-        }
-    }
-}
-
 /// A compiled plan for an arbitrary regular path query.
 #[derive(Debug)]
 pub enum QueryPlan {
     /// The whole query is safe: evaluated purely from labels.
     Safe(SafeQueryPlan),
     /// Mixed plan: safe subtrees under relational composition.
-    Composite(PlanNode, SubqueryPolicy),
+    Composite(PlanNode),
 }
 
 impl QueryPlan {
@@ -80,7 +40,7 @@ impl QueryPlan {
     pub fn n_safe_subqueries(&self) -> usize {
         match self {
             QueryPlan::Safe(_) => 1,
-            QueryPlan::Composite(node, _) => node.count_safe(),
+            QueryPlan::Composite(node) => node.count_safe(),
         }
     }
 
@@ -140,44 +100,17 @@ impl PlanNode {
 /// large); *unsafety* is what this planner exists to handle, so it never
 /// surfaces as an error here.
 pub fn plan_query(spec: &Specification, regex: &Regex) -> Result<QueryPlan, PlanError> {
-    plan_query_with(spec, regex, SubqueryPolicy::CostBased)
+    plan_query_with_dfa(spec, regex, &compile_minimal_dfa(regex, spec.n_tags()))
 }
 
-/// [`plan_query`] with an explicit subquery-evaluation policy.
-pub fn plan_query_with(
+/// [`plan_query`] when the caller already compiled the query's minimal
+/// DFA (`Session::prepare` compiles it once for plan statistics and
+/// hands it in here); it is copied only into a fully safe plan.
+pub(crate) fn plan_query_with_dfa(
     spec: &Specification,
     regex: &Regex,
-    policy: SubqueryPolicy,
-) -> Result<QueryPlan, PlanError> {
-    if !spec.is_strictly_linear() {
-        return Err(PlanError::NotStrictlyLinear);
-    }
-    // The naive policy skips safety analysis entirely: the whole query
-    // is lowered to joins/fixpoints (the G1 evaluation shape).
-    if policy == SubqueryPolicy::AlwaysRelational {
-        return Ok(QueryPlan::Composite(relational_node(regex), policy));
-    }
-    plan_query_with_dfa(
-        spec,
-        regex,
-        policy,
-        &compile_minimal_dfa(regex, spec.n_tags()),
-    )
-}
-
-/// [`plan_query_with`] when the caller already compiled the query's
-/// minimal DFA (`Session::prepare` compiles it once for plan statistics
-/// and hands it in here); it is copied only into a fully safe plan.
-///
-/// `policy` must not be [`SubqueryPolicy::AlwaysRelational`] — that
-/// path never needs a DFA; use [`plan_query_with`].
-pub fn plan_query_with_dfa(
-    spec: &Specification,
-    regex: &Regex,
-    policy: SubqueryPolicy,
     dfa: &Dfa,
 ) -> Result<QueryPlan, PlanError> {
-    debug_assert_ne!(policy, SubqueryPolicy::AlwaysRelational);
     if !spec.is_strictly_linear() {
         return Err(PlanError::NotStrictlyLinear);
     }
@@ -197,7 +130,7 @@ pub fn plan_query_with_dfa(
         spec,
         verdicts: HashMap::new(),
     };
-    Ok(QueryPlan::Composite(planner.decompose(regex)?, policy))
+    Ok(QueryPlan::Composite(planner.decompose(regex)?))
 }
 
 /// Is the expression a leaf (answered from the tag index rather than a
@@ -310,10 +243,10 @@ impl Planner<'_> {
 }
 
 /// Everything a composite-plan evaluation ranges over: the compiled
-/// context (specification), the run with its cached indexes, and the
-/// evaluation policy. Bundling these keeps the recursive evaluators'
-/// signatures flat and lets sessions hand down their cached
-/// [`CsrIndex`] arena without widening every call site.
+/// context (specification) and the run with its cached indexes.
+/// Bundling these keeps the recursive evaluators' signatures flat and
+/// lets sessions hand down their cached [`CsrIndex`] arena without
+/// widening every call site.
 #[derive(Clone, Copy)]
 pub struct EvalCtx<'a> {
     /// The workflow specification the plan was compiled against.
@@ -328,8 +261,6 @@ pub struct EvalCtx<'a> {
     pub csr: Option<&'a CsrIndex>,
     /// The candidate universe for safe subqueries.
     pub universe: &'a [NodeId],
-    /// The subquery-evaluation policy.
-    pub policy: SubqueryPolicy,
     /// The evaluation-scoped condensation cache: a plan with k
     /// SCC-kernel tag closures runs Tarjan once over the run's full
     /// adjacency and schedules the other k−1 closures off the cached
@@ -343,24 +274,9 @@ pub fn eval_node(node: &PlanNode, ctx: &EvalCtx<'_>) -> Relation {
     let n_nodes = ctx.run.n_nodes();
     match node {
         PlanNode::SafeEval(plan, regex) => {
-            // Naive plans contain no SafeEval nodes, but stay total in
-            // case one is composed by hand.
-            if ctx.policy == SubqueryPolicy::AlwaysRelational {
-                return eval_node(&relational_node(regex), ctx);
-            }
-            // Cost-based evaluator choice (the optimizer the paper's
-            // conclusion sketches): the label-based merge touches every
-            // reachable candidate pair over the universe, so when the
-            // subquery's relational work estimate is far below that,
-            // plain joins win — e.g. a selective symbol chain on a large
-            // run.
-            if ctx.policy == SubqueryPolicy::CostBased {
-                let model = crate::cost::CostModel::new(ctx.index, n_nodes);
-                let rel_node = relational_node(regex);
-                let n = n_nodes as f64;
-                if model.work_estimate(&rel_node) < n * n / 16.0 {
-                    return eval_node(&rel_node, ctx);
-                }
+            let rel_node = relational_node(regex);
+            if joins_beat_labels(&rel_node, ctx.index, n_nodes) {
+                return eval_node(&rel_node, ctx);
             }
             // The merge hands back a sorted list or, once its answers
             // outnumber the words of the row matrix, bit rows that the
@@ -440,30 +356,39 @@ pub fn eval_node(node: &PlanNode, ctx: &EvalCtx<'_>) -> Relation {
     }
 }
 
+/// The labels-vs-joins rule for one `SafeEval` subtree (the
+/// cost-based optimizer the paper's conclusion sketches): the
+/// label-based merge touches every reachable candidate pair over the
+/// universe, so when the subtree's relational lowering `rel_node` is
+/// estimated at under n²/16 units of work, plain joins win — e.g. a
+/// selective symbol chain on a large run. [`eval_node`] applies it to
+/// every `SafeEval` it meets.
+pub fn joins_beat_labels(rel_node: &PlanNode, index: &TagIndex, n_nodes: usize) -> bool {
+    let n = n_nodes as f64;
+    crate::cost::CostModel::new(index, n_nodes).work_estimate(rel_node) < n * n / 16.0
+}
+
 /// Does the plan contain a Kleene closure over a bare index leaf — the
 /// only construct that reads a cached [`CsrIndex`]? Sessions skip
 /// building the arena for plans that can never consume it. Safe
-/// subtrees count when the policy may lower them to relational form at
-/// evaluation time (the cost-based fallback), since the lowered shape
-/// can contain leaf closures of its own.
+/// subtrees count too: [`joins_beat_labels`] may lower them to
+/// relational form at evaluation time, and the lowered shape can
+/// contain leaf closures of its own.
 pub fn plan_uses_csr(plan: &QueryPlan) -> bool {
     match plan {
         QueryPlan::Safe(_) => false,
-        QueryPlan::Composite(node, policy) => node_uses_csr(node, *policy),
+        QueryPlan::Composite(node) => node_uses_csr(node),
     }
 }
 
-fn node_uses_csr(node: &PlanNode, policy: SubqueryPolicy) -> bool {
+fn node_uses_csr(node: &PlanNode) -> bool {
     match node {
-        PlanNode::SafeEval(_, regex) => {
-            policy != SubqueryPolicy::AlwaysLabels && regex_uses_csr(regex)
-        }
+        PlanNode::SafeEval(_, regex) => regex_uses_csr(regex),
         PlanNode::Star(inner) | PlanNode::Plus(inner) => {
-            matches!(inner.as_ref(), PlanNode::Sym(_) | PlanNode::Wildcard)
-                || node_uses_csr(inner, policy)
+            matches!(inner.as_ref(), PlanNode::Sym(_) | PlanNode::Wildcard) || node_uses_csr(inner)
         }
-        PlanNode::Optional(inner) => node_uses_csr(inner, policy),
-        PlanNode::Concat(cs) | PlanNode::Alt(cs) => cs.iter().any(|c| node_uses_csr(c, policy)),
+        PlanNode::Optional(inner) => node_uses_csr(inner),
+        PlanNode::Concat(cs) | PlanNode::Alt(cs) => cs.iter().any(node_uses_csr),
         _ => false,
     }
 }
@@ -569,7 +494,7 @@ pub fn all_pairs_csr(
 ) -> NodePairSet {
     match plan {
         QueryPlan::Safe(p) => all_pairs_filtered(p, spec, run, l1, l2),
-        QueryPlan::Composite(node, policy) => {
+        QueryPlan::Composite(node) => {
             let universe: Vec<NodeId> = run.node_ids().collect();
             let condensations = CondensationCache::new();
             let ctx = EvalCtx {
@@ -578,7 +503,6 @@ pub fn all_pairs_csr(
                 index,
                 csr,
                 universe: &universe,
-                policy: *policy,
                 condensations: Some(&condensations),
             };
             // Kernel-dispatched endpoint selection: the dense closures
@@ -614,7 +538,7 @@ pub fn pairwise_csr(
 ) -> bool {
     match plan {
         QueryPlan::Safe(p) => p.pairwise(run, u, v),
-        QueryPlan::Composite(node, policy) => {
+        QueryPlan::Composite(node) => {
             let universe: Vec<NodeId> = run.node_ids().collect();
             let condensations = CondensationCache::new();
             let ctx = EvalCtx {
@@ -623,7 +547,6 @@ pub fn pairwise_csr(
                 index,
                 csr,
                 universe: &universe,
-                policy: *policy,
                 condensations: Some(&condensations),
             };
             eval_node(node, &ctx).contains(u, v)
@@ -724,7 +647,7 @@ mod tests {
         // the repeated segment is checked and compiled once.
         let spec = fig2();
         let plan = plan_query(&spec, &q(&spec, "_* a _* a _* d _*")).unwrap();
-        let QueryPlan::Composite(node, _) = &plan else {
+        let QueryPlan::Composite(node) = &plan else {
             panic!("expected a composite plan, got {plan:?}");
         };
         let mut safe = Vec::new();
@@ -760,32 +683,29 @@ mod tests {
 
         let regex = q(&spec, "_* e _*");
         let safe = plan_query(&spec, &regex).unwrap();
-        let forced = QueryPlan::Composite(
-            PlanNode::Concat(vec![
-                PlanNode::SafeEval(
-                    Arc::new(
-                        SafeQueryPlan::compile(
-                            &spec,
-                            compile_minimal_dfa(&q(&spec, "_*"), spec.n_tags()),
-                        )
-                        .unwrap(),
-                    ),
-                    q(&spec, "_*"),
+        let forced = QueryPlan::Composite(PlanNode::Concat(vec![
+            PlanNode::SafeEval(
+                Arc::new(
+                    SafeQueryPlan::compile(
+                        &spec,
+                        compile_minimal_dfa(&q(&spec, "_*"), spec.n_tags()),
+                    )
+                    .unwrap(),
                 ),
-                PlanNode::Sym(spec.tag_by_name("e").unwrap()),
-                PlanNode::SafeEval(
-                    Arc::new(
-                        SafeQueryPlan::compile(
-                            &spec,
-                            compile_minimal_dfa(&q(&spec, "_*"), spec.n_tags()),
-                        )
-                        .unwrap(),
-                    ),
-                    q(&spec, "_*"),
+                q(&spec, "_*"),
+            ),
+            PlanNode::Sym(spec.tag_by_name("e").unwrap()),
+            PlanNode::SafeEval(
+                Arc::new(
+                    SafeQueryPlan::compile(
+                        &spec,
+                        compile_minimal_dfa(&q(&spec, "_*"), spec.n_tags()),
+                    )
+                    .unwrap(),
                 ),
-            ]),
-            SubqueryPolicy::AlwaysLabels,
-        );
+                q(&spec, "_*"),
+            ),
+        ]));
         let a = all_pairs(&safe, &spec, &run, &index, &all, &all);
         let b = all_pairs(&forced, &spec, &run, &index, &all, &all);
         assert_eq!(a, b);

@@ -24,11 +24,9 @@
 //! * `TargetStar` runs the same search over the *transposed* CSR and
 //!   the reversed (now nondeterministic) transition relation.
 //!
-//! Strategy selection is per call: `Session::evaluate` lets the cost
-//! model pick per request ([`EvalStrategy::Auto`]); a caller that wants
-//! one engine names it through `Session::evaluate_with_strategy` (or
-//! the serve protocol's `QuerySpec::strategy`). There is no
-//! process-wide setting.
+//! The session picks the engine per request (`Session::evaluate`, see
+//! `auto_picks_lazy`); the caller never does. There is no per-request
+//! override and no process-wide setting.
 
 use rpq_automata::{Dfa, StateId, Symbol};
 use rpq_grammar::Tag;
@@ -37,40 +35,20 @@ use rpq_relalg::CsrIndex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Evaluation strategy: the explicit per-call argument of
-/// `Session::evaluate_with_strategy` and the wire value of the serve
-/// protocol's `QuerySpec::strategy`.
+/// Which engine answered an evaluation: the resolved choice recorded
+/// in `EvalMeta::strategy`, on the wire and in metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalStrategy {
-    /// Cost-model choice per request (default): lazy for frontier-bound
-    /// requests over composite plans, materialized otherwise.
-    Auto,
-    /// Force the lazy product-graph engine for every request mode.
+    /// The lazy product-graph engine.
     Lazy,
-    /// Force the materialized relational/label pipeline (the pre-lazy
-    /// behavior).
+    /// The materialized relational/label pipeline.
     Materialized,
 }
 
 impl EvalStrategy {
-    /// Every CLI/wire name, in display order.
-    pub const NAMES: [&'static str; 3] = ["auto", "lazy", "materialized"];
-
-    /// Parse a strategy name (`auto` / `lazy` / `materialized`), as
-    /// accepted by the CLI flag and the wire field.
-    pub fn from_name(name: &str) -> Option<EvalStrategy> {
-        match name {
-            "auto" => Some(EvalStrategy::Auto),
-            "lazy" => Some(EvalStrategy::Lazy),
-            "materialized" => Some(EvalStrategy::Materialized),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (inverse of [`EvalStrategy::from_name`]).
+    /// The name shown on the wire and in metrics.
     pub fn name(self) -> &'static str {
         match self {
-            EvalStrategy::Auto => "auto",
             EvalStrategy::Lazy => "lazy",
             EvalStrategy::Materialized => "materialized",
         }
@@ -121,8 +99,7 @@ fn record_expansions(n: u64) {
 }
 
 /// Record which strategy answered one evaluation (called by the
-/// session after resolution, so `auto` counts under what it resolved
-/// to).
+/// session once it has picked the engine).
 pub(crate) fn record_strategy(lazy: bool) {
     if lazy {
         LAZY_EVALS.fetch_add(1, Ordering::Relaxed);
@@ -408,19 +385,6 @@ fn accepts(dfa: &Dfa, q: StateId, node: u32, target: Option<NodeId>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strategy_names_round_trip() {
-        for strategy in [
-            EvalStrategy::Auto,
-            EvalStrategy::Lazy,
-            EvalStrategy::Materialized,
-        ] {
-            assert_eq!(EvalStrategy::from_name(strategy.name()), Some(strategy));
-            assert!(EvalStrategy::NAMES.contains(&strategy.name()));
-        }
-        assert_eq!(EvalStrategy::from_name("eager"), None);
-    }
 
     #[test]
     fn expansion_counters_accumulate() {

@@ -44,8 +44,8 @@ pub use batch::{BatchItem, BatchOptions, BatchOutcome, RunRef, RunSource};
 pub use cost::{ChainOrder, CostModel};
 pub use error::RpqError;
 pub use general::{
-    all_pairs, all_pairs_csr, eval_node, pairwise, pairwise_csr, plan_query, plan_query_with,
-    relational_node, EvalCtx, PlanNode, QueryPlan, SubqueryPolicy,
+    all_pairs, all_pairs_csr, eval_node, joins_beat_labels, pairwise, pairwise_csr, plan_query,
+    relational_node, EvalCtx, PlanNode, QueryPlan,
 };
 pub use lazy::{lazy_counts, thread_expansions, EvalStrategy, LazyCounts, LazyEval};
 pub use matrix::StateMatrix;

@@ -103,10 +103,7 @@ pub struct EvalMeta {
     /// Candidate nodes the request ranged over (2 for pairwise,
     /// `|l1| + |l2|` for list modes).
     pub nodes_touched: usize,
-    /// Which evaluation strategy answered this request — always the
-    /// *resolved* choice ([`crate::EvalStrategy::Lazy`] or
-    /// [`crate::EvalStrategy::Materialized`], never `Auto`): the
-    /// requested mode is intent, this is fact.
+    /// Which engine answered this request, as the session picked it.
     pub strategy: crate::EvalStrategy,
     /// `(dfa_state, node)` product states the lazy engine expanded for
     /// this request; 0 for materialized evaluations.

@@ -7,10 +7,9 @@
 //! indexes in Section VII. [`Session`] makes that the shape of the API:
 //!
 //! * a `Session` owns an `Arc<`[`Specification`]`>` and two caches — a
-//!   **plan cache** keyed by the normalized regex (plus subquery
-//!   policy), and a **per-run [`TagIndex`] cache** keyed by run
-//!   identity — so repeated queries never recompile and repeated runs
-//!   never re-index;
+//!   **plan cache** keyed by the normalized regex, and a **per-run
+//!   [`TagIndex`] cache** keyed by run identity — so repeated queries
+//!   never recompile and repeated runs never re-index;
 //! * [`Session::prepare`] returns a [`PreparedQuery`], a cheaply
 //!   cloneable handle bundling the parsed regex, the compiled
 //!   [`QueryPlan`], its safety verdict and plan statistics;
@@ -54,7 +53,7 @@
 //! ```
 
 use crate::error::RpqError;
-use crate::general::{self, QueryPlan, SubqueryPolicy};
+use crate::general::{self, QueryPlan};
 use crate::lazy::{self, EvalStrategy, LazyEval};
 use crate::plan::SafeQueryPlan;
 use crate::request::{EvalMeta, IndexCacheUse, PlanKind, QueryOutcome, QueryRequest, QueryResult};
@@ -73,8 +72,6 @@ pub struct PlanStats {
     pub dfa_states: usize,
     /// Number of label-evaluated safe subqueries (1 for safe plans).
     pub n_safe_subqueries: usize,
-    /// The subquery-evaluation policy the plan was compiled with.
-    pub policy: SubqueryPolicy,
     /// Safe or composite evaluation strategy.
     pub kind: PlanKind,
     /// The Definition-13 safety verdict (see [`PreparedQuery::is_safe`]).
@@ -133,10 +130,8 @@ impl PreparedQuery {
     /// Is the query safe for the specification (Definition 13)?
     ///
     /// This is the *semantic* safety verdict, independent of how the
-    /// plan evaluates: it stays `true` for a safe query prepared under
-    /// [`SubqueryPolicy::AlwaysRelational`] (whose plan is composite by
-    /// construction) and for safe single-symbol leaves (which are
-    /// answered from the tag index regardless). Use
+    /// plan evaluates: it stays `true` for safe single-symbol leaves
+    /// (which are answered from the tag index regardless). Use
     /// [`PlanStats::kind`] for the evaluation strategy.
     pub fn is_safe(&self) -> bool {
         self.inner.stats.safe
@@ -284,15 +279,6 @@ impl<V: Clone> LruMap<V> {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    /// Normalized regex rendering — parsing runs the AST smart
-    /// constructors, so differently-spelled equivalent queries share
-    /// one entry.
-    canon: String,
-    policy: SubqueryPolicy,
-}
-
 /// A persistence hook for compiled safe plans.
 ///
 /// A session's in-memory plan cache dies with the process; stores
@@ -307,15 +293,15 @@ struct PlanKey {
 /// makes the session recompile, so a corrupt or mismatched persisted
 /// plan degrades to a cold compile, never a wrong answer.
 pub trait PlanStore: Send + Sync {
-    /// A previously persisted plan for `(canon, policy)`, already
-    /// validated and ready to evaluate, or `None` to recompile.
-    fn load(&self, canon: &str, policy: SubqueryPolicy) -> Option<SafeQueryPlan>;
+    /// A previously persisted plan for `canon`, already validated and
+    /// ready to evaluate, or `None` to recompile.
+    fn load(&self, canon: &str) -> Option<SafeQueryPlan>;
 
     /// Persist a freshly compiled fully-safe plan. `source` is the
     /// query's display rendering — re-parseable, so services can warm
     /// their session from persisted plans at startup. Best-effort: a
     /// failed write only costs a future recompile.
-    fn store(&self, canon: &str, source: &str, policy: SubqueryPolicy, plan: &SafeQueryPlan);
+    fn store(&self, canon: &str, source: &str, plan: &SafeQueryPlan);
 }
 
 /// A query session bound to one workflow specification.
@@ -326,7 +312,10 @@ pub trait PlanStore: Send + Sync {
 /// service-style deployments the roadmap targets).
 pub struct Session {
     spec: Arc<Specification>,
-    plans: Mutex<HashMap<PlanKey, PreparedQuery>>,
+    /// Prepared queries keyed by the normalized regex rendering —
+    /// parsing runs the AST smart constructors, so differently-spelled
+    /// equivalent queries share one entry.
+    plans: Mutex<HashMap<String, PreparedQuery>>,
     /// Durable tier under the in-memory plan cache; see [`PlanStore`].
     plan_store: Option<Arc<dyn PlanStore>>,
     indexes: Mutex<LruMap<Arc<TagIndex>>>,
@@ -448,38 +437,20 @@ impl Session {
         })?)
     }
 
-    /// Prepare a query with the default (cost-based) subquery policy.
+    /// Prepare a query: parse, check safety and plan it.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery, RpqError> {
-        self.prepare_with(text, SubqueryPolicy::CostBased)
-    }
-
-    /// Prepare a query with an explicit subquery-evaluation policy.
-    pub fn prepare_with(
-        &self,
-        text: &str,
-        policy: SubqueryPolicy,
-    ) -> Result<PreparedQuery, RpqError> {
         let regex = self.parse(text)?;
-        self.prepare_cached(|| text.to_owned(), &regex, policy)
+        self.prepare_cached(|| text.to_owned(), &regex)
     }
 
-    /// Prepare an already-parsed regex (default policy).
+    /// Prepare an already-parsed regex.
     pub fn prepare_regex(&self, regex: &Regex) -> Result<PreparedQuery, RpqError> {
-        self.prepare_regex_with(regex, SubqueryPolicy::CostBased)
-    }
-
-    /// Prepare an already-parsed regex with an explicit policy.
-    pub fn prepare_regex_with(
-        &self,
-        regex: &Regex,
-        policy: SubqueryPolicy,
-    ) -> Result<PreparedQuery, RpqError> {
         let source = || {
             regex
                 .display_with(&|s| self.spec.tag_name(rpq_grammar::Tag(s.0)).to_owned())
                 .to_string()
         };
-        self.prepare_cached(source, regex, policy)
+        self.prepare_cached(source, regex)
     }
 
     /// `source` is rendered only on a cache miss.
@@ -487,15 +458,11 @@ impl Session {
         &self,
         source: impl FnOnce() -> String,
         regex: &Regex,
-        policy: SubqueryPolicy,
     ) -> Result<PreparedQuery, RpqError> {
         // Stage-timed when a trace frame is open (a cache hit is still
         // a `plan` stage — just a very short one).
         let _plan_span = rpq_obs::Trace::span("plan");
-        let key = PlanKey {
-            canon: format!("{regex:?}"),
-            policy,
-        };
+        let key = format!("{regex:?}");
         if let Some(prepared) = self.plans.lock().expect("plan cache lock").get(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(prepared.clone());
@@ -507,49 +474,38 @@ impl Session {
         let dfa = Arc::new(compile_minimal_dfa(regex, self.spec.n_tags()));
         let dfa_states = dfa.n_states();
         let source = source();
-        let plan = match policy {
-            // The naive policy plans without safety analysis.
-            SubqueryPolicy::AlwaysRelational => {
-                general::plan_query_with(&self.spec, regex, policy)?
-            }
-            // Fully-safe plans have a durable tier: a persisted plan
-            // (validated by the store) skips the safety analysis and
-            // port-graph closure computation; a fresh compile that
-            // lands fully safe is handed back for persistence. Leaf
-            // queries never compile safe plans, so they skip the tier.
-            _ if self.plan_store.is_some() && !general::is_leaf(regex) => {
-                let store = self.plan_store.as_ref().expect("checked above");
-                match store.load(&key.canon, policy) {
-                    Some(plan) => QueryPlan::Safe(plan),
-                    None => {
-                        let plan = general::plan_query_with_dfa(&self.spec, regex, policy, &dfa)?;
-                        if let QueryPlan::Safe(safe) = &plan {
-                            store.store(&key.canon, &source, policy, safe);
-                        }
-                        plan
+        // Fully-safe plans have a durable tier: a persisted plan
+        // (validated by the store) skips the safety analysis and
+        // port-graph closure computation; a fresh compile that lands
+        // fully safe is handed back for persistence. Leaf queries never
+        // compile safe plans, so they skip the tier.
+        let plan = match &self.plan_store {
+            Some(store) if !general::is_leaf(regex) => match store.load(&key) {
+                Some(plan) => QueryPlan::Safe(plan),
+                None => {
+                    let plan = general::plan_query_with_dfa(&self.spec, regex, &dfa)?;
+                    if let QueryPlan::Safe(safe) = &plan {
+                        store.store(&key, &source, safe);
                     }
+                    plan
                 }
-            }
-            _ => general::plan_query_with_dfa(&self.spec, regex, policy, &dfa)?,
+            },
+            _ => general::plan_query_with_dfa(&self.spec, regex, &dfa)?,
         };
         // Definition-13 safety is a property of the query, not of the
-        // chosen plan: a non-leaf plan under a label-aware policy
-        // settles it, but naive plans (always composite) and index-
-        // answered leaves need an explicit probe — the verdict alone,
-        // no plan is built to read it.
+        // chosen plan: a non-leaf plan settles it, but index-answered
+        // leaves need an explicit probe — the verdict alone, no plan is
+        // built to read it.
         let safe = match &plan {
             QueryPlan::Safe(_) => true,
-            QueryPlan::Composite(..)
-                if policy == SubqueryPolicy::AlwaysRelational || general::is_leaf(regex) =>
-            {
+            QueryPlan::Composite(_) if general::is_leaf(regex) => {
                 SafeQueryPlan::check(&self.spec, &dfa).is_ok()
             }
-            QueryPlan::Composite(..) => false,
+            QueryPlan::Composite(_) => false,
         };
         let stats = PlanStats {
             dfa_states,
             n_safe_subqueries: plan.n_safe_subqueries(),
-            policy,
             kind: if plan.is_safe() {
                 PlanKind::Safe
             } else {
@@ -729,37 +685,45 @@ impl Session {
     /// Answer `request` for `query` over `run`.
     ///
     /// Safe plans never touch the tag index; composite plans fetch it
-    /// from the per-run cache (building it at most once per run).
-    /// The cost model picks the evaluation strategy per request
-    /// ([`EvalStrategy::Auto`]); use [`Session::evaluate_with_strategy`]
-    /// to name one.
+    /// from the per-run cache (building it at most once per run). The
+    /// session picks the engine per request: the lazy product search
+    /// (the query DFA composed with the run's CSR arena on the fly)
+    /// when a shape-only cost model predicts it cheaper, and always
+    /// where labels do not describe the run; the materialized
+    /// relational/label plan otherwise. Safe plans on sound runs always
+    /// evaluate materialized — label decoding is already constant-time
+    /// per pair, so a product search could only lose.
     pub fn evaluate(
         &self,
         query: &PreparedQuery,
         run: &Run,
         request: &QueryRequest,
     ) -> QueryOutcome {
-        self.evaluate_with_strategy(query, run, request, EvalStrategy::Auto)
+        self.evaluate_on(query, run, request, None)
     }
 
-    /// [`Session::evaluate`] with an explicit evaluation strategy:
-    /// `Lazy` composes the query DFA with the run's CSR arena on the
-    /// fly (frontier-bound product search), `Materialized` runs the
-    /// compiled relational/label plan, and `Auto` picks per request
-    /// with a shape-only cost model (see [`crate::lazy`]).
-    ///
-    /// Under `Auto`, safe plans always evaluate materialized — label
-    /// decoding is already constant-time per pair, so a product search
-    /// could only lose. Forcing `Lazy` overrides that and runs the
-    /// product search regardless of plan kind (the DFA alone defines
-    /// the query language), which is what the differential test suite
-    /// leans on.
-    pub fn evaluate_with_strategy(
+    /// Test hook: [`Session::evaluate`] on a named engine, so the
+    /// differential suites can compare the two engines on every request
+    /// mode. A run whose labels are unsound still goes lazy. Not part
+    /// of the API; nothing outside tests and test-support benches
+    /// calls it.
+    #[doc(hidden)]
+    pub fn evaluate_forced(
         &self,
         query: &PreparedQuery,
         run: &Run,
         request: &QueryRequest,
-        strategy: EvalStrategy,
+        engine: EvalStrategy,
+    ) -> QueryOutcome {
+        self.evaluate_on(query, run, request, Some(engine))
+    }
+
+    fn evaluate_on(
+        &self,
+        query: &PreparedQuery,
+        run: &Run,
+        request: &QueryRequest,
+        forced: Option<EvalStrategy>,
     ) -> QueryOutcome {
         self.assert_owns(query);
         // Open a trace frame for this evaluation: the artifact lookups
@@ -770,13 +734,11 @@ impl Session {
         // around this call is unaffected.
         rpq_obs::Trace::begin();
         // Where labels are unsound the product search reads the edge
-        // lists as they actually are and takes over regardless of the
-        // requested strategy.
+        // lists as they actually are and takes over regardless.
         let use_lazy = labels_unsound(query, run)
-            || match strategy {
-                EvalStrategy::Lazy => true,
-                EvalStrategy::Materialized => false,
-                EvalStrategy::Auto => self.auto_picks_lazy(query, run, request),
+            || match forced {
+                Some(engine) => engine == EvalStrategy::Lazy,
+                None => self.auto_picks_lazy(query, run, request),
             };
         lazy::record_strategy(use_lazy);
         if use_lazy {
@@ -860,7 +822,7 @@ impl Session {
         }
     }
 
-    /// The `Auto` strategy's per-request choice. Deliberately
+    /// The session's per-request engine choice. Deliberately
     /// shape-only — it reads the run's node/edge counts and the plan's
     /// DFA size, never the tag index — so choosing a strategy can't
     /// perturb the session's index-cache hit/miss accounting.
@@ -895,7 +857,7 @@ impl Session {
         // count, not the raw event count. The two differ on stores
         // whose histories re-append existing edges (live streams
         // routinely do); charging the raw forward count there
-        // over-priced the reversed walk and flipped `auto` to
+        // over-priced the reversed walk and flipped the choice to
         // materialized on exactly the append-heavy runs where the
         // backward search is cheapest. Forward modes keep the raw
         // count: it is the conservative bound that holds full-universe
@@ -1010,7 +972,8 @@ impl Session {
             .expect("pairwise outcome")
     }
 
-    /// Convenience: all-pairs result set.
+    /// All-pairs result set: `evaluate(.., AllPairs(l1, l2))`'s pairs,
+    /// answered by the engine `evaluate` would pick.
     pub fn all_pairs(
         &self,
         query: &PreparedQuery,
@@ -1018,25 +981,13 @@ impl Session {
         l1: &[NodeId],
         l2: &[NodeId],
     ) -> NodePairSet {
-        self.assert_owns(query);
-        // Borrowed-slice fast path: skips the Vec copies a
-        // `QueryRequest::AllPairs` would require.
-        let (index, csr) = match &query.inner.plan {
-            QueryPlan::Safe(_) => (None, None),
-            QueryPlan::Composite(..) => {
-                let index = self.index_for(run).0;
-                let csr = self.csr_if_useful(run, &index, &query.inner.plan);
-                (Some(index), csr)
-            }
-        };
-        self.all_pairs_inner(
-            &query.inner.plan,
-            run,
-            index.as_deref(),
-            csr.as_deref(),
-            l1,
-            l2,
-        )
+        match self
+            .evaluate(query, run, &QueryRequest::all_pairs(l1, l2))
+            .result
+        {
+            QueryResult::Pairs(pairs) => pairs,
+            _ => unreachable!("all-pairs requests produce pairs"),
+        }
     }
 
     /// A prepared query carries λ matrices and tag ids compiled for
@@ -1111,11 +1062,6 @@ mod tests {
         assert_eq!(session.stats().plan_hits, 1);
         // Same underlying plan object.
         assert!(Arc::ptr_eq(&q1.inner, &q2.inner));
-        // A different policy is a different cache entry.
-        session
-            .prepare_with("go+ base _*", SubqueryPolicy::AlwaysLabels)
-            .unwrap();
-        assert_eq!(session.stats().plan_misses, 2);
     }
 
     #[test]
@@ -1133,14 +1079,14 @@ mod tests {
         // Forced materialized: the per-evaluation index-cache contract
         // is the subject (the lazy product search only touches the
         // index cache while building a missing CSR arena).
-        let o1 = session.evaluate_with_strategy(
+        let o1 = session.evaluate_forced(
             &q_go,
             &run,
             &QueryRequest::all_pairs(all.clone(), all.clone()),
             EvalStrategy::Materialized,
         );
         assert_eq!(o1.meta.index_cache, IndexCacheUse::Miss);
-        let o2 = session.evaluate_with_strategy(
+        let o2 = session.evaluate_forced(
             &q_base,
             &run,
             &QueryRequest::all_pairs(all.clone(), all),
@@ -1161,26 +1107,25 @@ mod tests {
             .target_edges(60)
             .build()
             .unwrap();
-        // A relationally-planned star closes over an index leaf: the
-        // arena is built on first evaluation, cached on the second.
-        // (Forced materialized: this test pins the relational path's
-        // artifact accounting, which `Auto` would route around here.)
-        let q = session
-            .prepare_with("go+", SubqueryPolicy::AlwaysRelational)
-            .unwrap();
+        // `go+ base` is unsafe; its safe `go+` part is cheaper as a
+        // join on this small run, and that lowering closes over an
+        // index leaf: the arena is built on first evaluation, cached on
+        // the second. (Forced materialized: this test pins the
+        // relational path's artifact accounting.)
+        let q = session.prepare("go+ base").unwrap();
         let entry = run.entry();
         let star = QueryRequest::source_star(entry);
         let forced = EvalStrategy::Materialized;
-        session.evaluate_with_strategy(&q, &run, &star, forced);
+        session.evaluate_forced(&q, &run, &star, forced);
         assert_eq!(session.stats().csr_misses, 1);
-        session.evaluate_with_strategy(&q, &run, &star, forced);
+        session.evaluate_forced(&q, &run, &star, forced);
         assert_eq!(session.stats().csr_hits, 1);
         assert_eq!(session.stats().csr_misses, 1);
         // One index interaction per evaluation, not two.
         assert_eq!(session.stats().index_misses + session.stats().index_hits, 2);
         // Eviction drops the arena with the index.
         session.clear_run_cache();
-        session.evaluate_with_strategy(&q, &run, &star, forced);
+        session.evaluate_forced(&q, &run, &star, forced);
         assert_eq!(session.stats().csr_misses, 2);
     }
 
@@ -1192,18 +1137,16 @@ mod tests {
             .target_edges(60)
             .build()
             .unwrap();
-        let q = session
-            .prepare_with("go+", SubqueryPolicy::AlwaysRelational)
-            .unwrap();
+        let q = session.prepare("go+ base").unwrap();
         let entry = run.entry();
         let star = QueryRequest::source_star(entry);
         // Forced materialized throughout: closure counters are a
-        // relational-path fact, and `Auto` would pick lazy here.
+        // relational-path fact.
         let forced = EvalStrategy::Materialized;
         // A small run with a handful of `go` edges is a shape the
-        // dispatch condenses: the one closure of `go+` runs scc and the
-        // meta says so.
-        let outcome = session.evaluate_with_strategy(&q, &run, &star, forced);
+        // dispatch condenses: the one closure of the lowered `go+` runs
+        // scc and the meta says so.
+        let outcome = session.evaluate_forced(&q, &run, &star, forced);
         assert_eq!(outcome.meta.closures.scc, 1, "{:?}", outcome.meta.closures);
         assert_eq!(outcome.meta.closures.total(), 1);
         assert_eq!(outcome.meta.strategy, EvalStrategy::Materialized);
@@ -1222,17 +1165,14 @@ mod tests {
             .target_edges(60)
             .build()
             .unwrap();
-        // Three distinct closures in one plan, alternated so every
-        // branch evaluates (a concat chain short-circuits on empty
-        // intermediates, and repeated subqueries are deduplicated by
-        // plan compilation): Tarjan runs once over the run's full
-        // adjacency, the other two closures — the wildcard one
-        // included — reuse the cached component DAG.
-        let q = session
-            .prepare_with("go+ | done+ | _+", SubqueryPolicy::AlwaysRelational)
-            .unwrap();
+        // Three distinct closures in one plan (the lowered `go+`,
+        // `done+` and `_+`), alternated so every branch evaluates:
+        // Tarjan runs once over the run's full adjacency, the other two
+        // closures — the wildcard one included — reuse the cached
+        // component DAG.
+        let q = session.prepare("go+ base | base done+ | _+ go _*").unwrap();
         let star = QueryRequest::source_star(run.entry());
-        let outcome = session.evaluate_with_strategy(&q, &run, &star, EvalStrategy::Materialized);
+        let outcome = session.evaluate_forced(&q, &run, &star, EvalStrategy::Materialized);
         assert_eq!(outcome.meta.closures.scc, 3, "{:?}", outcome.meta.closures);
         assert_eq!(
             outcome.meta.condensations.computed, 1,
@@ -1246,11 +1186,11 @@ mod tests {
         );
         // The cache is evaluation-scoped: a fresh evaluation condenses
         // afresh (and reuses again), it does not inherit the last one.
-        let outcome = session.evaluate_with_strategy(&q, &run, &star, EvalStrategy::Materialized);
+        let outcome = session.evaluate_forced(&q, &run, &star, EvalStrategy::Materialized);
         assert_eq!(outcome.meta.condensations.computed, 1);
         assert_eq!(outcome.meta.condensations.reused, 2);
         // Lazy evaluations never condense.
-        let outcome = session.evaluate_with_strategy(&q, &run, &star, EvalStrategy::Lazy);
+        let outcome = session.evaluate_forced(&q, &run, &star, EvalStrategy::Lazy);
         assert_eq!(
             outcome.meta.condensations,
             rpq_relalg::CondensationCounts::default()
@@ -1260,16 +1200,16 @@ mod tests {
     #[test]
     fn target_star_auto_boundary_charges_the_transposed_arena() {
         // Regression: the reversed-DFA `TargetStar` search walks the
-        // deduplicated transposed arenas, so `auto` must charge it the
+        // deduplicated transposed arenas, so the session must charge it the
         // run's distinct-triple count — not the raw event count, which
         // a live stream re-appending existing edges inflates
         // arbitrarily. Forward modes keep the conservative raw charge,
         // so the two sides of the decision boundary diverge on exactly
         // such runs.
         let session = Session::from_spec(spec());
-        let q = session
-            .prepare_with("go+", SubqueryPolicy::AlwaysRelational)
-            .unwrap();
+        // Unsafe, two DFA states, and its `_*` part may lower to a
+        // closure over the wildcard leaf: a plan the session weighs.
+        let q = session.prepare("_* go _*").unwrap();
         let mut run = RunBuilder::new(session.spec())
             .seed(4)
             .target_edges(60)
@@ -1322,9 +1262,9 @@ mod tests {
         let target = QueryRequest::target_star(run.exit());
         assert!(session.auto_picks_lazy(&q, &run, &target));
         assert!(!session.auto_picks_lazy(&q, &run, &QueryRequest::source_star(run.entry())));
-        // End to end: `Auto` resolves — and reports — lazy for the
+        // End to end: the session picks — and reports — lazy for the
         // backward search on this run.
-        let outcome = session.evaluate_with_strategy(&q, &run, &target, EvalStrategy::Auto);
+        let outcome = session.evaluate(&q, &run, &target);
         assert_eq!(outcome.meta.strategy, EvalStrategy::Lazy);
     }
 
@@ -1364,7 +1304,7 @@ mod tests {
         // Forced materialized: the claim is about the label-decoding
         // safe plan, which needs no per-run artifact at all; a forced
         // lazy evaluation would legitimately build the CSR arena.
-        let outcome = session.evaluate_with_strategy(
+        let outcome = session.evaluate_forced(
             &q,
             &run,
             &QueryRequest::pairwise(run.entry(), run.exit()),
@@ -1408,9 +1348,7 @@ mod tests {
             .target_edges(80)
             .build()
             .unwrap();
-        let q = session
-            .prepare_with("go+ base _*", SubqueryPolicy::AlwaysRelational)
-            .unwrap();
+        let q = session.prepare("go+ base _*").unwrap();
         let all: Vec<NodeId> = run.node_ids().collect();
         let requests = [
             QueryRequest::entry_exit(),
@@ -1421,8 +1359,8 @@ mod tests {
             QueryRequest::reachable(run.entry()),
         ];
         for request in &requests {
-            let lazy = session.evaluate_with_strategy(&q, &run, request, EvalStrategy::Lazy);
-            let mat = session.evaluate_with_strategy(&q, &run, request, EvalStrategy::Materialized);
+            let lazy = session.evaluate_forced(&q, &run, request, EvalStrategy::Lazy);
+            let mat = session.evaluate_forced(&q, &run, request, EvalStrategy::Materialized);
             assert_eq!(lazy.result, mat.result, "{request:?}");
             assert_eq!(lazy.meta.strategy, EvalStrategy::Lazy);
             assert_eq!(mat.meta.strategy, EvalStrategy::Materialized);

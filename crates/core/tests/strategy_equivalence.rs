@@ -1,9 +1,11 @@
-//! Differential property tests for the evaluation strategies: the lazy
+//! Differential property tests for the two evaluation engines: the lazy
 //! product-graph engine must agree **byte-identically** with the
-//! materialized relational pipeline (and with the auto cost model,
-//! whichever side it picks) on every request mode, under both subquery
-//! policies, and across run shapes from plain acyclic simulations to
-//! deep recursive unfoldings and streamed-in cyclic / multi-SCC graphs.
+//! materialized relational pipeline (and with the session's own pick,
+//! whichever side it takes) on every request mode, for safe and
+//! composite plans, and across run shapes from plain acyclic
+//! simulations to deep recursive unfoldings and streamed-in cyclic /
+//! multi-SCC graphs. The engines are forced through the session's
+//! hidden test hook, `Session::evaluate_forced`.
 //!
 //! The referee is test-local and deliberately primitive: one DFS per
 //! source over the product space `(dfa_state, node)`, reading
@@ -15,7 +17,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rpq_automata::Symbol;
-use rpq_core::{EvalStrategy, PreparedQuery, QueryRequest, QueryResult, Session, SubqueryPolicy};
+use rpq_core::{EvalStrategy, PlanKind, PreparedQuery, QueryRequest, QueryResult, Session};
 use rpq_labeling::{NodeId, Run};
 use rpq_workloads::runs::with_back_edges;
 
@@ -99,12 +101,10 @@ fn expected(request: &QueryRequest, pairs: &BTreeSet<(NodeId, NodeId)>, run: &Ru
 }
 
 /// Every request mode, probed from the entry, the exit, and two
-/// interior nodes — each answered under all three strategies and
-/// pinned to the referee relation.
-fn assert_differential(session: &Session, query_text: &str, policy: SubqueryPolicy, run: &Run) {
-    let query = session
-        .prepare_with(query_text, policy)
-        .expect("query prepares");
+/// interior nodes — each answered by both engines and by the session's
+/// own pick, and pinned to the referee relation.
+fn assert_differential(session: &Session, query_text: &str, run: &Run) {
+    let query = session.prepare(query_text).expect("query prepares");
     let pairs = referee_pairs(&query, run);
     let nodes: Vec<NodeId> = run.node_ids().collect();
     let mid = nodes[nodes.len() / 2];
@@ -124,22 +124,22 @@ fn assert_differential(session: &Session, query_text: &str, policy: SubqueryPoli
         QueryRequest::Reachable(mid),
     ];
     for request in &requests {
-        let lazy = session.evaluate_with_strategy(&query, run, request, EvalStrategy::Lazy);
+        let lazy = session.evaluate_forced(&query, run, request, EvalStrategy::Lazy);
         let materialized =
-            session.evaluate_with_strategy(&query, run, request, EvalStrategy::Materialized);
-        let auto = session.evaluate_with_strategy(&query, run, request, EvalStrategy::Auto);
+            session.evaluate_forced(&query, run, request, EvalStrategy::Materialized);
+        let picked = session.evaluate(&query, run, request);
         assert_eq!(
             lazy.result, materialized.result,
-            "{query_text} [{policy:?}] {request:?}: lazy and materialized disagree"
+            "{query_text} {request:?}: lazy and materialized disagree"
         );
         assert_eq!(
-            auto.result, materialized.result,
-            "{query_text} [{policy:?}] {request:?}: auto disagrees with materialized"
+            picked.result, materialized.result,
+            "{query_text} {request:?}: the session's pick disagrees with materialized"
         );
         assert_eq!(
             canon(&lazy.result),
             expected(request, &pairs, run),
-            "{query_text} [{policy:?}] {request:?}: engines disagree with the product-DFS referee"
+            "{query_text} {request:?}: engines disagree with the product-DFS referee"
         );
     }
 }
@@ -147,6 +147,10 @@ fn assert_differential(session: &Session, query_text: &str, policy: SubqueryPoli
 const FIG2_QUERIES: &[&str] = &["_*", "_+", "_* a _*", "(a | e)+", "a* e a*"];
 const FORK_QUERIES: &[&str] = &["_*", "fork*", "fork* join", "_* join"];
 const CYCLE_QUERIES: &[&str] = &["_*", "_+", "_* ab _*", "(ab | ba)+"];
+/// Fig. 2 queries the planner decomposes: their safe parts either
+/// decode labels or, when the cost rule says joins are cheaper, lower
+/// to relational closures — the materialized side runs both.
+const FIG2_COMPOSITE_QUERIES: &[&str] = &["_* a _*", "a _*", "_* a _* a _*", "(a _*)+ e"];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
@@ -158,19 +162,20 @@ proptest! {
         let session = Session::from_spec(rpq_workloads::paper_examples::fig2_spec());
         let run = rpq_workloads::runs::simulate(session.spec(), edges, seed).expect("derivable");
         for query in FIG2_QUERIES {
-            assert_differential(&session, query, SubqueryPolicy::CostBased, &run);
+            assert_differential(&session, query, &run);
         }
     }
 
-    /// The same corpus forced down the relational pipeline, so the
-    /// materialized side exercises composite plans even for queries the
-    /// cost model would answer from the tag index.
+    /// The same corpus on queries the planner decomposes, so the
+    /// materialized side exercises composite plans.
     #[test]
-    fn strategies_agree_under_forced_relational_plans(seed in 0u64..64, edges in 30usize..120) {
+    fn strategies_agree_on_composite_plans(seed in 0u64..64, edges in 30usize..120) {
         let session = Session::from_spec(rpq_workloads::paper_examples::fig2_spec());
         let run = rpq_workloads::runs::simulate(session.spec(), edges, seed).expect("derivable");
-        for query in &["_*", "_* a _*", "(a | e)+"] {
-            assert_differential(&session, query, SubqueryPolicy::AlwaysRelational, &run);
+        for query in FIG2_COMPOSITE_QUERIES {
+            let kind = session.prepare(query).expect("query prepares").stats().kind;
+            prop_assert_eq!(kind, PlanKind::Composite, "{}", query);
+            assert_differential(&session, query, &run);
         }
     }
 
@@ -184,7 +189,7 @@ proptest! {
         let run = rpq_workloads::runs::simulate_fork(session.spec(), 0, edges, seed)
             .expect("fork spec derives");
         for query in FORK_QUERIES {
-            assert_differential(&session, query, SubqueryPolicy::CostBased, &run);
+            assert_differential(&session, query, &run);
         }
     }
 }
@@ -199,9 +204,8 @@ fn strategies_agree_on_cyclic_and_multi_scc_runs() {
         let base = rpq_workloads::runs::simulate(session.spec(), 110, seed).expect("derivable");
         let run = with_back_edges(&base, every);
         assert!(!run.is_acyclic(), "back-edges must create cycles");
-        for query in FIG2_QUERIES {
-            assert_differential(&session, query, SubqueryPolicy::CostBased, &run);
-            assert_differential(&session, query, SubqueryPolicy::AlwaysRelational, &run);
+        for query in FIG2_QUERIES.iter().chain(FIG2_COMPOSITE_QUERIES) {
+            assert_differential(&session, query, &run);
         }
     }
 }
@@ -214,7 +218,7 @@ fn strategies_agree_on_deep_two_phase_chains() {
     for seed in [1u64, 9, 23] {
         let run = rpq_workloads::runs::simulate(session.spec(), 160, seed).expect("derivable");
         for query in CYCLE_QUERIES {
-            assert_differential(&session, query, SubqueryPolicy::CostBased, &run);
+            assert_differential(&session, query, &run);
         }
     }
 }

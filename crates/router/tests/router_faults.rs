@@ -630,6 +630,40 @@ fn corrupted_artifacts_rebuild_instead_of_corrupting_answers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The router forwards `QuerySpec.policy` / `strategy` untouched:
+/// empty fields are answered byte-identically, a value comes back as
+/// the backend's typed `invalid` refusal, and the connection stays
+/// usable.
+#[test]
+fn evaluation_overrides_are_refused_through_the_router() {
+    let fleet = Fleet::start("overrides", false, true);
+    let mut client = fleet.client();
+    let (query, mode) = (QUERIES[3], WireMode::AllPairsFull);
+    assert_eq!(
+        fleet.routed(&mut client, 0, query, &mode),
+        fleet.expected(0, query, &mode)
+    );
+    let (hi, lo) = fleet.runs[0].fingerprint();
+    for (policy, strategy, field) in [("naive", "", "policy"), ("", "lazy", "strategy")] {
+        let request = WireRequest::Query(QuerySpec {
+            query: query.to_owned(),
+            policy: policy.to_owned(),
+            strategy: strategy.to_owned(),
+            stages: false,
+            run: RunAddr::Fingerprint(hi, lo),
+            mode: mode.clone(),
+        });
+        match client.request(&request).unwrap() {
+            WireResponse::Error { kind, message } => {
+                assert_eq!(kind, "invalid", "{message}");
+                assert!(message.contains(&format!("QuerySpec.{field}")), "{message}");
+            }
+            other => panic!("expected an error response, got {other:?}"),
+        }
+        client.ping().unwrap();
+    }
+}
+
 /// One long-lived faulted fleet for the property: built once, queried
 /// under a randomized schedule of proxy faults.
 fn shared_fleet() -> &'static Fleet {

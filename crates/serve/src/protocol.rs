@@ -58,7 +58,9 @@ pub const MAGIC: [u8; 4] = *b"RPQN";
 /// [`WireStatsReply::plan_rebuilds`]; v8 removed what only the deleted
 /// process-wide mode switches fed — the `kernel` field of
 /// [`WireOutcome`] and [`WireSlowQuery`], and
-/// `WireStatsReply::config_warnings`.)
+/// `WireStatsReply::config_warnings`. Since then the server refuses a
+/// non-empty [`QuerySpec::policy`] or [`QuerySpec::strategy`]; the
+/// fields stay in the v8 frame, so the version did not move.)
 pub const VERSION: u8 = 8;
 
 /// Hard cap on one frame's payload (64 MiB) — bounds the allocation a
@@ -136,11 +138,14 @@ impl WireMode {
 pub struct QuerySpec {
     /// The regular path query text (server-side parsed and plan-cached).
     pub query: String,
-    /// Subquery policy by CLI name (`cost` / `memo` / `naive`); empty
-    /// means the server's default.
+    /// Must be empty. The server chooses how a query is planned; a
+    /// non-empty value is refused with [`RpqError::Invalid`]. The field
+    /// stays in the frame so older clients' frames still decode.
     pub policy: String,
-    /// Evaluation strategy by CLI name (`auto` / `lazy` /
-    /// `materialized`); empty means `auto` — the cost model picks.
+    /// Must be empty. The server chooses the evaluation engine per
+    /// request; a non-empty value is refused with [`RpqError::Invalid`].
+    /// The field stays in the frame so older clients' frames still
+    /// decode.
     pub strategy: String,
     /// Which stored run to evaluate over.
     pub run: RunAddr,
@@ -152,6 +157,22 @@ pub struct QuerySpec {
     pub stages: bool,
     /// The evaluation mode.
     pub mode: WireMode,
+}
+
+impl QuerySpec {
+    /// Refuse a frame that names a policy or strategy: the server
+    /// chooses both, and ignoring the request silently would hide that.
+    pub(crate) fn check_no_override(&self) -> Result<(), RpqError> {
+        for (field, value) in [("policy", &self.policy), ("strategy", &self.strategy)] {
+            if !value.is_empty() {
+                return Err(RpqError::invalid(format!(
+                    "QuerySpec.{field} must be empty, got {value:?}: the server chooses \
+                     how each query is evaluated"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A client request.
@@ -302,8 +323,8 @@ pub struct WireOutcome {
     pub condensations_reused: u64,
     /// Candidate nodes the request ranged over.
     pub nodes_touched: u64,
-    /// `lazy` or `materialized` — the *resolved* evaluation strategy
-    /// that answered (an `auto` request reports what auto picked).
+    /// `lazy` or `materialized` — the evaluation engine the server
+    /// picked for this request.
     pub strategy: String,
     /// `(dfa_state, node)` product states the lazy engine expanded;
     /// 0 for materialized evaluations.

@@ -29,7 +29,7 @@ use crate::protocol::{
     QuerySpec, RunAddr, WireAppended, WireMetricsReply, WireOutcome, WireRequest, WireResponse,
     WireResult, WireRunInfo, WireStatsReply,
 };
-use rpq_core::{EvalStrategy, PreparedQuery, RpqError, Session, SubqueryPolicy};
+use rpq_core::{PreparedQuery, RpqError, Session};
 use rpq_labeling::EventBatch;
 use rpq_obs::{Counter, Histogram, MetricsSnapshot, Registry, SlowLog, SlowQuery};
 use rpq_store::{OpenRun, RunId, RunStore};
@@ -52,8 +52,6 @@ pub struct ServeConfig {
     pub queue: usize,
     /// LRU bound for the session and store caches (`None` = unbounded).
     pub cache: Option<usize>,
-    /// Default subquery policy for requests that don't name one.
-    pub policy: SubqueryPolicy,
     /// Idle keep-alive bound: a connection that sends no request for
     /// this long is closed cleanly. Idle connections are parked with
     /// the readiness poller (they pin no worker); this bounds how long
@@ -94,7 +92,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue: 64,
             cache: None,
-            policy: SubqueryPolicy::CostBased,
             idle_timeout: Duration::from_secs(60),
             deadline: Duration::from_secs(30),
             chunk_entries: 65_536,
@@ -189,7 +186,6 @@ pub struct Server {
     store: Arc<RunStore>,
     session: Arc<Session>,
     cache: Option<usize>,
-    policy: SubqueryPolicy,
     registry: Arc<Registry>,
     counters: Counters,
     slow_log: SlowLog,
@@ -251,7 +247,6 @@ impl Server {
             store,
             session: Arc::new(session),
             cache: config.cache,
-            policy: config.policy,
             registry,
             counters,
             slow_log,
@@ -302,8 +297,8 @@ impl Server {
         // Pull persisted plans through the store tier into the session
         // cache. Best-effort: a plan whose query no longer parses (or
         // whose persisted bytes fail validation) recompiles on demand.
-        for (source, policy) in self.store.persisted_plans() {
-            let _ = self.session.prepare_with(&source, policy);
+        for source in self.store.persisted_plans() {
+            let _ = self.session.prepare(&source);
         }
         Ok(warmed)
     }
@@ -368,45 +363,12 @@ impl Server {
     /// The untimed body of [`Server::evaluate`] — separated so the
     /// trace frame opened around it is always closed, even on `?` exits.
     fn evaluate_inner(&self, spec: &QuerySpec) -> Result<rpq_core::QueryOutcome, RpqError> {
-        let policy = self.resolve_policy(spec)?;
-        let strategy = self.resolve_strategy(spec)?;
+        spec.check_no_override()?;
         let id = self.resolve(&spec.run)?;
         let run = self.store.run(id)?;
         let request = spec.mode.to_request(&run)?;
-        let query = self.session.prepare_with(&spec.query, policy)?;
-        Ok(self
-            .session
-            .evaluate_with_strategy(&query, &run, &request, strategy))
-    }
-
-    /// The request's subquery policy, or the server default when the
-    /// spec leaves it empty.
-    fn resolve_policy(&self, spec: &QuerySpec) -> Result<SubqueryPolicy, RpqError> {
-        if spec.policy.is_empty() {
-            return Ok(self.policy);
-        }
-        SubqueryPolicy::from_cli_name(&spec.policy).ok_or_else(|| {
-            RpqError::invalid(format!(
-                "invalid policy {:?}: valid policies are {}",
-                spec.policy,
-                SubqueryPolicy::NAMES.join(", ")
-            ))
-        })
-    }
-
-    /// The request's evaluation strategy; an empty field lets the cost
-    /// model pick ([`EvalStrategy::Auto`]).
-    fn resolve_strategy(&self, spec: &QuerySpec) -> Result<EvalStrategy, RpqError> {
-        if spec.strategy.is_empty() {
-            return Ok(EvalStrategy::Auto);
-        }
-        EvalStrategy::from_name(&spec.strategy).ok_or_else(|| {
-            RpqError::invalid(format!(
-                "invalid strategy {:?}: valid strategies are {}",
-                spec.strategy,
-                EvalStrategy::NAMES.join(", ")
-            ))
-        })
+        let query = self.session.prepare(&spec.query)?;
+        Ok(self.session.evaluate(&query, &run, &request))
     }
 
     /// Record one evaluated query into the registry (latency and
@@ -515,10 +477,7 @@ impl Server {
         snap: &rpq_store::LiveSnapshot,
     ) -> Result<WireResult, RpqError> {
         let request = spec.mode.to_request(&snap.run)?;
-        let strategy = self.resolve_strategy(spec)?;
-        let outcome = self
-            .session
-            .evaluate_with_strategy(query, &snap.run, &request, strategy);
+        let outcome = self.session.evaluate(query, &snap.run, &request);
         Ok(WireResult::from_result(&outcome.result))
     }
 
@@ -532,13 +491,10 @@ impl Server {
         // Stand the query up. Any setup failure is an ordinary error
         // response and the connection stays in request/response mode.
         let stood = (|| {
-            let policy = self.resolve_policy(&spec)?;
-            // Validate now so a bad strategy name fails the subscribe,
-            // not the first delta push.
-            self.resolve_strategy(&spec)?;
+            spec.check_no_override()?;
             let id = self.resolve(&spec.run)?;
             let open = self.open(id)?;
-            let query = self.session.prepare_with(&spec.query, policy)?;
+            let query = self.session.prepare(&spec.query)?;
             let snap = open.snapshot();
             let retained = self.eval_snapshot(&query, &spec, &snap)?;
             Ok::<_, RpqError>((open, query, snap, retained))

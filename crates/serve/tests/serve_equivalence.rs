@@ -252,6 +252,54 @@ const fn cases_len() -> u64 {
     5
 }
 
+/// `QuerySpec.policy` and `strategy` stay in the frame but the server
+/// chooses both: empty fields are served, any value is a typed
+/// `invalid` refusal naming the field — never silently ignored.
+#[test]
+fn evaluation_overrides_are_refused_and_empty_fields_served() {
+    let fix = fixture();
+    let mut client = connect(fix.addr);
+    let mode = WireMode::AllPairsFull;
+    let spec = |policy: &str, strategy: &str| QuerySpec {
+        query: "_* a _*".to_owned(),
+        policy: policy.to_owned(),
+        strategy: strategy.to_owned(),
+        run: RunAddr::Index(0),
+        stages: false,
+        mode: mode.clone(),
+    };
+    let served = client.query(spec("", "")).unwrap();
+    assert_byte_identical(&referee_outcome(fix, "_* a _*", 0, &mode), &served.result);
+    for (request, field) in [
+        (spec("naive", ""), "policy"),
+        (spec("cost", ""), "policy"),
+        (spec("", "lazy"), "strategy"),
+        (spec("", "materialized"), "strategy"),
+    ] {
+        match client
+            .request(&rpq_serve::WireRequest::Query(request))
+            .unwrap()
+        {
+            WireResponse::Error { kind, message } => {
+                assert_eq!(kind, "invalid", "{message}");
+                assert!(message.contains(&format!("QuerySpec.{field}")), "{message}");
+                assert!(message.contains("server chooses"), "{message}");
+            }
+            other => panic!("expected an error response, got {other:?}"),
+        }
+    }
+    // A standing query is refused the same way, before it subscribes.
+    let mut watcher = connect(fix.addr);
+    match watcher
+        .request(&rpq_serve::WireRequest::Subscribe(spec("", "lazy")))
+        .unwrap()
+    {
+        WireResponse::Error { kind, .. } => assert_eq!(kind, "invalid"),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    watcher.ping().unwrap();
+}
+
 /// A store holding one small run, in its own directory.
 fn one_run_store(name: &str, seed: u64) -> (PathBuf, RunStore) {
     let dir = temp_dir(name);

@@ -74,7 +74,7 @@ mod log;
 
 pub use live::{Appended, LiveSnapshot, OpenRun};
 
-use rpq_core::{PlanStore, RpqError, RunRef, RunSource, SafeQueryPlan, SubqueryPolicy};
+use rpq_core::{PlanStore, RpqError, RunRef, RunSource, SafeQueryPlan};
 use rpq_grammar::Specification;
 use rpq_labeling::Run;
 use rpq_relalg::{CsrIndex, TagIndex};
@@ -1182,13 +1182,13 @@ impl RunStore {
 
     // -- plan cache ----------------------------------------------------
 
-    /// Every valid persisted plan's `(query source, policy)` — what a
-    /// service warms its session with at startup: re-preparing each
-    /// pair pulls the persisted plan through [`PlanStore::load`] into
-    /// the session's in-memory cache without recompiling. Unreadable,
-    /// outdated or foreign-spec files are skipped silently (they fall
-    /// back to recompile-on-demand, never an error).
-    pub fn persisted_plans(&self) -> Vec<(String, SubqueryPolicy)> {
+    /// Every valid persisted plan's query source — what a service warms
+    /// its session with at startup: re-preparing each source pulls the
+    /// persisted plan through [`PlanStore::load`] into the session's
+    /// in-memory cache without recompiling. Unreadable, outdated or
+    /// foreign-spec files are skipped silently (they fall back to
+    /// recompile-on-demand, never an error).
+    pub fn persisted_plans(&self) -> Vec<String> {
         let mut out = Vec::new();
         let Ok(entries) = std::fs::read_dir(self.plans_dir()) else {
             return out;
@@ -1205,15 +1205,12 @@ impl RunStore {
             let Ok(persisted) = codec::from_bytes::<PersistedPlan>(&bytes) else {
                 continue;
             };
-            if persisted.version != PLAN_VERSION || persisted.spec_fp != self.spec_fp {
-                continue;
-            }
-            if let Some(policy) = SubqueryPolicy::from_cli_name(&persisted.policy) {
-                out.push((persisted.source, policy));
+            if persisted.version == PLAN_VERSION && persisted.spec_fp == self.spec_fp {
+                out.push(persisted.source);
             }
         }
         // Directory order is filesystem-dependent; warm deterministically.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort();
         out
     }
 
@@ -1221,13 +1218,12 @@ impl RunStore {
         self.dir.join("plans")
     }
 
-    /// One file per (canonical query, policy, spec) key. The filename
-    /// is the key's hash; the full key is stored inside the file and
-    /// re-checked on load, so a hash collision (or a copied file)
-    /// degrades to a recompile, never a wrong plan.
-    fn plan_path(&self, canon: &str, policy: SubqueryPolicy) -> PathBuf {
+    /// One file per (canonical query, spec) key. The filename is the
+    /// key's hash; the full key is stored inside the file and re-checked
+    /// on load, so a hash collision (or a copied file) degrades to a
+    /// recompile, never a wrong plan.
+    fn plan_path(&self, canon: &str) -> PathBuf {
         let mut h = fnv1a(canon.as_bytes());
-        h ^= fnv1a(policy.cli_name().as_bytes()).rotate_left(1);
         h ^= self.spec_fp.rotate_left(2);
         self.plans_dir().join(format!("plan-{h:016x}.bin"))
     }
@@ -1330,8 +1326,8 @@ impl RunStore {
 }
 
 /// Persisted-plan schema version; files with another version fall back
-/// to recompile.
-const PLAN_VERSION: u32 = 1;
+/// to recompile. Version 1 files also keyed a subquery policy.
+const PLAN_VERSION: u32 = 2;
 
 /// The persisted form of one compiled safe plan (`plans/plan-*.bin`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -1342,8 +1338,6 @@ struct PersistedPlan {
     canon: String,
     /// Re-parseable display rendering, for warm-at-startup.
     source: String,
-    /// The subquery policy's CLI name.
-    policy: String,
     /// Fingerprint of the owning store's specification: a plan file
     /// copied between stores of different specs must fail key
     /// validation rather than decode for the wrong grammar.
@@ -1353,18 +1347,17 @@ struct PersistedPlan {
 
 /// The durable safe-plan tier ([`rpq_core::PlanStore`]): compiled plans
 /// persist beside the index artifacts, keyed by (normalized query,
-/// policy, spec fingerprint), with the same tamper-fallback-to-rebuild
-/// contract the CSR artifacts have. Attach with
+/// spec fingerprint), with the same tamper-fallback-to-rebuild contract
+/// the CSR artifacts have. Attach with
 /// `Session::with_plan_store` to make prepared safe plans survive
 /// process restarts.
 impl PlanStore for RunStore {
-    fn load(&self, canon: &str, policy: SubqueryPolicy) -> Option<SafeQueryPlan> {
+    fn load(&self, canon: &str) -> Option<SafeQueryPlan> {
         let _span = rpq_obs::Trace::span("store_load");
-        let bytes = std::fs::read(self.plan_path(canon, policy)).ok()?;
+        let bytes = std::fs::read(self.plan_path(canon)).ok()?;
         let persisted: PersistedPlan = codec::from_bytes(&bytes).ok()?;
         if persisted.version != PLAN_VERSION
             || persisted.canon != canon
-            || persisted.policy != policy.cli_name()
             || persisted.spec_fp != self.spec_fp
         {
             return None;
@@ -1377,7 +1370,7 @@ impl PlanStore for RunStore {
         Some(plan)
     }
 
-    fn store(&self, canon: &str, source: &str, policy: SubqueryPolicy, plan: &SafeQueryPlan) {
+    fn store(&self, canon: &str, source: &str, plan: &SafeQueryPlan) {
         // The compile already happened — that is what the rebuild
         // counter measures; persistence is best-effort on top.
         self.plan_rebuilds.fetch_add(1, Ordering::Relaxed);
@@ -1385,13 +1378,12 @@ impl PlanStore for RunStore {
             version: PLAN_VERSION,
             canon: canon.to_owned(),
             source: source.to_owned(),
-            policy: policy.cli_name().to_owned(),
             spec_fp: self.spec_fp,
             plan: plan.clone(),
         };
         // Stores created by older builds lack `plans/`.
         let _ = std::fs::create_dir_all(self.plans_dir());
-        let _ = write_atomic(&self.plan_path(canon, policy), &codec::to_bytes(&persisted));
+        let _ = write_atomic(&self.plan_path(canon), &codec::to_bytes(&persisted));
     }
 }
 
@@ -1612,10 +1604,7 @@ mod tests {
         assert!(!session.prepare("_* a _*").unwrap().plan().is_safe());
         session.prepare("e").unwrap();
         assert_eq!(store.stats().plan_rebuilds, 1);
-        assert_eq!(
-            store.persisted_plans(),
-            vec![("_* e _*".to_owned(), SubqueryPolicy::CostBased)]
-        );
+        assert_eq!(store.persisted_plans(), vec!["_* e _*".to_owned()]);
 
         // Restart: a fresh store + session reload instead of recompiling.
         let store2 = Arc::new(RunStore::open(&dir).unwrap());
@@ -1633,6 +1622,40 @@ mod tests {
                 assert_eq!(fresh.pairwise(&run, u, v), reloaded.pairwise(&run, u, v));
             }
         }
+
+        // A plan file in the format before plans stopped keying a
+        // subquery policy (version 1, a `policy` field) is skipped and
+        // recompiled, never decoded as a current plan — even when it
+        // sits at the path the current key hashes to.
+        #[derive(Serialize)]
+        struct PolicyKeyedPlan {
+            version: u32,
+            canon: String,
+            source: String,
+            policy: String,
+            spec_fp: u64,
+            plan: SafeQueryPlan,
+        }
+        let canon = format!("{:?}", session.parse("_* e _*").unwrap());
+        let old = PolicyKeyedPlan {
+            version: 1,
+            canon: canon.clone(),
+            source: "_* e _*".to_owned(),
+            policy: "cost".to_owned(),
+            spec_fp: store.spec_fp,
+            plan: fresh.clone(),
+        };
+        std::fs::write(store.plan_path(&canon), codec::to_bytes(&old)).unwrap();
+        let store4 = Arc::new(RunStore::open(&dir).unwrap());
+        assert!(store4.persisted_plans().is_empty());
+        assert!(store4.load(&canon).is_none());
+        let session4 = rpq_core::Session::new(store4.spec_arc())
+            .with_plan_store(Arc::clone(&store4) as Arc<dyn PlanStore>);
+        assert!(session4.prepare("_* e _*").unwrap().plan().is_safe());
+        assert_eq!(store4.stats().plan_reloads, 0);
+        assert_eq!(store4.stats().plan_rebuilds, 1);
+        // The recompile rewrote the file in the current format.
+        assert_eq!(store4.persisted_plans(), vec!["_* e _*".to_owned()]);
 
         // Tampered plan files fall back to recompile, never an error.
         for entry in std::fs::read_dir(store.dir().join("plans")).unwrap() {

@@ -12,7 +12,7 @@
 //! post-append run, answering like the product-graph referee.
 
 use proptest::prelude::*;
-use rpq_core::{QueryRequest, Session, SubqueryPolicy};
+use rpq_core::{EvalStrategy, QueryRequest, Session};
 use rpq_labeling::{EventBatch, NodeId, Run, RunBuilder};
 use rpq_relalg::{BitRelation, CsrIndex, TagIndex};
 use rpq_store::{codec, RunId, RunStore};
@@ -49,8 +49,10 @@ fn cold_view(dir: &Path, id: RunId) -> (Arc<Run>, Arc<TagIndex>, Arc<CsrIndex>) 
 /// equal fingerprint, artifacts equal to a from-scratch build — and,
 /// with a session seeded from those artifacts (so a wrong artifact is
 /// a wrong answer), every query answers like the product-graph referee
-/// on `truth`. Relational plans only: label decoding is defined for
-/// finished derivations, and most of these runs are prefixes of one.
+/// on `truth`. The lazy engine only (forced through the session's test
+/// hook): it reads the run's real edges, while label decoding is
+/// defined for finished derivations and most of these runs are
+/// prefixes of one.
 /// Off-diagonal pairs only: the referee's `(u, u)` rule assumes a DAG,
 /// and one of these runs is cyclic.
 fn assert_reopens_to(dir: &Path, id: RunId, truth: &Run) {
@@ -69,11 +71,9 @@ fn assert_reopens_to(dir: &Path, id: RunId, truth: &Run) {
         pairs.iter().filter(|(u, v)| u != v).collect()
     };
     for text in QUERIES {
-        let query = session
-            .prepare_with(text, SubqueryPolicy::AlwaysRelational)
-            .unwrap();
+        let query = session.prepare(text).unwrap();
         let request = QueryRequest::all_pairs(all.clone(), all.clone());
-        let got = session.evaluate(&query, &run, &request);
+        let got = session.evaluate_forced(&query, &run, &request, EvalStrategy::Lazy);
         let expected = rpq_baselines::Referee::new(truth, query.dfa()).all_pairs(&all, &all);
         assert!(
             off_diagonal(got.as_pairs().unwrap()) == off_diagonal(&expected),

@@ -9,7 +9,7 @@
 //!   `B` event batches (written next to `--out`) for replay through
 //!   the live-ingestion path;
 //! * `query <SPEC> <QUERY> [--run FILE | --edges N --seed S]
-//!   [--from NODE] [--to NODE] [--limit K] [--policy P]` — prepare and
+//!   [--from NODE] [--to NODE] [--limit K]` — prepare and
 //!   evaluate a regular path query through a [`Session`] (pairwise when
 //!   both endpoints are given, source/target star when one is, all-pairs
 //!   otherwise);
@@ -23,12 +23,12 @@
 //!   run's event log, catalog epoch bumped); every invocation ends by
 //!   folding event logs into their runs' base files and re-persisting
 //!   stale index artifacts;
-//! * `batch <QUERY> --store DIR [--threads N] [--cache C] [--policy P]`
+//! * `batch <QUERY> --store DIR [--threads N] [--cache C]`
 //!   — prepare `<QUERY>` once and evaluate it
 //!   entry→exit over every stored run on a thread pool, reporting
 //!   per-run verdicts plus store/session cache counters;
 //! * `serve <SPEC> --store DIR [--addr A] [--workers N] [--queue Q]
-//!   [--cache C] [--policy P]` — serve the store over TCP
+//!   [--cache C]` — serve the store over TCP
 //!   (`rpq-serve`): one shared warm session, a bounded worker pool,
 //!   graceful overload refusals, clean SIGTERM/ctrl-c shutdown;
 //! * `router --backend HOST:PORT [--backend ...]` — the fault-tolerant
@@ -49,19 +49,16 @@
 //!   server goes away.
 //!
 //! `<SPEC>` is `fig2`, `fork`, `bioaid`, `qblast`, or a path to a JSON
-//! specification produced by serde. `--policy` selects the subquery
-//! evaluation policy: `cost` (cost-based, the default), `memo`
-//! (always label-based) or `naive` (pure relational joins).
-//! `--strategy` (on `query`, `request query` and `watch`) names the
-//! evaluation strategy of that one request: `auto` (cost model picks,
-//! the default), `lazy` (on-the-fly DFA×graph product search) or
-//! `materialized` (the relational pipeline). Kernels and row loops are
-//! chosen by the code from what it observes; there is no flag.
+//! specification produced by serde. How a query is planned and which
+//! engine answers it — labels or joins per safe part, the lazy product
+//! search or the materialized plan, kernels and row loops — is chosen
+//! by the code from what it observes; there is no flag. An option a
+//! subcommand does not know is an error, not silently ignored.
 //!
 //! Every failure surfaces as [`RpqError`] — the CLI has no error type
 //! of its own.
 
-use rpq_core::{BatchOptions, EvalStrategy, QueryRequest, RpqError, Session, SubqueryPolicy};
+use rpq_core::{BatchOptions, EvalStrategy, QueryRequest, RpqError, Session};
 use rpq_grammar::Specification;
 use rpq_labeling::{EventBatch, Run, RunBuilder, RunStats};
 use rpq_router::{Router, RouterConfig};
@@ -101,33 +98,28 @@ USAGE:
   rpq spec <SPEC>
   rpq simulate <SPEC> --edges N [--seed S] [--fork CYCLE] [--out FILE] [--stream B]
   rpq query <SPEC> <QUERY> [--run FILE | --edges N --seed S]
-            [--from NODE] [--to NODE] [--limit K] [--policy P] [--strategy S]
+            [--from NODE] [--to NODE] [--limit K]
   rpq stats (--run FILE | <SPEC> --edges N [--seed S])
   rpq store <SPEC> --dir DIR [--ingest N] [--edges M] [--seed S] [--add FILE]
             [--open rID --events FILE] [--remove FP|rID] [--gc]
-  rpq batch <QUERY> --store DIR [--threads N] [--cache C] [--policy P]
+  rpq batch <QUERY> --store DIR [--threads N] [--cache C]
   rpq serve <SPEC> --store DIR [--addr HOST:PORT] [--workers N] [--queue Q]
-            [--cache C] [--policy P]
-            [--idle-timeout SECS] [--deadline SECS] [--chunk ENTRIES]
+            [--cache C] [--idle-timeout SECS] [--deadline SECS] [--chunk ENTRIES]
             [--slow-ms MS] [--metrics-addr HOST:PORT]
   rpq router --backend HOST:PORT [--backend HOST:PORT ...] [--addr HOST:PORT]
             [--replicas R] [--workers N] [--queue Q] [--deadline-ms MS]
             [--probe-ms MS] [--sync-ms MS|off] [--cooldown-ms MS] [--eject-after K]
             [--metrics-addr HOST:PORT]
   rpq request query <QUERY> --addr HOST:PORT [--index I | --fp HEX]
-            [--mode MODE] [--from U] [--to V] [--policy P] [--strategy S]
-            [--limit K]
+            [--mode MODE] [--from U] [--to V] [--limit K]
   rpq request append --addr HOST:PORT --events FILE [--index I | --fp HEX]
   rpq request metrics --addr HOST:PORT [--text]
   rpq request (stats | runs | ping | shutdown) --addr HOST:PORT
   rpq watch <QUERY> --addr HOST:PORT [--index I | --fp HEX] [--mode MODE]
-            [--from U] [--to V] [--policy P] [--strategy S] [--limit K]
-            [--max-deltas N]
+            [--from U] [--to V] [--limit K] [--max-deltas N]
 
 SPEC:     fig2 | fork | bioaid | qblast | path to a JSON specification
 NODE:     module:occurrence, e.g. a:2 (numeric node indexes for `request`)
-POLICY:   cost (default) | memo | naive
-STRATEGY: auto (default) | lazy | materialized
 MODE:     pairwise | entry-exit | all-pairs | source-star | target-star | reachable
 ";
 
@@ -167,13 +159,19 @@ type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 const BOOL_FLAGS: [&str; 2] = ["gc", "text"];
 
 /// Parse `--key value` options; returns (positional, options). Keys
-/// listed in [`BOOL_FLAGS`] consume no value and parse as `"true"`.
-fn split_args(args: &[String]) -> Result<ParsedArgs<'_>, RpqError> {
+/// listed in [`BOOL_FLAGS`] consume no value and parse as `"true"`; a
+/// key outside `known` (the subcommand's options) is an error.
+fn split_args<'a>(args: &'a [String], known: &[&str]) -> Result<ParsedArgs<'a>, RpqError> {
     let mut positional = Vec::new();
     let mut options = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
+            if !known.contains(&key) {
+                return Err(RpqError::invalid(format!(
+                    "unknown option --{key}\n{USAGE}"
+                )));
+            }
             if BOOL_FLAGS.contains(&key) {
                 options.push((key, "true"));
                 i += 1;
@@ -199,31 +197,6 @@ fn opt<'a>(options: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, RpqError> {
     s.parse()
         .map_err(|_| RpqError::invalid(format!("invalid {what}: {s:?}")))
-}
-
-fn parse_policy(options: &[(&str, &str)]) -> Result<SubqueryPolicy, RpqError> {
-    match opt(options, "policy") {
-        None => Ok(SubqueryPolicy::CostBased),
-        Some(name) => SubqueryPolicy::from_cli_name(name).ok_or_else(|| {
-            RpqError::invalid(format!(
-                "invalid --policy {name:?}: valid policies are {}",
-                SubqueryPolicy::NAMES.join(", ")
-            ))
-        }),
-    }
-}
-
-/// Parse `--strategy`; absent means `auto`.
-fn parse_strategy(options: &[(&str, &str)]) -> Result<EvalStrategy, RpqError> {
-    match opt(options, "strategy") {
-        None => Ok(EvalStrategy::Auto),
-        Some(name) => EvalStrategy::from_name(name).ok_or_else(|| {
-            RpqError::invalid(format!(
-                "invalid --strategy {name:?}: valid strategies are {}",
-                EvalStrategy::NAMES.join(", ")
-            ))
-        }),
-    }
 }
 
 /// Open an existing run store for querying (`batch` / `serve`),
@@ -252,7 +225,7 @@ fn open_store(dir: &str) -> Result<RunStore, RpqError> {
 }
 
 fn cmd_spec(args: &[String]) -> Result<String, RpqError> {
-    let (positional, _) = split_args(args)?;
+    let (positional, _) = split_args(args, &[])?;
     let name = positional
         .first()
         .ok_or_else(|| RpqError::invalid("spec: missing <SPEC>"))?;
@@ -289,8 +262,11 @@ fn simulate_run(spec: &Specification, options: &[(&str, &str)]) -> Result<Run, R
     Ok(builder.build()?)
 }
 
+/// The options [`simulate_run`] reads.
+const SIMULATE: [&str; 3] = ["edges", "seed", "fork"];
+
 fn cmd_simulate(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let (positional, options) = split_args(args, &[&SIMULATE[..], &["out", "stream"]].concat())?;
     let name = positional
         .first()
         .ok_or_else(|| RpqError::invalid("simulate: missing <SPEC>"))?;
@@ -368,7 +344,8 @@ fn load_events(path: &str) -> Result<EventBatch, RpqError> {
 }
 
 fn cmd_query(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let known = [&SIMULATE[..], &["run", "from", "to", "limit"]].concat();
+    let (positional, options) = split_args(args, &known)?;
     let spec_name = positional
         .first()
         .ok_or_else(|| RpqError::invalid("query: missing <SPEC>"))?;
@@ -380,27 +357,22 @@ fn cmd_query(args: &[String]) -> Result<String, RpqError> {
         Some(path) => load_run(path, &spec)?,
         None => simulate_run(&spec, &options)?,
     };
-    let policy = parse_policy(&options)?;
-    let strategy = parse_strategy(&options)?;
     let session = Session::from_spec(spec);
-    let query = session.prepare_with(query_text, policy)?;
+    let query = session.prepare(query_text)?;
 
     let mut out = String::new();
     writeln!(
         out,
-        "query: {query_text}\nsafe: {} (safe subqueries: {}, DFA states: {}, policy: {}, \
-         strategy: {})",
+        "query: {query_text}\nsafe: {} (safe subqueries: {}, DFA states: {})",
         query.is_safe(),
         query.stats().n_safe_subqueries,
         query.stats().dfa_states,
-        query.stats().policy.cli_name(),
-        strategy.name(),
     )
     .expect("write to string");
 
-    // Which closure algorithm(s) actually ran, and which strategy
-    // answered (the header strategy is intent; these are fact).
-    let closure_note = |out: &mut String, meta: &rpq_core::EvalMeta| {
+    // Which engine answered, and which closure algorithm(s) ran.
+    let eval_note = |out: &mut String, meta: &rpq_core::EvalMeta| {
+        writeln!(out, "strategy: {}", meta.strategy.name()).expect("write to string");
         if meta.closures.total() > 0 {
             writeln!(out, "closures: {}", meta.closures.summary()).expect("write to string");
         }
@@ -428,19 +400,14 @@ fn cmd_query(args: &[String]) -> Result<String, RpqError> {
     match (opt(&options, "from"), opt(&options, "to")) {
         (Some(f), Some(t)) => {
             let (u, v) = (resolve(f)?, resolve(t)?);
-            let outcome = session.evaluate_with_strategy(
-                &query,
-                &run,
-                &QueryRequest::pairwise(u, v),
-                strategy,
-            );
+            let outcome = session.evaluate(&query, &run, &QueryRequest::pairwise(u, v));
             writeln!(
                 out,
                 "{f} -R-> {t} : {}",
                 outcome.as_bool().expect("pairwise")
             )
             .expect("write to string");
-            closure_note(&mut out, &outcome.meta);
+            eval_note(&mut out, &outcome.meta);
         }
         (from, to) => {
             let request = match (from, to) {
@@ -452,7 +419,7 @@ fn cmd_query(args: &[String]) -> Result<String, RpqError> {
                 }
             };
             let limit: usize = parse_num(opt(&options, "limit").unwrap_or("20"), "--limit")?;
-            let outcome = session.evaluate_with_strategy(&query, &run, &request, strategy);
+            let outcome = session.evaluate(&query, &run, &request);
             let result = outcome.as_pairs().expect("pair-producing request");
             writeln!(out, "matches: {}", result.len()).expect("write to string");
             for (u, v) in result.iter().take(limit) {
@@ -468,14 +435,14 @@ fn cmd_query(args: &[String]) -> Result<String, RpqError> {
                 writeln!(out, "  … {} more (raise --limit)", result.len() - limit)
                     .expect("write to string");
             }
-            closure_note(&mut out, &outcome.meta);
+            eval_note(&mut out, &outcome.meta);
         }
     }
     Ok(out)
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let (positional, options) = split_args(args, &[&SIMULATE[..], &["run"]].concat())?;
     let run = match (opt(&options, "run"), positional.first()) {
         (Some(path), Some(name)) => load_run(path, &load_spec(name)?)?,
         (Some(path), None) => {
@@ -508,7 +475,10 @@ fn cmd_stats(args: &[String]) -> Result<String, RpqError> {
 }
 
 fn cmd_store(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let known = [
+        "dir", "ingest", "edges", "seed", "add", "open", "events", "remove", "gc",
+    ];
+    let (positional, options) = split_args(args, &known)?;
     let spec_name = positional
         .first()
         .ok_or_else(|| RpqError::invalid("store: missing <SPEC>"))?;
@@ -631,7 +601,7 @@ fn cmd_store(args: &[String]) -> Result<String, RpqError> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let (positional, options) = split_args(args, &["store", "threads", "cache"])?;
     let query_text = positional
         .first()
         .ok_or_else(|| RpqError::invalid("batch: missing <QUERY>"))?;
@@ -644,7 +614,6 @@ fn cmd_batch(args: &[String]) -> Result<String, RpqError> {
         )));
     }
     let threads: usize = parse_num(opt(&options, "threads").unwrap_or("0"), "--threads")?;
-    let policy = parse_policy(&options)?;
     // The session shares the store's specification, so prepared plans
     // and stored runs always agree. `--cache` bounds both the
     // session's per-run index caches and the store's in-memory
@@ -661,7 +630,7 @@ fn cmd_batch(args: &[String]) -> Result<String, RpqError> {
         }
         None => (store, session),
     };
-    let query = session.prepare_with(query_text, policy)?;
+    let query = session.prepare(query_text)?;
     let outcome = session.evaluate_batch(
         &query,
         &store,
@@ -672,10 +641,9 @@ fn cmd_batch(args: &[String]) -> Result<String, RpqError> {
     let mut out = String::new();
     writeln!(
         out,
-        "batch: {query_text} entry→exit over {} run(s) ({} thread(s), policy: {})",
+        "batch: {query_text} entry→exit over {} run(s) ({} thread(s))",
         outcome.items.len(),
         outcome.threads,
-        query.stats().policy.cli_name(),
     )
     .expect("write to string");
     let mut matched = 0usize;
@@ -740,7 +708,19 @@ fn parse_fingerprint(s: &str) -> Result<(u64, u64), RpqError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let known = [
+        "store",
+        "addr",
+        "workers",
+        "queue",
+        "cache",
+        "idle-timeout",
+        "deadline",
+        "chunk",
+        "slow-ms",
+        "metrics-addr",
+    ];
+    let (positional, options) = split_args(args, &known)?;
     let spec_name = positional
         .first()
         .ok_or_else(|| RpqError::invalid("serve: missing <SPEC>"))?;
@@ -766,7 +746,6 @@ fn cmd_serve(args: &[String]) -> Result<String, RpqError> {
             Some(c) => Some(parse_num(c, "--cache")?),
             None => None,
         },
-        policy: parse_policy(&options)?,
         idle_timeout: Duration::from_secs(parse_num(
             opt(&options, "idle-timeout").unwrap_or("60"),
             "--idle-timeout",
@@ -789,11 +768,9 @@ fn cmd_serve(args: &[String]) -> Result<String, RpqError> {
     // Announced immediately (run_cli's return value only prints after
     // shutdown): harnesses scrape this line for the ephemeral port.
     println!(
-        "rpq-serve listening on {addr} ({} worker(s), queue {}, {warmed} run(s) warm, \
-         policy {})",
+        "rpq-serve listening on {addr} ({} worker(s), queue {}, {warmed} run(s) warm)",
         server.workers(),
         config.queue,
-        config.policy.cli_name(),
     );
     if let Some(maddr) = server.metrics_local_addr() {
         println!("metrics listening on {maddr}");
@@ -814,7 +791,20 @@ fn cmd_serve(args: &[String]) -> Result<String, RpqError> {
 }
 
 fn cmd_router(args: &[String]) -> Result<String, RpqError> {
-    let (_positional, options) = split_args(args)?;
+    let known = [
+        "backend",
+        "addr",
+        "replicas",
+        "workers",
+        "queue",
+        "deadline-ms",
+        "eject-after",
+        "cooldown-ms",
+        "probe-ms",
+        "sync-ms",
+        "metrics-addr",
+    ];
+    let (_positional, options) = split_args(args, &known)?;
     let backends: Vec<std::net::SocketAddr> = options
         .iter()
         .filter(|(k, _)| *k == "backend")
@@ -891,8 +881,12 @@ fn cmd_router(args: &[String]) -> Result<String, RpqError> {
     ))
 }
 
+/// The options [`parse_run_addr`] and [`parse_wire_mode`] read.
+const WIRE_QUERY: [&str; 5] = ["fp", "index", "from", "to", "mode"];
+
 fn cmd_request(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let known = [&WIRE_QUERY[..], &["addr", "limit", "events", "text"]].concat();
+    let (positional, options) = split_args(args, &known)?;
     let verb = positional.first().ok_or_else(|| {
         RpqError::invalid(
             "request: missing verb (query | append | stats | metrics | runs | ping | shutdown)",
@@ -1128,8 +1122,9 @@ fn cmd_request_query(
 ) -> Result<String, RpqError> {
     let outcome = client.query(QuerySpec {
         query: query.to_owned(),
-        policy: opt(options, "policy").unwrap_or("").to_owned(),
-        strategy: opt(options, "strategy").unwrap_or("").to_owned(),
+        // The server chooses how to evaluate; these must stay empty.
+        policy: String::new(),
+        strategy: String::new(),
         run: parse_run_addr(options)?,
         // The CLI is interactive: ask for the per-stage breakdown
         // (bulk clients leave it off — it costs wire bytes per reply).
@@ -1208,7 +1203,8 @@ fn cmd_request_query(
 }
 
 fn cmd_watch(args: &[String]) -> Result<String, RpqError> {
-    let (positional, options) = split_args(args)?;
+    let known = [&WIRE_QUERY[..], &["addr", "limit", "max-deltas"]].concat();
+    let (positional, options) = split_args(args, &known)?;
     let query = positional
         .first()
         .ok_or_else(|| RpqError::invalid("watch: missing <QUERY>"))?;
@@ -1222,8 +1218,8 @@ fn cmd_watch(args: &[String]) -> Result<String, RpqError> {
     let mut client = ServeClient::connect(addr)?;
     let (seq, initial) = client.subscribe(QuerySpec {
         query: (*query).to_owned(),
-        policy: opt(&options, "policy").unwrap_or("").to_owned(),
-        strategy: opt(&options, "strategy").unwrap_or("").to_owned(),
+        policy: String::new(),
+        strategy: String::new(),
         run: parse_run_addr(&options)?,
         stages: false,
         mode: parse_wire_mode(&options)?,
@@ -1366,99 +1362,82 @@ mod tests {
     }
 
     #[test]
-    fn policies_are_selectable_and_agree() {
-        let mut outputs = Vec::new();
-        for policy in ["cost", "memo", "naive"] {
-            let out = run(&[
-                "query", "fig2", "_* a _*", "--edges", "80", "--seed", "3", "--policy", policy,
-            ])
-            .unwrap();
-            let matches = out
-                .lines()
-                .find(|l| l.starts_with("matches:"))
-                .expect("matches line")
-                .to_owned();
-            outputs.push(matches);
+    fn evaluation_choices_are_not_options() {
+        // The code picks how to plan and which engine answers: the
+        // former overrides, like any option a subcommand does not
+        // know, are errors rather than silently ignored.
+        for key in ["policy", "strategy", "frobnicate"] {
+            let flag = format!("--{key}");
+            for cmd in [
+                vec!["query", "fig2", "_*", flag.as_str(), "naive"],
+                vec![
+                    "batch",
+                    "_*",
+                    "--store",
+                    "/nonexistent-store",
+                    flag.as_str(),
+                    "naive",
+                ],
+                vec![
+                    "request",
+                    "query",
+                    "_*",
+                    "--addr",
+                    "127.0.0.1:1",
+                    flag.as_str(),
+                    "lazy",
+                ],
+                vec![
+                    "watch",
+                    "_*",
+                    "--addr",
+                    "127.0.0.1:1",
+                    flag.as_str(),
+                    "lazy",
+                ],
+            ] {
+                let err = run(&cmd).unwrap_err();
+                assert!(
+                    err.to_string().contains(&format!("unknown option {flag}")),
+                    "{cmd:?}: {err}"
+                );
+            }
         }
-        // All three policies answer identically.
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0], outputs[2]);
+    }
 
-        let err = run(&["query", "fig2", "_*", "--policy", "fastest"]).unwrap_err();
-        let message = err.to_string();
-        assert!(
-            message.contains("cost") && message.contains("memo") && message.contains("naive"),
-            "error must list valid policies: {message}"
-        );
+    #[test]
+    fn default_plan_agrees_with_g1() {
+        let out = run(&["query", "fig2", "_* a _*", "--edges", "80", "--seed", "3"]).unwrap();
+        let spec = load_spec("fig2").unwrap();
+        let run = simulate_run(&spec, &[("edges", "80"), ("seed", "3")]).unwrap();
+        let index = rpq_relalg::TagIndex::build(&run, spec.n_tags());
+        let regex = Session::from_spec(spec).parse("_* a _*").unwrap();
+        let all: Vec<rpq_labeling::NodeId> = run.node_ids().collect();
+        let g1 = rpq_baselines::G1::new(&index).all_pairs(&regex, &all, &all);
+        assert!(out.contains(&format!("matches: {}\n", g1.len())), "{out}");
     }
 
     #[test]
     fn executed_closures_are_reported() {
-        // Forced materialized: closure accounting is a relational-path
-        // fact (auto may route small runs to the lazy product engine,
-        // which closes nothing). The naive plan closes over `_*`, so
-        // the algorithm the dispatch picked surfaces.
-        let out = run(&[
-            "query",
-            "fig2",
-            "_* a _*",
-            "--edges",
-            "80",
-            "--seed",
-            "3",
-            "--policy",
-            "naive",
-            "--strategy",
-            "materialized",
-        ])
-        .unwrap();
+        // `(a _*)+ e` closes a derived relation on the materialized
+        // path, so the algorithm the dispatch picked surfaces.
+        let out = run(&["query", "fig2", "(a _*)+ e", "--edges", "80", "--seed", "3"]).unwrap();
+        assert!(out.contains("strategy: materialized"), "{out}");
         // The line is printed only when some closure ran.
         assert!(out.lines().any(|l| l.starts_with("closures:")), "{out}");
     }
 
     #[test]
-    fn strategies_are_selectable_and_agree() {
-        let mut outputs = Vec::new();
-        for strategy in ["auto", "lazy", "materialized"] {
-            let out = run(&[
-                "query",
-                "fig2",
-                "_* a _*",
-                "--edges",
-                "80",
-                "--seed",
-                "3",
-                "--policy",
-                "naive",
-                "--from",
-                "c:1",
-                "--strategy",
-                strategy,
-            ])
-            .unwrap();
-            assert!(out.contains(&format!("strategy: {strategy}")), "{out}");
-            if strategy == "lazy" {
-                // The resolved strategy surfaces as fact, with its
-                // product-state accounting.
-                assert!(out.contains("lazy product search:"), "{out}");
-            }
-            let matches = out
-                .lines()
-                .find(|l| l.starts_with("matches:"))
-                .expect("matches line")
-                .to_owned();
-            outputs.push(matches);
-        }
-        // Both engines (and the cost-model dispatcher) answer
-        // identically.
-        assert!(outputs.iter().all(|o| o == &outputs[0]), "{outputs:?}");
-
-        let err = run(&["query", "fig2", "_*", "--strategy", "eager"]).unwrap_err();
-        let message = err.to_string();
-        assert!(
-            message.contains("lazy") && message.contains("materialized"),
-            "error must list valid strategies: {message}"
-        );
+    fn the_engine_that_answered_is_reported() {
+        // A source star over a decomposed plan is frontier-bound: the
+        // session answers it with the lazy product search and says so,
+        // with its product-state accounting.
+        let out = run(&[
+            "query", "fig2", "_* a _*", "--edges", "80", "--seed", "3", "--from", "c:1",
+        ])
+        .unwrap();
+        assert!(out.contains("strategy: lazy"), "{out}");
+        assert!(out.contains("lazy product search:"), "{out}");
     }
 
     #[test]
@@ -1515,11 +1494,8 @@ mod tests {
             "4",
             "--cache",
             "2",
-            "--policy",
-            "naive",
         ])
         .unwrap();
-        assert!(out.contains("policy: naive"), "{out}");
         assert!(out.contains("tag reloads 5"), "{out}");
         assert!(out.contains("tag rebuilds 0"), "{out}");
 
@@ -1671,38 +1647,16 @@ mod tests {
         .unwrap();
         assert!(out.contains("reachable:"), "{out}");
 
-        // A forced strategy rides the wire and the resolved choice
-        // comes back in the reply.
-        for strategy in ["lazy", "materialized"] {
-            let out = run(&[
-                "request",
-                "query",
-                "_* a _*",
-                "--addr",
-                &addr,
-                "--from",
-                "0",
-                "--strategy",
-                strategy,
-            ])
-            .unwrap();
-            assert!(out.contains(&format!("strategy: {strategy}")), "{out}");
-        }
+        // The engine the server picked comes back in the reply.
+        let out = run(&[
+            "request", "query", "_* a _*", "--addr", &addr, "--from", "0",
+        ])
+        .unwrap();
+        assert!(out.contains("strategy: lazy"), "{out}");
 
         // Server-side failures surface as errors, not hangs.
         let err = run(&["request", "query", "(((", "--addr", &addr]).unwrap_err();
         assert!(err.to_string().contains("parse"), "{err}");
-        let err = run(&[
-            "request",
-            "query",
-            "_*",
-            "--addr",
-            &addr,
-            "--strategy",
-            "eager",
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("valid strategies"), "{err}");
 
         let stats = run(&["request", "stats", "--addr", &addr]).unwrap();
         assert!(stats.contains("2 run(s) stored"), "{stats}");

@@ -86,7 +86,7 @@ pub mod prelude {
     pub use rpq_core::{
         BatchOptions, BatchOutcome, EvalStrategy, PlanKind, PlanStats, PreparedQuery, QueryOutcome,
         QueryPlan, QueryRequest, QueryResult, RpqError, RunSource, SafeQueryPlan, Session,
-        SessionStats, SubqueryPolicy,
+        SessionStats,
     };
     pub use rpq_grammar::{ModuleId, ProductionId, Specification, SpecificationBuilder, Tag};
     pub use rpq_labeling::{NodeId, Run, RunBuilder};

@@ -277,8 +277,9 @@ proptest! {
         check(f, query, &one, &all, node % 4 == 1);
     }
 
-    /// Star modes through the session: the materialized (label) answer
-    /// equals the lazy product search.
+    /// Star modes through the session: the session's pick, the forced
+    /// materialized (label) answer and the forced lazy product search
+    /// agree.
     #[test]
     fn star_modes_match_the_lazy_strategy(
         fixture in 0usize..6,
@@ -295,8 +296,10 @@ proptest! {
             QueryRequest::Reachable(u),
         ] {
             let ours = f.session.evaluate(&q, &f.run, &request);
-            let lazy = f.session.evaluate_with_strategy(&q, &f.run, &request, EvalStrategy::Lazy);
-            prop_assert_eq!(&ours.result, &lazy.result, "{}: {:?} on {:?}", f.name, request, regex);
+            for engine in [EvalStrategy::Lazy, EvalStrategy::Materialized] {
+                let forced = f.session.evaluate_forced(&q, &f.run, &request, engine);
+                prop_assert_eq!(&ours.result, &forced.result, "{}: {:?} {:?} on {:?}", f.name, engine, request, regex);
+            }
         }
     }
 }

@@ -10,10 +10,12 @@
 
 use rpq::prelude::*;
 use rpq_baselines::{Referee, G1};
-use rpq_core::{all_pairs_filtered, eval_node, EvalCtx, PlanNode};
+use rpq_core::{
+    all_pairs_filtered, all_pairs_relation, joins_beat_labels, relational_node, EvalStrategy,
+    PlanNode,
+};
 use rpq_relalg::{NodePairSet, Pairs};
 use rpq_workloads::{bioaid_like, qblast_like, runs};
-use std::sync::Arc;
 
 /// `(query, matches on the 1 000-edge seed-3 run)` — the counts are
 /// what the referee answers, pinned so a change in the fixtures shows.
@@ -44,6 +46,24 @@ fn has_epsilon_safe_eval(node: &PlanNode) -> bool {
     }
 }
 
+/// How many of the plan's `SafeEval` subtrees the labels-vs-joins rule
+/// leaves on the label merge for this run.
+fn label_merged_leaves(node: &PlanNode, index: &TagIndex, n_nodes: usize) -> usize {
+    match node {
+        PlanNode::SafeEval(_, regex) => {
+            usize::from(!joins_beat_labels(&relational_node(regex), index, n_nodes))
+        }
+        PlanNode::Concat(cs) | PlanNode::Alt(cs) => cs
+            .iter()
+            .map(|c| label_merged_leaves(c, index, n_nodes))
+            .sum(),
+        PlanNode::Star(c) | PlanNode::Plus(c) | PlanNode::Optional(c) => {
+            label_merged_leaves(c, index, n_nodes)
+        }
+        _ => 0,
+    }
+}
+
 /// The session and run of one dataset: `rpq simulate <spec> --edges
 /// 1000 --seed 3`.
 fn fixture(spec: Specification) -> (Session, Run) {
@@ -51,15 +71,17 @@ fn fixture(spec: Specification) -> (Session, Run) {
     (Session::from_spec(spec), run)
 }
 
-/// Check every query of `queries` under the three subquery policies
-/// and G1; returns how many dense-kernel (bits or scc) closures the
-/// cost-based evaluations ran.
-fn check(session: &Session, run: &Run, queries: &[(&str, usize)]) -> u64 {
+/// Check every query of `queries` — the session's pick, both engines
+/// forced through the test hook, and G1 — against the referee. Returns
+/// how many dense-kernel (bits or scc) closures the session's
+/// evaluations ran and how many `SafeEval` subtrees stayed on the
+/// label merge.
+fn check(session: &Session, run: &Run, queries: &[(&str, usize)]) -> (u64, usize) {
     let index = TagIndex::build(run, session.spec().n_tags());
     let g1 = G1::new(&index);
     let all: Vec<NodeId> = run.node_ids().collect();
     let request = QueryRequest::all_pairs(all.clone(), all.clone());
-    let mut dense_closures = 0;
+    let (mut dense_closures, mut label_leaves) = (0, 0);
     for &(text, matches) in queries {
         let query = session.prepare(text).expect("query plans");
         assert!(!query.is_safe(), "{text} must be unsafe");
@@ -67,24 +89,15 @@ fn check(session: &Session, run: &Run, queries: &[(&str, usize)]) -> u64 {
         assert_eq!(referee.len(), matches, "referee count for {text}");
 
         let outcome = session.evaluate(&query, run, &request);
-        assert_eq!(
-            outcome.as_pairs(),
-            Some(&referee),
-            "cost-based plan: {text}"
-        );
+        assert_eq!(outcome.as_pairs(), Some(&referee), "default plan: {text}");
         dense_closures += outcome.meta.closures.bits + outcome.meta.closures.scc;
-        for policy in [
-            SubqueryPolicy::AlwaysLabels,
-            SubqueryPolicy::AlwaysRelational,
-        ] {
-            let forced = session.prepare_with(text, policy).expect("query plans");
-            let outcome = session.evaluate(&forced, run, &request);
-            assert_eq!(
-                outcome.as_pairs(),
-                Some(&referee),
-                "{} plan: {text}",
-                policy.cli_name()
-            );
+        let QueryPlan::Composite(node) = query.plan() else {
+            panic!("{text} must decompose");
+        };
+        label_leaves += label_merged_leaves(node, &index, run.n_nodes());
+        for engine in [EvalStrategy::Lazy, EvalStrategy::Materialized] {
+            let outcome = session.evaluate_forced(&query, run, &request, engine);
+            assert_eq!(outcome.as_pairs(), Some(&referee), "{engine:?}: {text}");
         }
         assert_eq!(
             g1.all_pairs(query.regex(), &all, &all),
@@ -92,7 +105,7 @@ fn check(session: &Session, run: &Run, queries: &[(&str, usize)]) -> u64 {
             "G1: {text}"
         );
     }
-    dense_closures
+    (dense_closures, label_leaves)
 }
 
 #[test]
@@ -100,63 +113,46 @@ fn bioaid_composite_plans_and_g1_match_the_referee() {
     let (session, run) = fixture(bioaid_like().spec);
     assert_eq!(run.n_nodes(), 741);
     let (eps_query, _) = BIOAID[4];
-    let labels = session
-        .prepare_with(eps_query, SubqueryPolicy::AlwaysLabels)
-        .expect("query plans");
-    let QueryPlan::Composite(node, _) = labels.plan() else {
+    let query = session.prepare(eps_query).expect("query plans");
+    let QueryPlan::Composite(node) = query.plan() else {
         panic!("{eps_query} must decompose");
     };
     assert!(has_epsilon_safe_eval(node), "{eps_query}");
-    assert!(
-        check(&session, &run, &BIOAID) > 0,
-        "no bits/scc closure ran"
-    );
+    let (dense_closures, label_leaves) = check(&session, &run, &BIOAID);
+    assert!(dense_closures > 0, "no bits/scc closure ran");
+    assert!(label_leaves > 0, "no SafeEval stayed on the label merge");
 }
 
-/// A label-merged leaf hands the join bit rows once its answers
-/// outnumber the words of the row matrix (`_*`: ~226k pairs against
-/// 741 × 12 words) and a sorted list below that (`t0 _*`: 1 282 pairs).
-/// Either way the contents are the merge's answers, with an
-/// ε-accepting leaf's diagonal moved into the symbolic identity.
+/// The label merge hands the join bit rows once its answers outnumber
+/// the words of the row matrix (`_*`: ~226k pairs against 741 × 12
+/// words) and a sorted list below that (`t0 _*`: 1 282 pairs). Either
+/// way the contents are the merge's answers, and dropping an
+/// ε-accepting leaf's diagonal (its move into the symbolic identity)
+/// keeps the format.
 #[test]
 fn safe_eval_leaves_come_out_in_the_format_their_size_picks() {
     let (session, run) = fixture(bioaid_like().spec);
-    let index = TagIndex::build(&run, session.spec().n_tags());
     let all: Vec<NodeId> = run.node_ids().collect();
-    let ctx = EvalCtx {
-        spec: session.spec(),
-        run: &run,
-        index: &index,
-        csr: None,
-        universe: &all,
-        policy: SubqueryPolicy::AlwaysLabels,
-        condensations: None,
-    };
     for (text, dense) in [("_*", true), ("t0 _*", false)] {
-        let query = session.prepare(text).expect("query plans");
-        let plan = session.plan_safe(query.regex()).expect("leaf is safe");
+        let regex = session.parse(text).expect("query parses");
+        let plan = session.plan_safe(&regex).expect("leaf is safe");
         let answers = all_pairs_filtered(&plan, session.spec(), &run, &all, &all);
         let epsilon = plan.accepts_epsilon();
         assert_eq!(epsilon, text == "_*");
-        let leaf = PlanNode::SafeEval(Arc::new(plan), query.regex().clone());
-        let rel = eval_node(&leaf, &ctx);
-        assert_eq!(matches!(rel.pairs, Pairs::Bits(_)), dense, "{text}");
-        assert_eq!(rel.identity, epsilon, "{text}");
-        let expected: NodePairSet = answers.iter().filter(|(u, v)| !epsilon || u != v).collect();
-        assert_eq!(rel.pairs, Pairs::Sorted(expected), "{text}");
-        assert_eq!(
-            rel.select_pairs_in(&all, &all, run.n_nodes()),
-            answers,
-            "{text}"
-        );
+        let pairs = all_pairs_relation(&plan, session.spec(), &run, &all, &all);
+        assert_eq!(matches!(pairs, Pairs::Bits(_)), dense, "{text}");
+        assert_eq!(pairs, Pairs::Sorted(answers.clone()), "{text}");
+        let stripped = pairs.without_diagonal();
+        assert_eq!(matches!(stripped, Pairs::Bits(_)), dense, "{text}");
+        let expected: NodePairSet = answers.iter().filter(|(u, v)| u != v).collect();
+        assert_eq!(stripped, Pairs::Sorted(expected), "{text}");
     }
 }
 
 #[test]
 fn qblast_composite_plans_and_g1_match_the_referee() {
     let (session, run) = fixture(qblast_like().spec);
-    assert!(
-        check(&session, &run, &QBLAST) > 0,
-        "no bits/scc closure ran"
-    );
+    let (dense_closures, label_leaves) = check(&session, &run, &QBLAST);
+    assert!(dense_closures > 0, "no bits/scc closure ran");
+    assert!(label_leaves > 0, "no SafeEval stayed on the label merge");
 }

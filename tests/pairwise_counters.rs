@@ -4,7 +4,7 @@
 //! evaluates while it reads them.
 
 use rpq::prelude::*;
-use rpq_core::{lazy_counts, LazyCounts, QueryRequest};
+use rpq_core::{lazy_counts, EvalStrategy, LazyCounts, QueryRequest};
 use rpq_labeling::RunBuilder;
 use rpq_workloads::paper_examples;
 
@@ -33,13 +33,9 @@ fn pairwise_counts_strategies_like_evaluate() {
     let via_pairwise = Session::from_spec(spec.clone());
     let via_evaluate = Session::from_spec(spec);
     // Safe on an acyclic run (materialized), safe on a cyclic run
-    // (rerouted to the lazy search), decomposed and relational plans
-    // (whatever `auto` picks).
-    let queries = [
-        ("_* e _*", SubqueryPolicy::CostBased),
-        ("_* a _*", SubqueryPolicy::CostBased),
-        ("(a | e)+", SubqueryPolicy::AlwaysRelational),
-    ];
+    // (rerouted to the lazy search), and two decomposed plans (whatever
+    // the session picks).
+    let queries = ["_* e _*", "_* a _*", "(a _*)+ e"];
     let mut calls = Vec::new();
     for q in 0..queries.len() {
         for r in [&run, &cyclic] {
@@ -54,7 +50,7 @@ fn pairwise_counts_strategies_like_evaluate() {
     let prepare = |s: &Session| -> Vec<PreparedQuery> {
         queries
             .iter()
-            .map(|&(text, policy)| s.prepare_with(text, policy).unwrap())
+            .map(|text| s.prepare(text).unwrap())
             .collect()
     };
     let (qp, qe) = (prepare(&via_pairwise), prepare(&via_evaluate));
@@ -78,4 +74,38 @@ fn pairwise_counts_strategies_like_evaluate() {
         calls.len() as u64
     );
     assert_eq!(via_pairwise.stats(), via_evaluate.stats());
+
+    // The test hook counts under the engine that ran, on every request
+    // mode: the forced one, or lazy wherever labels are unsound.
+    let all: Vec<NodeId> = run.node_ids().collect();
+    let requests = [
+        QueryRequest::Pairwise(run.entry(), run.exit()),
+        QueryRequest::EntryExit,
+        QueryRequest::AllPairs(all.clone(), all),
+        QueryRequest::SourceStar(run.entry()),
+        QueryRequest::TargetStar(run.exit()),
+        QueryRequest::Reachable(run.entry()),
+    ];
+    for (q, r, engine, lazy) in [
+        (0, &run, EvalStrategy::Lazy, true),
+        (0, &run, EvalStrategy::Materialized, false),
+        (0, &cyclic, EvalStrategy::Materialized, true),
+        (2, &run, EvalStrategy::Lazy, true),
+        (2, &run, EvalStrategy::Materialized, false),
+    ] {
+        for request in &requests {
+            let (_, delta) = counted(1, |_| {
+                let outcome = via_evaluate.evaluate_forced(&qe[q], r, request, engine);
+                assert_eq!(outcome.meta.strategy == EvalStrategy::Lazy, lazy);
+                true
+            });
+            let want = (u64::from(lazy), u64::from(!lazy));
+            assert_eq!(
+                (delta.lazy_evals, delta.materialized_evals),
+                want,
+                "{} {engine:?} {request:?}",
+                queries[q]
+            );
+        }
+    }
 }

@@ -87,7 +87,7 @@ fn skeletons() -> String {
             write!(out, "{name}\t{}\t", text(spec, &re)).unwrap();
             match &plan {
                 QueryPlan::Safe(_) => out.push_str("safe"),
-                QueryPlan::Composite(node, _) => {
+                QueryPlan::Composite(node) => {
                     let dfa = compile_minimal_dfa(&re, spec.n_tags());
                     // Leaves are index-answered even when safe.
                     match check_safety(spec, &dfa) {

@@ -5,7 +5,7 @@
 
 use rpq::prelude::*;
 use rpq_automata::compile_minimal_dfa;
-use rpq_baselines::Referee;
+use rpq_baselines::{Referee, G1};
 use rpq_core::{IndexCacheUse, QueryRequest, RpqError};
 use rpq_labeling::RunBuilder;
 use rpq_workloads::paper_examples;
@@ -28,12 +28,6 @@ fn plan_cache_counts_hits_and_misses() {
     // A genuinely different query misses.
     session.prepare("_* a _*").unwrap();
     assert_eq!(session.stats().plan_misses, 2);
-
-    // A different policy for the same text is a distinct plan.
-    session
-        .prepare_with("_* e _*", SubqueryPolicy::AlwaysLabels)
-        .unwrap();
-    assert_eq!(session.stats().plan_misses, 3);
     assert_eq!(session.stats().plan_hits, 1);
 }
 
@@ -77,11 +71,12 @@ fn tag_index_is_built_once_per_run_across_queries() {
     let all: Vec<NodeId> = run.node_ids().collect();
 
     // This test pins the *materialized* pipeline's index-cache
-    // plumbing, so it forces that strategy: the lazy product search
-    // reads the CSR arena directly and touches the tag-index cache
-    // only on a CSR miss, which is not the contract under test.
+    // plumbing, so it forces that engine through the test hook: the
+    // lazy product search reads the CSR arena directly and touches the
+    // tag-index cache only on a CSR miss, which is not the contract
+    // under test.
     let eval = |q: &_, run: &_, request: &_| {
-        session.evaluate_with_strategy(q, run, request, EvalStrategy::Materialized)
+        session.evaluate_forced(q, run, request, EvalStrategy::Materialized)
     };
 
     // Two *different* composite queries on the same run: the first
@@ -170,7 +165,7 @@ fn lru_capacity_evicts_least_recently_used_runs() {
     // composite evaluation (lazy refreshes the CSR cache instead).
     let probe = |run| {
         session
-            .evaluate_with_strategy(
+            .evaluate_forced(
                 &q,
                 run,
                 &QueryRequest::all_pairs(all.clone(), all.clone()),
@@ -205,7 +200,7 @@ fn safe_queries_never_touch_the_index() {
     // safe plan, which answers without any per-run artifact. A forced
     // lazy evaluation would legitimately build the CSR arena (and the
     // tag index feeding it) even for a safe query.
-    let outcome = session.evaluate_with_strategy(
+    let outcome = session.evaluate_forced(
         &q,
         &run,
         &QueryRequest::all_pairs(all.clone(), all),
@@ -328,43 +323,43 @@ fn star_and_reachable_match_the_referee() {
     }
 }
 
+/// The default plan — safe parts on labels or joins, whichever the
+/// cost rule picks — answers like the relational baseline G1 and the
+/// product-construction referee.
 #[test]
-fn naive_policy_agrees_with_cost_and_memo() {
+fn default_plans_agree_with_g1_and_the_referee() {
     let session = Session::from_spec(paper_examples::fig2_spec());
     let run = paper_examples::fig2_run(session.spec());
     let all: Vec<NodeId> = run.node_ids().collect();
+    let (index, _) = session.index_for(&run);
 
     for text in ["_* a _*", "_* e _* a _*", "a+", "_* e _*"] {
-        let mut results = Vec::new();
-        for policy in [
-            SubqueryPolicy::CostBased,
-            SubqueryPolicy::AlwaysLabels,
-            SubqueryPolicy::AlwaysRelational,
-        ] {
-            let q = session.prepare_with(text, policy).unwrap();
-            results.push(session.all_pairs(&q, &run, &all, &all));
-        }
-        assert_eq!(results[0], results[1], "{text}: cost vs memo");
-        assert_eq!(results[0], results[2], "{text}: cost vs naive");
+        let q = session.prepare(text).unwrap();
+        let ours = session.all_pairs(&q, &run, &all, &all);
+        assert_eq!(
+            ours,
+            G1::new(&index).all_pairs(q.regex(), &all, &all),
+            "{text}: vs G1"
+        );
+        assert_eq!(
+            ours,
+            Referee::new(&run, q.dfa()).all_pairs(&all, &all),
+            "{text}: vs the referee"
+        );
     }
 }
 
 #[test]
-fn semantic_safety_is_policy_independent() {
+fn semantic_safety_is_independent_of_the_plan_shape() {
     let session = Session::from_spec(paper_examples::fig2_spec());
 
-    // R3 is safe (Definition 13); the naive policy plans it
-    // relationally but must not change the verdict.
-    let naive = session
-        .prepare_with("_* e _*", SubqueryPolicy::AlwaysRelational)
-        .unwrap();
-    assert!(naive.is_safe(), "R3 stays safe under the naive policy");
-    assert_eq!(naive.stats().kind, PlanKind::Composite);
-
-    let unsafe_naive = session
-        .prepare_with("_* a _*", SubqueryPolicy::AlwaysRelational)
-        .unwrap();
-    assert!(!unsafe_naive.is_safe());
+    // R3 is safe (Definition 13) and planned safe; ⎵* a ⎵* is neither.
+    let safe = session.prepare("_* e _*").unwrap();
+    assert!(safe.is_safe());
+    assert_eq!(safe.stats().kind, PlanKind::Safe);
+    let unsafe_q = session.prepare("_* a _*").unwrap();
+    assert!(!unsafe_q.is_safe());
+    assert_eq!(unsafe_q.stats().kind, PlanKind::Composite);
 
     // A safe single-symbol leaf is index-answered (composite plan) yet
     // semantically safe: `b` appears on every entry→exit path of Fig. 2.
@@ -373,11 +368,12 @@ fn semantic_safety_is_policy_independent() {
     assert_eq!(leaf.is_safe(), session.is_safe(leaf.regex()));
 }
 
-/// `Session::evaluate` is `evaluate_with_strategy(.., Auto)` and
-/// nothing else: same result and same metadata (stage timings aside)
-/// on every request mode, for safe, decomposed and relational plans.
+/// `Session::evaluate` is the engine it picks and nothing else: on
+/// every request mode, for safe and decomposed plans, its outcome —
+/// result and metadata, stage timings aside — equals the test hook
+/// forcing that engine, and the other engine gives the same result.
 #[test]
-fn evaluate_is_evaluate_with_strategy_auto() {
+fn evaluate_is_the_engine_it_picks() {
     let session = Session::from_spec(paper_examples::fig2_spec());
     let run = RunBuilder::new(session.spec())
         .seed(11)
@@ -401,29 +397,34 @@ fn evaluate_is_evaluate_with_strategy_auto() {
         QueryRequest::Reachable(run.entry()),
         QueryRequest::Reachable(mid),
     ];
-    for (text, policy) in [
-        ("_* e _*", SubqueryPolicy::CostBased),
-        ("_* a _*", SubqueryPolicy::CostBased),
-        ("(a | e)+", SubqueryPolicy::AlwaysRelational),
-    ] {
-        let query = session.prepare_with(text, policy).unwrap();
+    let (lazy, materialized) = (EvalStrategy::Lazy, EvalStrategy::Materialized);
+    for text in ["_* e _*", "_* a _*", "(a _*)+ e"] {
+        let query = session.prepare(text).unwrap();
         for request in &requests {
-            // Warm the per-run caches so both calls see the same state.
-            session.evaluate(&query, &run, request);
-            let mut default = session.evaluate(&query, &run, request);
-            let mut auto =
-                session.evaluate_with_strategy(&query, &run, request, EvalStrategy::Auto);
-            default.meta.stages.clear();
-            auto.meta.stages.clear();
-            assert_eq!(default, auto, "{text} [{policy:?}] {request:?}");
+            // Warm the per-run caches so every call sees the same state.
+            session.evaluate_forced(&query, &run, request, lazy);
+            session.evaluate_forced(&query, &run, request, materialized);
+            let mut picked = session.evaluate(&query, &run, request);
+            let other = match picked.meta.strategy {
+                EvalStrategy::Lazy => materialized,
+                EvalStrategy::Materialized => lazy,
+            };
+            let mut forced = session.evaluate_forced(&query, &run, request, picked.meta.strategy);
+            picked.meta.stages.clear();
+            forced.meta.stages.clear();
+            assert_eq!(picked, forced, "{text} {request:?}");
+            let other = session.evaluate_forced(&query, &run, request, other);
+            assert_eq!(picked.result, other.result, "{text} {request:?}");
         }
     }
 }
 
-/// `Session::pairwise` is `evaluate(.., Pairwise(u, v))` as a bool for
-/// safe, decomposed and relational plans; on a cyclic streamed run a
-/// safe plan still steps aside for the product search; and a session
-/// answering through `pairwise` ends with the same counters as one
+/// `Session::pairwise` is `evaluate(.., Pairwise(u, v))` as a bool and
+/// `Session::all_pairs` is `evaluate(.., AllPairs(l1, l2))`'s pairs,
+/// for safe and decomposed plans; on a cyclic streamed run a plan with
+/// safe parts still steps aside for the product search (`all_pairs`
+/// included, checked against the referee); and a session answering
+/// through `pairwise` / `all_pairs` ends with the same counters as one
 /// answering the same calls through `evaluate`.
 #[test]
 fn pairwise_is_evaluate_pairwise() {
@@ -438,20 +439,35 @@ fn pairwise_is_evaluate_pairwise() {
     let via_pairwise = Session::from_spec(spec.clone());
     let via_evaluate = Session::from_spec(spec.clone());
     let lazy = Session::from_spec(spec);
-    for (text, policy, kind) in [
-        ("_* e _*", SubqueryPolicy::CostBased, PlanKind::Safe),
-        ("_* a _*", SubqueryPolicy::CostBased, PlanKind::Composite),
-        (
-            "(a | e)+",
-            SubqueryPolicy::AlwaysRelational,
-            PlanKind::Composite,
-        ),
+    for (text, kind) in [
+        ("_* e _*", PlanKind::Safe),
+        ("_* a _*", PlanKind::Composite),
+        ("(a _*)+ e", PlanKind::Composite),
     ] {
-        let qp = via_pairwise.prepare_with(text, policy).unwrap();
-        let qe = via_evaluate.prepare_with(text, policy).unwrap();
-        let ql = lazy.prepare_with(text, policy).unwrap();
+        let qp = via_pairwise.prepare(text).unwrap();
+        let qe = via_evaluate.prepare(text).unwrap();
+        let ql = lazy.prepare(text).unwrap();
         assert_eq!(qp.stats().kind, kind, "{text}");
         for r in [&run, &cyclic] {
+            let all: Vec<NodeId> = r.node_ids().collect();
+            let got = via_pairwise.all_pairs(&qp, r, &all, &all);
+            let want =
+                via_evaluate.evaluate(&qe, r, &QueryRequest::AllPairs(all.clone(), all.clone()));
+            assert_eq!(Some(&got), want.as_pairs(), "{text}: all_pairs vs evaluate");
+            // The referee's diagonal rule assumes a DAG: on the cyclic
+            // run, compare it off the diagonal only.
+            let off_diagonal = |pairs: &NodePairSet| -> Vec<(NodeId, NodeId)> {
+                pairs
+                    .iter()
+                    .filter(|(u, v)| r.is_acyclic() || u != v)
+                    .collect()
+            };
+            let referee = Referee::new(r, qp.dfa()).all_pairs(&all, &all);
+            assert_eq!(
+                off_diagonal(&got),
+                off_diagonal(&referee),
+                "{text}: all_pairs vs referee"
+            );
             let nodes: Vec<NodeId> = r.node_ids().step_by(9).collect();
             for &u in &nodes {
                 for &v in &nodes {
@@ -460,7 +476,7 @@ fn pairwise_is_evaluate_pairwise() {
                     let want = via_evaluate.evaluate(&qe, r, &request).as_bool();
                     assert_eq!(Some(got), want, "{text} ({u:?}, {v:?})");
                     let product = lazy
-                        .evaluate_with_strategy(&ql, r, &request, EvalStrategy::Lazy)
+                        .evaluate_forced(&ql, r, &request, EvalStrategy::Lazy)
                         .as_bool();
                     assert_eq!(
                         Some(got),
@@ -476,7 +492,7 @@ fn pairwise_is_evaluate_pairwise() {
     // The reroute is not vacuous: label decoding alone answers some
     // pair of the cyclic run wrongly.
     let all: Vec<NodeId> = cyclic.node_ids().collect();
-    let product = lazy.evaluate_with_strategy(
+    let product = lazy.evaluate_forced(
         &lazy.prepare("_* e _*").unwrap(),
         &cyclic,
         &QueryRequest::AllPairs(all.clone(), all.clone()),

@@ -13,13 +13,13 @@ use rpq::prelude::*;
 use rpq_core::QueryResult;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-const QUERIES: [(&str, &str); 4] = [
-    // (query, policy): one safe plan, one index-answered leaf, one
-    // decomposed composite, one pure-relational closure.
-    ("_* e _*", "cost"),
-    ("a", "cost"),
-    ("_* a _*", "cost"),
-    ("a+", "naive"),
+const QUERIES: [&str; 4] = [
+    // One safe plan, one index-answered leaf, one decomposed composite,
+    // one composite closing a derived relation.
+    "_* e _*",
+    "a",
+    "_* a _*",
+    "(a _*)+ e",
 ];
 
 const THREADS: usize = 8;
@@ -41,13 +41,6 @@ fn corpus() -> Vec<Run> {
                 .unwrap()
         })
         .collect()
-}
-
-fn policy_of(name: &str) -> SubqueryPolicy {
-    match name {
-        "naive" => SubqueryPolicy::AlwaysRelational,
-        _ => SubqueryPolicy::CostBased,
-    }
 }
 
 /// The deterministic work item of thread `t`, iteration `i`.
@@ -74,8 +67,7 @@ fn concurrent_outcomes_equal_single_threaded_evaluation() {
             (0..ITERS)
                 .map(|i| {
                     let (q, r, request) = schedule(t, i, &runs);
-                    let (text, policy) = QUERIES[q];
-                    let prepared = referee.prepare_with(text, policy_of(policy)).unwrap();
+                    let prepared = referee.prepare(QUERIES[q]).unwrap();
                     referee.evaluate(&prepared, &runs[r], &request).result
                 })
                 .collect()
@@ -100,10 +92,10 @@ fn concurrent_outcomes_equal_single_threaded_evaluation() {
             scope.spawn(move || {
                 for (i, want) in expected[t].iter().enumerate() {
                     let (q, r, request) = schedule(t, i, runs);
-                    let (text, policy) = QUERIES[q];
+                    let text = QUERIES[q];
                     // Preparing inside the loop exercises the plan
                     // cache under contention.
-                    let prepared = session.prepare_with(text, policy_of(policy)).unwrap();
+                    let prepared = session.prepare(text).unwrap();
                     prepare_calls.fetch_add(1, Ordering::Relaxed);
                     let outcome = session.evaluate(&prepared, &runs[r], &request);
                     // The meta records the *resolved* strategy, which
@@ -129,7 +121,7 @@ fn concurrent_outcomes_equal_single_threaded_evaluation() {
     let stats = session.stats();
     // Plan-cache accounting: every prepare call is exactly one hit or
     // one miss (racing compilers each count their own miss), and at
-    // least one compilation happened per distinct (query, policy) key.
+    // least one compilation happened per distinct query.
     assert_eq!(
         stats.plan_hits + stats.plan_misses,
         prepare_calls.load(Ordering::Relaxed) as u64
@@ -175,9 +167,9 @@ fn batch_executor_agrees_with_itself_under_eviction_pressure() {
     let roomy = Session::from_spec(spec());
     let tight = Session::from_spec(spec()).with_cache_capacity(1);
     let request = QueryRequest::entry_exit();
-    for (text, policy) in QUERIES {
-        let q_roomy = roomy.prepare_with(text, policy_of(policy)).unwrap();
-        let q_tight = tight.prepare_with(text, policy_of(policy)).unwrap();
+    for text in QUERIES {
+        let q_roomy = roomy.prepare(text).unwrap();
+        let q_tight = tight.prepare(text).unwrap();
         let a = roomy.evaluate_batch(
             &q_roomy,
             runs.as_slice(),

@@ -8,14 +8,13 @@
 //! empty *language* (`Empty`, denoting ∅) and `Optional` (`e?`, sugar for
 //! `e | ε`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An interned alphabet symbol (an edge tag).
 ///
 /// The grammar crate maps tag names to dense `u32` ids; the automaton
 /// layer never sees the names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(pub u32);
 
 impl Symbol {
@@ -27,7 +26,7 @@ impl Symbol {
 }
 
 /// A regular path query over edge tags.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Regex {
     /// The empty language ∅ (matches nothing). Not part of the paper's
     /// surface syntax but useful as an algebraic zero.

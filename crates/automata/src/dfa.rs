@@ -9,7 +9,6 @@
 
 use crate::ast::Symbol;
 use crate::nfa::{Label, Nfa};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense DFA state id.
@@ -19,7 +18,7 @@ pub type StateId = u32;
 pub const DEAD_STATE_NONE: u32 = u32::MAX;
 
 /// A complete DFA over a dense symbol alphabet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dfa {
     n_states: u32,
     n_symbols: u32,
@@ -116,18 +115,6 @@ impl Dfa {
         }
 
         Dfa::from_parts(n_symbols, subsets.table, start, subsets.accepting)
-    }
-
-    /// Do the invariants [`Dfa::from_parts`] asserts hold? Serde
-    /// deserialization bypasses that constructor, so loaders of
-    /// persisted DFAs must check before trusting the table shape.
-    pub fn is_well_formed(&self) -> bool {
-        let n = self.n_states as usize;
-        n > 0
-            && self.accepting.len() == n
-            && self.table.len() == n * self.n_symbols as usize
-            && (self.start as usize) < n
-            && self.table.iter().all(|&t| (t as usize) < n)
     }
 
     /// Number of states (including any dead state).

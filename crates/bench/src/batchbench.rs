@@ -51,21 +51,6 @@ pub struct StoreLeg {
     pub session: SessionStats,
 }
 
-/// One plan-cache leg: preparing the standing queries with the store
-/// attached as the session's persisted plan tier — compiling cold
-/// (and persisting) vs reloading after a process restart.
-#[derive(Debug, Clone)]
-pub struct PlanLeg {
-    /// `"cold"` or `"warm"`.
-    pub leg: &'static str,
-    /// Wall-clock seconds to prepare every standing query.
-    pub prepare_secs: f64,
-    /// Plans decoded warm from disk during the leg.
-    pub plan_reloads: u64,
-    /// Plans compiled cold (and persisted) during the leg.
-    pub plan_rebuilds: u64,
-}
-
 /// The full measurement.
 #[derive(Debug, Clone)]
 pub struct BatchMeasurement {
@@ -85,14 +70,6 @@ pub struct BatchMeasurement {
     pub cold: StoreLeg,
     /// Warm leg: reopened store, artifacts decoded from disk.
     pub warm: StoreLeg,
-    /// Standing queries of the plan-cache legs (safe, non-leaf — the
-    /// persisted-plan-eligible shape).
-    pub plan_queries: Vec<String>,
-    /// Plan-cache cold leg: every plan compiled and persisted.
-    pub plan_cold: PlanLeg,
-    /// Plan-cache warm leg: every plan decoded from disk after a
-    /// simulated restart.
-    pub plan_warm: PlanLeg,
 }
 
 impl BatchMeasurement {
@@ -100,12 +77,6 @@ impl BatchMeasurement {
     /// restarted process.
     pub fn warm_speedup(&self) -> f64 {
         self.cold.wall_secs / self.warm.wall_secs.max(1e-12)
-    }
-
-    /// Cold compile wall over warm reload wall — what the persisted
-    /// plan cache saves a restarted process's standing queries.
-    pub fn plan_warm_speedup(&self) -> f64 {
-        self.plan_cold.prepare_secs / self.plan_warm.prepare_secs.max(1e-12)
     }
 }
 
@@ -204,39 +175,6 @@ pub fn measure(full: bool) -> BatchMeasurement {
 
     drop(store);
 
-    // ---- plan-cache legs: compile cold, reload after a restart -----
-    // Standing queries in the persisted-plan-eligible shape (safe,
-    // non-leaf): an IFQ and a plus-closure per pool tag. The cold leg
-    // compiles each through the full safety/port-graph pipeline and
-    // persists it; the warm leg models the restarted process — a fresh
-    // store instance and session whose prepares decode from disk.
-    let plan_queries: Vec<String> = real
-        .pool_tags
-        .iter()
-        .take(6)
-        .flat_map(|t| [format!("_* {t} _*"), format!("{t}+")])
-        .collect();
-    let plan_leg = |leg: &'static str| -> PlanLeg {
-        let store = Arc::new(RunStore::open(&dir).expect("reopen scratch store"));
-        let session = Session::new(store.spec_arc())
-            .with_plan_store(Arc::clone(&store) as Arc<dyn rpq_core::PlanStore>);
-        let before = store.stats();
-        let start = std::time::Instant::now();
-        for q in &plan_queries {
-            session.prepare(q).expect("standing query compiles");
-        }
-        let prepare_secs = start.elapsed().as_secs_f64();
-        let delta = store.stats().since(before);
-        PlanLeg {
-            leg,
-            prepare_secs,
-            plan_reloads: delta.plan_reloads,
-            plan_rebuilds: delta.plan_rebuilds,
-        }
-    };
-    let plan_cold = plan_leg("cold");
-    let plan_warm = plan_leg("warm");
-
     let _ = std::fs::remove_dir_all(&dir);
     BatchMeasurement {
         n_runs,
@@ -249,9 +187,6 @@ pub fn measure(full: bool) -> BatchMeasurement {
         threads: points,
         cold,
         warm,
-        plan_queries,
-        plan_cold,
-        plan_warm,
     }
 }
 
@@ -287,19 +222,6 @@ pub fn table(m: &BatchMeasurement) -> Table {
             },
             format!("{}+{}", leg.store.tag_reloads, leg.store.csr_reloads),
             format!("{}+{}", leg.store.tag_rebuilds, leg.store.csr_rebuilds),
-        ]);
-    }
-    for leg in [&m.plan_cold, &m.plan_warm] {
-        table.row(vec![
-            format!("plans {} ({} queries)", leg.leg, m.plan_queries.len()),
-            fmt_secs(leg.prepare_secs),
-            if leg.leg == "warm" {
-                format!("{:.2}x vs cold", m.plan_warm_speedup())
-            } else {
-                "1.00x".to_owned()
-            },
-            format!("{}", leg.plan_reloads),
-            format!("{}", leg.plan_rebuilds),
         ]);
     }
     table
@@ -350,20 +272,8 @@ pub fn to_json(m: &BatchMeasurement) -> String {
     out.push_str(&format!("  \"cold\": {},\n", leg_json(&m.cold)));
     out.push_str(&format!("  \"warm\": {},\n", leg_json(&m.warm)));
     out.push_str(&format!(
-        "  \"warm_speedup_vs_cold\": {:.3},\n",
+        "  \"warm_speedup_vs_cold\": {:.3}\n}}\n",
         m.warm_speedup()
-    ));
-    out.push_str(&format!("  \"plan_queries\": {},\n", m.plan_queries.len()));
-    for leg in [&m.plan_cold, &m.plan_warm] {
-        out.push_str(&format!(
-            "  \"plan_{}\": {{\"prepare_secs\": {:.9}, \"plan_reloads\": {}, \
-             \"plan_rebuilds\": {}}},\n",
-            leg.leg, leg.prepare_secs, leg.plan_reloads, leg.plan_rebuilds
-        ));
-    }
-    out.push_str(&format!(
-        "  \"plan_warm_speedup_vs_cold\": {:.3}\n}}\n",
-        m.plan_warm_speedup()
     ));
     out
 }
@@ -400,23 +310,9 @@ mod tests {
         assert_eq!(m.warm.session.index_misses, 0);
         assert!(m.warm.session.index_hits + m.warm.session.csr_hits > 0);
 
-        // Plan-cache legs: every standing query compiles exactly once
-        // (cold) and every restart prepare decodes from disk (warm).
-        let n_queries = m.plan_queries.len() as u64;
-        assert!(n_queries >= 8, "need a k>=4-query standing set");
-        assert_eq!(m.plan_cold.plan_rebuilds, n_queries);
-        assert_eq!(m.plan_cold.plan_reloads, 0);
-        assert_eq!(m.plan_warm.plan_reloads, n_queries);
-        assert_eq!(
-            m.plan_warm.plan_rebuilds, 0,
-            "warm restart must not recompile"
-        );
-
         let json = to_json(&m);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"warm_speedup_vs_cold\""));
-        assert!(json.contains("\"plan_warm_speedup_vs_cold\""));
         assert!(table(&m).render().contains("store warm"));
-        assert!(table(&m).render().contains("plans warm"));
     }
 }

@@ -53,4 +53,4 @@ pub use plan::{PlanError, SafeQueryPlan};
 pub use portgraph::{BodyMatrices, EdgeSteps};
 pub use request::{EvalMeta, IndexCacheUse, PlanKind, QueryOutcome, QueryRequest, QueryResult};
 pub use safety::{body_matrices, check_safety, lambda_fixpoint, SafetyOutcome};
-pub use session::{PlanStats, PlanStore, PreparedQuery, Session, SessionStats};
+pub use session::{PlanStats, PreparedQuery, Session, SessionStats};

@@ -12,13 +12,12 @@
 //! and checked at plan time.
 
 use rpq_automata::{Dfa, Symbol};
-use serde::{Deserialize, Serialize};
 
 /// Maximum supported DFA size.
 pub const MAX_STATES: usize = 64;
 
 /// A dense boolean `n × n` matrix over DFA states.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct StateMatrix {
     n: u8,
     rows: Vec<u64>,
@@ -185,17 +184,6 @@ impl StateMatrix {
     /// Is this the all-zero matrix?
     pub fn is_zero(&self) -> bool {
         self.rows.iter().all(|&r| r == 0)
-    }
-
-    /// Do the invariants the constructors establish hold? Serde
-    /// deserialization bypasses them, so loaders of persisted matrices
-    /// must check: dimension within the cap, one row per state, no
-    /// bits set beyond the dimension.
-    pub fn is_well_formed(&self) -> bool {
-        let n = self.n as usize;
-        n <= MAX_STATES
-            && self.rows.len() == n
-            && (n == 64 || self.rows.iter().all(|&r| r >> n == 0))
     }
 }
 

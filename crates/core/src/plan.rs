@@ -41,7 +41,6 @@ use crate::safety::{body_matrices, lambda_fixpoint};
 use rpq_automata::Dfa;
 use rpq_grammar::{ProductionId, Specification};
 use rpq_labeling::{Label, LabelEntry, NodeId, Run};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a safe plan could not be produced.
@@ -81,11 +80,7 @@ impl std::error::Error for PlanError {}
 const POW_LEVELS: usize = 48;
 
 /// Per-cycle decoding tables.
-///
-/// The binary power tables are derived data — recomputable from the
-/// step matrices — so persistence skips them and
-/// [`CyclePlan::rebuild_pows`] re-derives them on load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CyclePlan {
     len: usize,
     /// Per phase: the cycle production and its recursive body position.
@@ -99,19 +94,16 @@ struct CyclePlan {
     /// `desc_pows[p][k]` = (product of one descent period starting at
     /// phase `p`)^(2^k), up to the first idempotent level (see
     /// [`power_table`]).
-    #[serde(skip)]
     desc_pows: Vec<Vec<StateMatrix>>,
     /// `asc_pows[p][k]` = (product of one ascent period starting at
     /// phase `p`, phases descending)^(2^k).
-    #[serde(skip)]
     asc_pows: Vec<Vec<StateMatrix>>,
 }
 
 impl CyclePlan {
-    /// (Re)compute the period-product power tables from the step
-    /// matrices: one descent/ascent period per starting phase, then
-    /// repeated squarings ([`power_table`]). Called at compile time and
-    /// again after deserialization (the tables are `#[serde(skip)]`).
+    /// Compute the period-product power tables from the step matrices:
+    /// one descent/ascent period per starting phase, then repeated
+    /// squarings ([`power_table`]).
     fn rebuild_pows(&mut self, n: usize) {
         let len = self.len;
         self.desc_pows = Vec::with_capacity(len);
@@ -301,13 +293,7 @@ fn col_pow(pows: &[StateMatrix], q: u64, col: u64) -> u64 {
 }
 
 /// A compiled plan for one safe query against one specification.
-///
-/// Plans serialize (λ matrices, port-graph closures, cycle step
-/// matrices; the derivable power tables are skipped) so stores can
-/// persist them beside index artifacts. A deserialized plan is inert
-/// until [`SafeQueryPlan::restore`] validates it against the
-/// specification and rebuilds the power tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SafeQueryPlan {
     dfa: Dfa,
     start_state: usize,
@@ -397,115 +383,6 @@ impl SafeQueryPlan {
             cycles,
             dfa,
         }
-    }
-
-    /// Validate a deserialized plan against `spec` and rebuild the
-    /// cycle power tables, returning the ready-to-use plan.
-    ///
-    /// Deserialization bypasses every constructor invariant, so a plan
-    /// loaded from disk is untrusted: a truncated, tampered or
-    /// mis-copied file (a plan for a *different* specification) must
-    /// fail here so the caller recompiles instead of decoding garbage.
-    /// Checks are structural — DFA table shape, matrix dimensions and
-    /// counts against the specification — mirroring the well-formed
-    /// checks persisted index artifacts get.
-    pub fn restore(mut self, spec: &Specification) -> Result<SafeQueryPlan, String> {
-        if !self.dfa.is_well_formed() {
-            return Err("malformed DFA".into());
-        }
-        let n = self.dfa.n_states();
-        if n > crate::matrix::MAX_STATES {
-            return Err(format!("DFA has {n} states (max 64)"));
-        }
-        if self.dfa.n_symbols() != spec.n_tags() {
-            return Err(format!(
-                "DFA alphabet {} does not match the specification's {} tags",
-                self.dfa.n_symbols(),
-                spec.n_tags()
-            ));
-        }
-        if self.start_state != self.dfa.start() as usize {
-            return Err("start state disagrees with the DFA".into());
-        }
-        let mut accepting_mask = 0u64;
-        for (q, &acc) in self.dfa.accepting().iter().enumerate() {
-            if acc {
-                accepting_mask |= 1 << q;
-            }
-        }
-        if self.accepting_mask != accepting_mask {
-            return Err("accepting mask disagrees with the DFA".into());
-        }
-        if self.epsilon != self.dfa.accepts_epsilon() {
-            return Err("epsilon flag disagrees with the DFA".into());
-        }
-        if self.lambda.len() != spec.n_modules() {
-            return Err(format!(
-                "{} λ matrices for {} modules",
-                self.lambda.len(),
-                spec.n_modules()
-            ));
-        }
-        if !self
-            .lambda
-            .iter()
-            .all(|m| m.dim() == n && m.is_well_formed())
-        {
-            return Err("malformed λ matrix".into());
-        }
-        let productions = spec.productions();
-        if self.bodies.len() != productions.len() {
-            return Err(format!(
-                "{} body-matrix sets for {} productions",
-                self.bodies.len(),
-                productions.len()
-            ));
-        }
-        for (bm, p) in self.bodies.iter().zip(productions) {
-            if bm.n_nodes() != p.body.n_nodes() || !bm.is_well_formed(n) {
-                return Err("malformed body matrices".into());
-            }
-        }
-        let cycles = &spec.recursion().cycles;
-        if self.cycles.len() != cycles.len() {
-            return Err(format!(
-                "{} cycle plans for {} cycles",
-                self.cycles.len(),
-                cycles.len()
-            ));
-        }
-        for (cp, cycle) in self.cycles.iter().zip(cycles) {
-            if cp.len == 0
-                || cp.len != cycle.len()
-                || cp.production.len() != cp.len
-                || cp.rec_pos.len() != cp.len
-                || cp.desc_step.len() != cp.len
-                || cp.asc_step.len() != cp.len
-            {
-                return Err("cycle plan shape disagrees with the recursion analysis".into());
-            }
-            for (e, (&production, &rec_pos)) in cycle
-                .edges
-                .iter()
-                .zip(cp.production.iter().zip(cp.rec_pos.iter()))
-            {
-                if production != e.production || rec_pos != e.body_pos as usize {
-                    return Err("cycle plan phases disagree with the recursion analysis".into());
-                }
-            }
-            if !cp
-                .desc_step
-                .iter()
-                .chain(cp.asc_step.iter())
-                .all(|m| m.dim() == n && m.is_well_formed())
-            {
-                return Err("malformed cycle step matrix".into());
-            }
-        }
-        for cp in &mut self.cycles {
-            cp.rebuild_pows(n);
-        }
-        Ok(self)
     }
 
     /// The minimal DFA the plan was compiled from.

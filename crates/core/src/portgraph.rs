@@ -19,7 +19,6 @@
 use crate::matrix::{StateMatrix, MAX_STATES};
 use rpq_automata::{Dfa, StateId, Symbol};
 use rpq_grammar::{ModuleId, SimpleWorkflow, Tag};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The one-symbol step matrices of a DFA, one per *symbol class*.
@@ -115,7 +114,7 @@ pub(crate) fn head_candidate<'a>(
 }
 
 /// All port-to-port closures of one production body.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BodyMatrices {
     /// `between[i * n + j]`: out(i) → in(j). Zero matrix when no path.
     between: Vec<StateMatrix>,
@@ -230,22 +229,6 @@ impl BodyMatrices {
     /// Number of body nodes these matrices cover.
     pub fn n_nodes(&self) -> usize {
         self.n
-    }
-
-    /// Do the invariants [`BodyMatrices::compute`] establishes hold
-    /// for a DFA of dimension `q`? Serde deserialization bypasses the
-    /// constructor, so loaders of persisted matrices must check.
-    pub fn is_well_formed(&self, q: usize) -> bool {
-        self.between.len() == self.n * self.n
-            && self.up.len() == self.n
-            && self.down.len() == self.n
-            && self
-                .between
-                .iter()
-                .chain(self.up.iter())
-                .chain(self.down.iter())
-                .chain(std::iter::once(&self.head))
-                .all(|m| m.dim() == q && m.is_well_formed())
     }
 }
 

@@ -279,31 +279,6 @@ impl<V: Clone> LruMap<V> {
     }
 }
 
-/// A persistence hook for compiled safe plans.
-///
-/// A session's in-memory plan cache dies with the process; stores
-/// implementing this trait give safe-plan compilation a durable tier:
-/// on a cache miss the session asks `load` before compiling (a
-/// restarted service reuses plans a previous process compiled), and
-/// hands every freshly compiled fully-safe plan to `store`.
-///
-/// Implementations own keying, durability and validation — a `load`
-/// must only return plans that verify against the session's
-/// specification (see [`SafeQueryPlan::restore`]); returning `None`
-/// makes the session recompile, so a corrupt or mismatched persisted
-/// plan degrades to a cold compile, never a wrong answer.
-pub trait PlanStore: Send + Sync {
-    /// A previously persisted plan for `canon`, already validated and
-    /// ready to evaluate, or `None` to recompile.
-    fn load(&self, canon: &str) -> Option<SafeQueryPlan>;
-
-    /// Persist a freshly compiled fully-safe plan. `source` is the
-    /// query's display rendering — re-parseable, so services can warm
-    /// their session from persisted plans at startup. Best-effort: a
-    /// failed write only costs a future recompile.
-    fn store(&self, canon: &str, source: &str, plan: &SafeQueryPlan);
-}
-
 /// A query session bound to one workflow specification.
 ///
 /// Sessions are `Send + Sync`: the specification is shared behind an
@@ -316,8 +291,6 @@ pub struct Session {
     /// parsing runs the AST smart constructors, so differently-spelled
     /// equivalent queries share one entry.
     plans: Mutex<HashMap<String, PreparedQuery>>,
-    /// Durable tier under the in-memory plan cache; see [`PlanStore`].
-    plan_store: Option<Arc<dyn PlanStore>>,
     indexes: Mutex<LruMap<Arc<TagIndex>>>,
     /// CSR adjacency arenas (per-tag + wildcard), cached per run beside
     /// the tag indexes: composite evaluations feed them to the
@@ -353,7 +326,6 @@ impl Session {
         Session {
             spec,
             plans: Mutex::new(HashMap::new()),
-            plan_store: None,
             indexes: Mutex::new(LruMap::new()),
             csrs: Mutex::new(LruMap::new()),
             plan_hits: AtomicU64::new(0),
@@ -370,14 +342,6 @@ impl Session {
     /// Open a session, taking ownership of the specification.
     pub fn from_spec(spec: Specification) -> Session {
         Session::new(Arc::new(spec))
-    }
-
-    /// Attach a durable plan tier: safe-plan cache misses consult
-    /// `store` before compiling, and freshly compiled fully-safe plans
-    /// are handed to it for persistence. See [`PlanStore`].
-    pub fn with_plan_store(mut self, store: Arc<dyn PlanStore>) -> Session {
-        self.plan_store = Some(store);
-        self
     }
 
     /// Bound each per-run cache (tag indexes and CSR arenas) to at most
@@ -473,25 +437,7 @@ impl Session {
         // it between the planner, the stats and the safety verdict.
         let dfa = Arc::new(compile_minimal_dfa(regex, self.spec.n_tags()));
         let dfa_states = dfa.n_states();
-        let source = source();
-        // Fully-safe plans have a durable tier: a persisted plan
-        // (validated by the store) skips the safety analysis and
-        // port-graph closure computation; a fresh compile that lands
-        // fully safe is handed back for persistence. Leaf queries never
-        // compile safe plans, so they skip the tier.
-        let plan = match &self.plan_store {
-            Some(store) if !general::is_leaf(regex) => match store.load(&key) {
-                Some(plan) => QueryPlan::Safe(plan),
-                None => {
-                    let plan = general::plan_query_with_dfa(&self.spec, regex, &dfa)?;
-                    if let QueryPlan::Safe(safe) = &plan {
-                        store.store(&key, &source, safe);
-                    }
-                    plan
-                }
-            },
-            _ => general::plan_query_with_dfa(&self.spec, regex, &dfa)?,
-        };
+        let plan = general::plan_query_with_dfa(&self.spec, regex, &dfa)?;
         // Definition-13 safety is a property of the query, not of the
         // chosen plan: a non-leaf plan settles it, but index-answered
         // leaves need an explicit probe — the verdict alone, no plan is
@@ -516,7 +462,7 @@ impl Session {
         let prepared = PreparedQuery {
             inner: Arc::new(PreparedInner {
                 spec: Arc::clone(&self.spec),
-                source,
+                source: source(),
                 regex: regex.clone(),
                 plan,
                 dfa,

@@ -839,8 +839,6 @@ fn add_stats(total: &mut WireStatsReply, s: &WireStatsReply) {
     total.closures_scc += s.closures_scc;
     total.condensations_computed += s.condensations_computed;
     total.condensations_reused += s.condensations_reused;
-    total.plan_reloads += s.plan_reloads;
-    total.plan_rebuilds += s.plan_rebuilds;
     total.store_epoch += s.store_epoch;
     total.appends += s.appends;
     total.append_rebuilds += s.append_rebuilds;

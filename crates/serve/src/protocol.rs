@@ -53,15 +53,15 @@ pub const MAGIC: [u8; 4] = *b"RPQN";
 /// server's chunk bound; v7 added the shared-condensation counters —
 /// [`WireOutcome::condensations_computed`] /
 /// [`WireOutcome::condensations_reused`] per request plus their
-/// process-wide twins in [`WireStatsReply`] — and the persisted
-/// plan-cache counters [`WireStatsReply::plan_reloads`] /
-/// [`WireStatsReply::plan_rebuilds`]; v8 removed what only the deleted
-/// process-wide mode switches fed — the `kernel` field of
+/// process-wide twins in [`WireStatsReply`] — and two counters of the
+/// persisted plan cache (reloads, rebuilds); v8 removed what only the
+/// deleted process-wide mode switches fed — the `kernel` field of
 /// [`WireOutcome`] and [`WireSlowQuery`], and
 /// `WireStatsReply::config_warnings`. Since then the server refuses a
 /// non-empty [`QuerySpec::policy`] or [`QuerySpec::strategy`]; the
-/// fields stay in the v8 frame, so the version did not move.)
-pub const VERSION: u8 = 8;
+/// fields stay in the frame. v9 removed v7's two plan-cache counters
+/// with the persisted plan cache: every process compiles its own plans.)
+pub const VERSION: u8 = 9;
 
 /// Hard cap on one frame's payload (64 MiB) — bounds the allocation a
 /// length prefix can demand before a single payload byte is read.
@@ -480,11 +480,6 @@ pub struct WireStatsReply {
     /// Process-wide SCC condensations answered by the run-scoped
     /// condensation cache.
     pub condensations_reused: u64,
-    /// Compiled plans decoded warm from the store's persisted plan
-    /// cache ([`rpq_store::StoreStats`]).
-    pub plan_reloads: u64,
-    /// Compiled plans built cold and persisted for the next process.
-    pub plan_rebuilds: u64,
     /// The store's catalog epoch — a monotonic counter bumped on every
     /// catalog-visible mutation (ingest, append, remove, gc).
     pub store_epoch: u64,
@@ -1134,12 +1129,10 @@ mod tests {
     }
 
     #[test]
-    fn v7_condensation_and_plan_cache_counters_round_trip() {
+    fn v7_condensation_counters_round_trip() {
         round_trip(WireResponse::Stats(WireStatsReply {
             condensations_computed: 3,
             condensations_reused: 9,
-            plan_reloads: 2,
-            plan_rebuilds: 1,
             ..WireStatsReply::default()
         }));
     }

@@ -229,11 +229,7 @@ impl Server {
             Some(capacity) => store.with_cache_capacity(capacity),
             None => store,
         });
-        // The store doubles as the session's durable plan tier: plans
-        // compiled here persist beside the index artifacts, and a
-        // restarted process reloads them instead of recompiling.
-        let session = Session::new(store.spec_arc())
-            .with_plan_store(Arc::clone(&store) as Arc<dyn rpq_core::PlanStore>);
+        let session = Session::new(store.spec_arc());
         let session = match config.cache {
             Some(capacity) => session.with_cache_capacity(capacity),
             None => session,
@@ -281,9 +277,7 @@ impl Server {
     /// query of each warmed run hits instead of rebuilding. When the
     /// caches are LRU-bounded, only the *newest* `cache` runs are
     /// warmed — seeding more would decode artifacts straight into
-    /// eviction. Also re-prepares every persisted compiled plan, so the
-    /// restarted server answers its standing queries plan-warm from the
-    /// first request. Returns the number of runs warmed.
+    /// eviction. Returns the number of runs warmed.
     pub fn warm(&self) -> Result<usize, RpqError> {
         let ids = self.store.ids();
         let keep = self.cache.unwrap_or(usize::MAX).min(ids.len());
@@ -293,12 +287,6 @@ impl Server {
             let (tag, csr) = self.store.artifacts(id)?;
             self.session.seed_run_cache(&run, tag, Some(csr));
             warmed += 1;
-        }
-        // Pull persisted plans through the store tier into the session
-        // cache. Best-effort: a plan whose query no longer parses (or
-        // whose persisted bytes fail validation) recompiles on demand.
-        for source in self.store.persisted_plans() {
-            let _ = self.session.prepare(&source);
         }
         Ok(warmed)
     }
@@ -595,8 +583,6 @@ impl Server {
             closures_scc: closures.scc,
             condensations_computed: rpq_relalg::condensation_counts().computed,
             condensations_reused: rpq_relalg::condensation_counts().reused,
-            plan_reloads: store.plan_reloads,
-            plan_rebuilds: store.plan_rebuilds,
             store_epoch: store.epoch,
             appends: store.appended,
             append_rebuilds: store.append_rebuilds,
@@ -670,14 +656,6 @@ impl Server {
                 (
                     "rpq_store_csr_rebuilds_total".to_owned(),
                     store.csr_rebuilds,
-                ),
-                (
-                    "rpq_store_plan_rebuilds_total".to_owned(),
-                    store.plan_rebuilds,
-                ),
-                (
-                    "rpq_store_plan_reloads_total".to_owned(),
-                    store.plan_reloads,
                 ),
                 ("rpq_store_csr_reloads_total".to_owned(), store.csr_reloads),
                 (

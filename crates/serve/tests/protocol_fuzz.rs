@@ -142,3 +142,26 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn frames_of_another_protocol_version_are_refused() {
+    // A peer one version behind (v8 framed the stats reply with the
+    // plan-cache counters) or ahead gets the typed version error, not
+    // a payload misread.
+    for version in [VERSION - 1, VERSION + 1] {
+        for mut frame in seed_frames() {
+            frame[4] = version;
+            for err in [
+                read_message::<WireRequest>(&mut &frame[..]).unwrap_err(),
+                read_message::<WireResponse>(&mut &frame[..]).unwrap_err(),
+            ] {
+                assert!(matches!(err, rpq_core::RpqError::Invalid(_)), "{err:?}");
+                assert!(
+                    err.to_string()
+                        .contains(&format!("unsupported protocol version {version}")),
+                    "{err}"
+                );
+            }
+        }
+    }
+}

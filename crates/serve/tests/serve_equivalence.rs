@@ -464,60 +464,64 @@ fn shutdown_drains_a_continuously_busy_connection() {
 }
 
 #[test]
-fn restart_reloads_persisted_plans_warm() {
-    let dir = temp_dir("plan_warm");
+fn restart_on_the_same_store_answers_identically() {
+    let dir = temp_dir("restart");
     let spec = Arc::new(rpq_workloads::paper_examples::fig2_spec());
     let store = RunStore::create(&dir, Arc::clone(&spec)).unwrap();
     let run = RunBuilder::new(&spec)
         .seed(7)
-        .target_edges(60)
+        .target_edges(120)
         .build()
         .unwrap();
     store.ingest(&run).unwrap();
+    // One safe query (label decode) and one composite (decomposed).
+    let queries = ["_* e _*", "_* a _*"];
     let spec_q = |query: &str| QuerySpec {
         query: query.to_owned(),
         policy: String::new(),
         strategy: String::new(),
         stages: false,
         run: RunAddr::Index(0),
-        mode: WireMode::EntryExit,
+        mode: WireMode::AllPairsFull,
     };
+    let serve = |store: RunStore| -> Vec<WireResult> {
+        let server = Server::bind(store, &ServeConfig::default()).unwrap();
+        assert_eq!(server.warm().unwrap(), 1);
+        let addr = server.local_addr().unwrap();
+        let handle = server.shutdown_handle();
+        let serving = std::thread::spawn(move || server.run(None));
+        let mut client = connect(addr);
+        let answers = queries
+            .iter()
+            .map(|q| client.query(spec_q(q)).unwrap().result)
+            .collect();
+        handle.shutdown();
+        serving.join().unwrap();
+        answers
+    };
+    let before = serve(store);
 
-    // Cold process: the first prepare compiles the plan and persists it
-    // beside the index artifacts.
-    let server = Server::bind(store, &ServeConfig::default()).unwrap();
-    server.warm().unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.shutdown_handle();
-    let serving = std::thread::spawn(move || server.run(None));
-    let mut client = connect(addr);
-    let cold = client.query(spec_q("_* e _*")).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.plan_rebuilds, 1, "first prepare compiles cold");
-    assert_eq!(stats.plan_reloads, 0);
-    handle.shutdown();
-    serving.join().unwrap();
+    // Older builds persisted compiled safe plans under `plans/`. Nothing
+    // reads them: the restarted server compiles its own plans.
+    std::fs::create_dir_all(dir.join("plans")).unwrap();
+    std::fs::write(dir.join("plans").join("plan-0123.bin"), b"RPQ plan").unwrap();
+    let after = serve(RunStore::open(&dir).unwrap());
+    assert_eq!(before, after);
 
-    // Restarted process: warm() pulls the persisted plan back through
-    // the store tier — no recompilation — and the warm answer matches
-    // the cold one.
-    let reopened = RunStore::open(&dir).unwrap();
-    let server = Server::bind(reopened, &ServeConfig::default()).unwrap();
-    server.warm().unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.shutdown_handle();
-    let serving = std::thread::spawn(move || server.run(None));
-    let mut client = connect(addr);
-    let warm = client.query(spec_q("_* e _*")).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.plan_reloads, 1, "restart decodes the persisted plan");
-    assert_eq!(
-        stats.plan_rebuilds, 0,
-        "nothing recompiles on the warm path"
-    );
-    assert_eq!(cold.result, warm.result);
-    handle.shutdown();
-    serving.join().unwrap();
+    let session = Session::new(Arc::clone(&spec));
+    let all: Vec<rpq_labeling::NodeId> = run.node_ids().collect();
+    for (query, answer) in queries.iter().zip(&after) {
+        let prepared = session.prepare(query).unwrap();
+        let expected = rpq_baselines::Referee::new(&run, prepared.dfa()).all_pairs(&all, &all);
+        let expected = WireResult::Pairs(expected.iter().map(|(u, v)| (u.0, v.0)).collect());
+        assert_eq!(answer, &expected, "{query}");
+    }
+    assert!(session.prepare(queries[0]).unwrap().plan().is_safe());
+    assert!(!session.prepare(queries[1]).unwrap().plan().is_safe());
+
+    // gc removes the leftover tree.
+    assert_eq!(RunStore::open(&dir).unwrap().prune_orphans().unwrap(), 1);
+    assert!(!dir.join("plans").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -74,7 +74,7 @@ mod log;
 
 pub use live::{Appended, LiveSnapshot, OpenRun};
 
-use rpq_core::{PlanStore, RpqError, RunRef, RunSource, SafeQueryPlan};
+use rpq_core::{RpqError, RunRef, RunSource};
 use rpq_grammar::Specification;
 use rpq_labeling::Run;
 use rpq_relalg::{CsrIndex, TagIndex};
@@ -135,12 +135,6 @@ pub struct StoreStats {
     /// Bytes appends handed to the filesystem: each one's log segment
     /// plus the catalog files it rewrote.
     pub append_bytes: u64,
-    /// Compiled safe plans decoded from persisted artifacts (the warm
-    /// path: a restarted process reuses plans a previous one compiled).
-    pub plan_reloads: u64,
-    /// Safe plans compiled cold (no valid persisted artifact; the
-    /// fresh plan is persisted for next time).
-    pub plan_rebuilds: u64,
     /// The catalog epoch: a monotonic mutation counter bumped (and
     /// persisted) on every catalog-visible change — ingest, append,
     /// removal, orphan pruning. Clients cache against it: an unchanged
@@ -164,8 +158,6 @@ impl StoreStats {
             appended: self.appended - earlier.appended,
             append_rebuilds: self.append_rebuilds - earlier.append_rebuilds,
             append_bytes: self.append_bytes - earlier.append_bytes,
-            plan_reloads: self.plan_reloads - earlier.plan_reloads,
-            plan_rebuilds: self.plan_rebuilds - earlier.plan_rebuilds,
             // The epoch is a level, not a rate, but it is monotonic, so
             // the difference reads as "catalog mutations since".
             epoch: self.epoch - earlier.epoch,
@@ -384,11 +376,6 @@ pub struct RunStore {
     appended: AtomicU64,
     append_rebuilds: AtomicU64,
     append_bytes: AtomicU64,
-    plan_reloads: AtomicU64,
-    plan_rebuilds: AtomicU64,
-    /// FNV-1a of the spec's JSON rendering: binds persisted plans to
-    /// *this* store's specification (see [`PersistedPlan::spec_fp`]).
-    spec_fp: u64,
 }
 
 /// One run's catalog row, as exposed to clients ([`RunStore::metas`]):
@@ -419,7 +406,7 @@ impl RunStore {
                 "directory {dir:?} already holds a run store; use open"
             )));
         }
-        for sub in ["runs", "index", "catalog", "plans"] {
+        for sub in ["runs", "index", "catalog"] {
             std::fs::create_dir_all(dir.join(sub))
                 .map_err(|e| RpqError::io(format!("cannot create store directory {dir:?}"), e))?;
         }
@@ -594,11 +581,6 @@ impl RunStore {
         sharded: bool,
         shard_bits: u32,
     ) -> RunStore {
-        // The spec's serialized form is deterministic (ordered field
-        // maps), so its hash is a stable cross-process fingerprint.
-        let spec_fp = serde_json::to_string(spec.as_ref())
-            .map(|json| fnv1a(json.as_bytes()))
-            .unwrap_or(0);
         let by_fingerprint = catalog
             .entries
             .iter()
@@ -628,9 +610,6 @@ impl RunStore {
             appended: AtomicU64::new(0),
             append_rebuilds: AtomicU64::new(0),
             append_bytes: AtomicU64::new(0),
-            plan_reloads: AtomicU64::new(0),
-            plan_rebuilds: AtomicU64::new(0),
-            spec_fp,
         }
     }
 
@@ -748,8 +727,6 @@ impl RunStore {
             appended: self.appended.load(Ordering::Relaxed),
             append_rebuilds: self.append_rebuilds.load(Ordering::Relaxed),
             append_bytes: self.append_bytes.load(Ordering::Relaxed),
-            plan_reloads: self.plan_reloads.load(Ordering::Relaxed),
-            plan_rebuilds: self.plan_rebuilds.load(Ordering::Relaxed),
             epoch: self.epoch(),
         }
     }
@@ -949,7 +926,9 @@ impl RunStore {
     /// Delete every file under `runs/` and `index/` that no catalog row
     /// references: leftovers of interrupted removals, tmp files of
     /// crashed atomic writes, artifacts of runs evicted while their
-    /// unlink failed. Returns how many files were deleted. The catalog
+    /// unlink failed. A `plans/` directory (compiled safe plans that
+    /// older builds persisted; nothing reads them now) goes whole.
+    /// Returns how many files were deleted. The catalog
     /// rows are never touched; a pass that deleted anything bumps the
     /// epoch (files under the store changed) and re-persists.
     pub fn prune_orphans(&self) -> Result<usize, RpqError> {
@@ -1006,6 +985,12 @@ impl RunStore {
                 })?;
                 pruned += 1;
             }
+        }
+        let plans = self.dir.join("plans");
+        if let Ok(entries) = std::fs::read_dir(&plans) {
+            pruned += entries.count();
+            std::fs::remove_dir_all(&plans)
+                .map_err(|e| RpqError::io(format!("cannot delete {plans:?}"), e))?;
         }
         if pruned > 0 {
             state.catalog.epoch += 1;
@@ -1180,54 +1165,6 @@ impl RunStore {
             .insert_or_keep(id, (tag, csr)))
     }
 
-    // -- plan cache ----------------------------------------------------
-
-    /// Every valid persisted plan's query source — what a service warms
-    /// its session with at startup: re-preparing each source pulls the
-    /// persisted plan through [`PlanStore::load`] into the session's
-    /// in-memory cache without recompiling. Unreadable, outdated or
-    /// foreign-spec files are skipped silently (they fall back to
-    /// recompile-on-demand, never an error).
-    pub fn persisted_plans(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let Ok(entries) = std::fs::read_dir(self.plans_dir()) else {
-            return out;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if !name.starts_with("plan-") || !name.ends_with(".bin") {
-                continue;
-            }
-            let Ok(bytes) = std::fs::read(entry.path()) else {
-                continue;
-            };
-            let Ok(persisted) = codec::from_bytes::<PersistedPlan>(&bytes) else {
-                continue;
-            };
-            if persisted.version == PLAN_VERSION && persisted.spec_fp == self.spec_fp {
-                out.push(persisted.source);
-            }
-        }
-        // Directory order is filesystem-dependent; warm deterministically.
-        out.sort();
-        out
-    }
-
-    fn plans_dir(&self) -> PathBuf {
-        self.dir.join("plans")
-    }
-
-    /// One file per (canonical query, spec) key. The filename is the
-    /// key's hash; the full key is stored inside the file and re-checked
-    /// on load, so a hash collision (or a copied file) degrades to a
-    /// recompile, never a wrong plan.
-    fn plan_path(&self, canon: &str) -> PathBuf {
-        let mut h = fnv1a(canon.as_bytes());
-        h ^= self.spec_fp.rotate_left(2);
-        self.plans_dir().join(format!("plan-{h:016x}.bin"))
-    }
-
     // -- paths & persistence -------------------------------------------
 
     fn run_path(&self, id: RunId) -> PathBuf {
@@ -1325,68 +1262,6 @@ impl RunStore {
     }
 }
 
-/// Persisted-plan schema version; files with another version fall back
-/// to recompile. Version 1 files also keyed a subquery policy.
-const PLAN_VERSION: u32 = 2;
-
-/// The persisted form of one compiled safe plan (`plans/plan-*.bin`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PersistedPlan {
-    version: u32,
-    /// Normalized-AST rendering — the cache key ([`Session`] plan-cache
-    /// keying uses the same canonicalization).
-    canon: String,
-    /// Re-parseable display rendering, for warm-at-startup.
-    source: String,
-    /// Fingerprint of the owning store's specification: a plan file
-    /// copied between stores of different specs must fail key
-    /// validation rather than decode for the wrong grammar.
-    spec_fp: u64,
-    plan: SafeQueryPlan,
-}
-
-/// The durable safe-plan tier ([`rpq_core::PlanStore`]): compiled plans
-/// persist beside the index artifacts, keyed by (normalized query,
-/// spec fingerprint), with the same tamper-fallback-to-rebuild contract
-/// the CSR artifacts have. Attach with
-/// `Session::with_plan_store` to make prepared safe plans survive
-/// process restarts.
-impl PlanStore for RunStore {
-    fn load(&self, canon: &str) -> Option<SafeQueryPlan> {
-        let _span = rpq_obs::Trace::span("store_load");
-        let bytes = std::fs::read(self.plan_path(canon)).ok()?;
-        let persisted: PersistedPlan = codec::from_bytes(&bytes).ok()?;
-        if persisted.version != PLAN_VERSION
-            || persisted.canon != canon
-            || persisted.spec_fp != self.spec_fp
-        {
-            return None;
-        }
-        // Restore validates every structural invariant against the
-        // spec and rebuilds the skipped power tables; a tampered or
-        // truncated payload fails here and recompiles.
-        let plan = persisted.plan.restore(&self.spec).ok()?;
-        self.plan_reloads.fetch_add(1, Ordering::Relaxed);
-        Some(plan)
-    }
-
-    fn store(&self, canon: &str, source: &str, plan: &SafeQueryPlan) {
-        // The compile already happened — that is what the rebuild
-        // counter measures; persistence is best-effort on top.
-        self.plan_rebuilds.fetch_add(1, Ordering::Relaxed);
-        let persisted = PersistedPlan {
-            version: PLAN_VERSION,
-            canon: canon.to_owned(),
-            source: source.to_owned(),
-            spec_fp: self.spec_fp,
-            plan: plan.clone(),
-        };
-        // Stores created by older builds lack `plans/`.
-        let _ = std::fs::create_dir_all(self.plans_dir());
-        let _ = write_atomic(&self.plan_path(canon), &codec::to_bytes(&persisted));
-    }
-}
-
 /// The header of an index artifact file: a magic, then the fingerprint
 /// key of the run state the artifact was derived from.
 fn stamp(key: FpKey) -> [u8; 36] {
@@ -1426,8 +1301,7 @@ fn decode_stamped<T: Deserialize>(path: &Path, key: FpKey) -> Option<T> {
     codec::from_bytes(bytes.strip_prefix(&stamp(key))?).ok()
 }
 
-/// 64-bit FNV-1a: key hashing for plan files and the spec fingerprint,
-/// and the checksum of event-log segments.
+/// 64-bit FNV-1a: the checksum of event-log segments.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -1582,92 +1456,6 @@ mod tests {
         tampered.artifacts(id).unwrap();
         assert_eq!(tampered.stats().tag_rebuilds, 1);
         assert_eq!(tampered.stats().csr_reloads, 1);
-    }
-
-    #[test]
-    fn plans_persist_reload_and_fall_back_on_tamper() {
-        let dir = temp_dir("plans");
-        let spec = Arc::new(spec());
-        let store = Arc::new(RunStore::create(&dir, Arc::clone(&spec)).unwrap());
-        let session = rpq_core::Session::new(store.spec_arc())
-            .with_plan_store(Arc::clone(&store) as Arc<dyn PlanStore>);
-
-        // Cold: the safe plan compiles and persists.
-        let q = session.prepare("_* e _*").unwrap();
-        assert!(q.plan().is_safe());
-        assert_eq!(store.stats().plan_rebuilds, 1);
-        assert_eq!(store.stats().plan_reloads, 0);
-        // Session cache hit: no further store traffic, any spelling.
-        session.prepare("_*  e  _*").unwrap();
-        assert_eq!(store.stats().plan_rebuilds, 1);
-        // Composite (unsafe) and leaf queries bypass the durable tier.
-        assert!(!session.prepare("_* a _*").unwrap().plan().is_safe());
-        session.prepare("e").unwrap();
-        assert_eq!(store.stats().plan_rebuilds, 1);
-        assert_eq!(store.persisted_plans(), vec!["_* e _*".to_owned()]);
-
-        // Restart: a fresh store + session reload instead of recompiling.
-        let store2 = Arc::new(RunStore::open(&dir).unwrap());
-        let session2 = rpq_core::Session::new(store2.spec_arc())
-            .with_plan_store(Arc::clone(&store2) as Arc<dyn PlanStore>);
-        let q2 = session2.prepare("_* e _*").unwrap();
-        assert_eq!(store2.stats().plan_reloads, 1);
-        assert_eq!(store2.stats().plan_rebuilds, 0);
-        // The reloaded plan (rebuilt power tables included) answers
-        // exactly like the freshly compiled one on a deep-recursion run.
-        let run = run_of(&spec, 5);
-        let (fresh, reloaded) = (q.safe_plan().unwrap(), q2.safe_plan().unwrap());
-        for u in run.node_ids() {
-            for v in run.node_ids() {
-                assert_eq!(fresh.pairwise(&run, u, v), reloaded.pairwise(&run, u, v));
-            }
-        }
-
-        // A plan file in the format before plans stopped keying a
-        // subquery policy (version 1, a `policy` field) is skipped and
-        // recompiled, never decoded as a current plan — even when it
-        // sits at the path the current key hashes to.
-        #[derive(Serialize)]
-        struct PolicyKeyedPlan {
-            version: u32,
-            canon: String,
-            source: String,
-            policy: String,
-            spec_fp: u64,
-            plan: SafeQueryPlan,
-        }
-        let canon = format!("{:?}", session.parse("_* e _*").unwrap());
-        let old = PolicyKeyedPlan {
-            version: 1,
-            canon: canon.clone(),
-            source: "_* e _*".to_owned(),
-            policy: "cost".to_owned(),
-            spec_fp: store.spec_fp,
-            plan: fresh.clone(),
-        };
-        std::fs::write(store.plan_path(&canon), codec::to_bytes(&old)).unwrap();
-        let store4 = Arc::new(RunStore::open(&dir).unwrap());
-        assert!(store4.persisted_plans().is_empty());
-        assert!(store4.load(&canon).is_none());
-        let session4 = rpq_core::Session::new(store4.spec_arc())
-            .with_plan_store(Arc::clone(&store4) as Arc<dyn PlanStore>);
-        assert!(session4.prepare("_* e _*").unwrap().plan().is_safe());
-        assert_eq!(store4.stats().plan_reloads, 0);
-        assert_eq!(store4.stats().plan_rebuilds, 1);
-        // The recompile rewrote the file in the current format.
-        assert_eq!(store4.persisted_plans(), vec!["_* e _*".to_owned()]);
-
-        // Tampered plan files fall back to recompile, never an error.
-        for entry in std::fs::read_dir(store.dir().join("plans")).unwrap() {
-            std::fs::write(entry.unwrap().path(), b"garbage").unwrap();
-        }
-        let store3 = Arc::new(RunStore::open(&dir).unwrap());
-        assert!(store3.persisted_plans().is_empty());
-        let session3 = rpq_core::Session::new(store3.spec_arc())
-            .with_plan_store(Arc::clone(&store3) as Arc<dyn PlanStore>);
-        assert!(session3.prepare("_* e _*").unwrap().plan().is_safe());
-        assert_eq!(store3.stats().plan_reloads, 0);
-        assert_eq!(store3.stats().plan_rebuilds, 1);
     }
 
     #[test]

@@ -671,14 +671,11 @@ fn cmd_batch(args: &[String]) -> Result<String, RpqError> {
     .expect("write to string");
     writeln!(
         out,
-        "store: tag reloads {}, csr reloads {}, tag rebuilds {}, csr rebuilds {}, \
-         plan reloads {}, plan rebuilds {}",
+        "store: tag reloads {}, csr reloads {}, tag rebuilds {}, csr rebuilds {}",
         store_stats.tag_reloads,
         store_stats.csr_reloads,
         store_stats.tag_rebuilds,
-        store_stats.csr_rebuilds,
-        store_stats.plan_reloads,
-        store_stats.plan_rebuilds
+        store_stats.csr_rebuilds
     )
     .expect("write to string");
     writeln!(
@@ -935,7 +932,6 @@ fn cmd_request(args: &[String]) -> Result<String, RpqError> {
                  service: {} connection(s), {} request(s), {} overloaded, {} error(s)\n\
                  session: plan {}h/{}m, index {}h/{}m, csr {}h/{}m, {} eviction(s)\n\
                  store:   tag reloads {}, csr reloads {}, tag rebuilds {}, csr rebuilds {}\n\
-                 plans:   {} reload(s) from disk, {} cold rebuild(s)\n\
                  live:    epoch {}, {} append(s) ({} forced rebuild(s)), {} subscription(s)\n\
                  closures: pairs {}, bits {}, scc {} (condensations: {} computed, {} reused)\n\
                  strategy: lazy {}, materialized {}, {} product state(s) expanded\n\
@@ -956,8 +952,6 @@ fn cmd_request(args: &[String]) -> Result<String, RpqError> {
                 s.csr_reloads,
                 s.tag_rebuilds,
                 s.csr_rebuilds,
-                s.plan_reloads,
-                s.plan_rebuilds,
                 s.store_epoch,
                 s.appends,
                 s.append_rebuilds,

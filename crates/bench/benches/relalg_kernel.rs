@@ -1,21 +1,23 @@
 //! Pairs-vs-bits-vs-scc kernel micro-benchmarks: transitive closure
-//! and composition across run sizes (the Criterion face of
-//! `rpq_bench::kernelbench`; `repro -- relalg` records the same
-//! workloads into `BENCH_relalg.json`).
+//! over the three shapes that separate the closure kernels (layered
+//! DAGs, deep chains, cyclic cores) and composition over random
+//! relations, across run sizes. These are the shapes
+//! `rpq_relalg::SCC_DENSITY_FACTOR` and `choose_closure` were tuned on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpq_bench::kernelbench::{layered_relation, random_relation};
 use rpq_relalg::{
     compose_pairs_bits, compose_pairs_kernel, transitive_closure_bits, transitive_closure_pairs,
     transitive_closure_scc,
 };
-use rpq_workloads::runs::deep_chain_relation;
+use rpq_workloads::runs::{
+    cyclic_core_relation, deep_chain_relation, random_relation, wide_dag_relation,
+};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("relalg_kernel");
     group.sample_size(10);
     for &n in &[128usize, 512, 2048] {
-        let base = layered_relation(n, (n / 16).max(2), 2, 0xC105 + n as u64);
+        let base = wide_dag_relation(n, (n / 16).max(2), 2, 0xC105 + n as u64);
         group.bench_function(BenchmarkId::new("closure_pairs", n), |b| {
             b.iter(|| std::hint::black_box(transitive_closure_pairs(&base)))
         });
@@ -32,6 +34,16 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("chain_closure_scc", n), |b| {
             b.iter(|| std::hint::black_box(transitive_closure_scc(&chain, n)))
+        });
+
+        // A chain with an n/8-node cyclic core mid-way: the paper's
+        // workflow regime, a DAG run with one loop.
+        let core = cyclic_core_relation(n, (n / 8).max(2), 0xCC + n as u64);
+        group.bench_function(BenchmarkId::new("core_closure_bits", n), |b| {
+            b.iter(|| std::hint::black_box(transitive_closure_bits(&core, n)))
+        });
+        group.bench_function(BenchmarkId::new("core_closure_scc", n), |b| {
+            b.iter(|| std::hint::black_box(transitive_closure_scc(&core, n)))
         });
 
         let a = random_relation(n, 4 * n, 0xA11CE + n as u64);

@@ -7,7 +7,24 @@
 //! ```
 
 use rpq_bench::experiments::{self, Scale};
-use rpq_bench::Dataset;
+use rpq_bench::{Dataset, Table};
+
+/// One figure's experiment.
+type Figure = fn(Scale) -> Table;
+
+/// The figures `repro` regenerates, in print order.
+const FIGURES: [(&str, Figure); 10] = [
+    ("fig13a", experiments::fig13a),
+    ("fig13b", experiments::fig13b),
+    ("fig13c", experiments::fig13c),
+    ("fig13d", experiments::fig13d),
+    ("fig13e", |s| experiments::fig13ef(&Dataset::bioaid(), s)),
+    ("fig13f", |s| experiments::fig13ef(&Dataset::qblast(), s)),
+    ("fig13g", |s| experiments::fig13gh(&Dataset::bioaid(), s)),
+    ("fig13h", |s| experiments::fig13gh(&Dataset::qblast(), s)),
+    ("fig15a", |s| experiments::fig15(&Dataset::bioaid(), s)),
+    ("fig15b", |s| experiments::fig15(&Dataset::qblast(), s)),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -17,115 +34,20 @@ fn main() {
         Scale::Full
     };
     let figures: Vec<String> = args.into_iter().filter(|a| !a.starts_with("--")).collect();
-    let want = |name: &str| figures.is_empty() || figures.iter().any(|f| f == name);
+    let names = FIGURES.map(|(name, _)| name);
+    if let Some(unknown) = figures.iter().find(|f| !names.contains(&f.as_str())) {
+        eprintln!(
+            "repro: unknown figure {unknown:?}; the figures are {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    }
 
     println!("rpq paper-figure reproduction (scale: {scale:?})");
     println!("Huang, Bao, Davidson, Milo, Yuan — ICDE 2015\n");
-
-    if want("fig13a") {
-        println!("{}", experiments::fig13a(scale).render());
-    }
-    if want("fig13b") {
-        println!("{}", experiments::fig13b(scale).render());
-    }
-    if want("fig13c") {
-        println!("{}", experiments::fig13c(scale).render());
-    }
-    if want("fig13d") {
-        println!("{}", experiments::fig13d(scale).render());
-    }
-    if want("fig13e") {
-        println!(
-            "{}",
-            experiments::fig13ef(&Dataset::bioaid(), scale).render()
-        );
-    }
-    if want("fig13f") {
-        println!(
-            "{}",
-            experiments::fig13ef(&Dataset::qblast(), scale).render()
-        );
-    }
-    if want("fig13g") {
-        println!(
-            "{}",
-            experiments::fig13gh(&Dataset::bioaid(), scale).render()
-        );
-    }
-    if want("fig13h") {
-        println!(
-            "{}",
-            experiments::fig13gh(&Dataset::qblast(), scale).render()
-        );
-    }
-    if want("fig15a") {
-        println!("{}", experiments::fig15(&Dataset::bioaid(), scale).render());
-    }
-    if want("fig15b") {
-        println!("{}", experiments::fig15(&Dataset::qblast(), scale).render());
-    }
-    if want("relalg") {
-        // Not a paper figure: the pairs-vs-bits kernel A/B of
-        // rpq-relalg plus the lazy-vs-materialized strategy A/B,
-        // recorded together as the repo's perf baseline.
-        let path = "BENCH_relalg.json";
-        match rpq_bench::kernelbench::run_and_record(scale == Scale::Full, path) {
-            Ok(tables) => {
-                for t in tables {
-                    println!("{}", t.render());
-                }
-                println!("baseline written to {path}\n");
-            }
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-    if want("batch") {
-        // Not a paper figure either: the run-store batch executor —
-        // sequential vs parallel fan-out and cold vs warm store.
-        let path = "BENCH_batch.json";
-        match rpq_bench::batchbench::run_and_record(scale == Scale::Full, path) {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("baseline written to {path}\n");
-            }
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-    if want("ingest") {
-        // The live-ingestion layer: delta index maintenance vs a full
-        // rebuild on every append, at the store and at the closure
-        // kernel underneath.
-        let path = "BENCH_ingest.json";
-        match rpq_bench::ingestbench::run_and_record(scale == Scale::Full, path) {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("baseline written to {path}\n");
-            }
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-    if want("serve") {
-        // The network layer: open- and closed-loop load over loopback
-        // against `rpq-serve`, swept across worker counts.
-        let path = "BENCH_serve.json";
-        match rpq_bench::servebench::run_and_record(scale == Scale::Full, path) {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("baseline written to {path}\n");
-            }
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-    if want("router") {
-        // The routing tier: closed-loop load through `rpq-router`
-        // across shard counts, plus a kill-a-backend failover leg.
-        let path = "BENCH_serve.json";
-        match rpq_bench::routerbench::run_and_record(scale == Scale::Full, path) {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("baseline written to {path}\n");
-            }
-            Err(e) => eprintln!("cannot write {path}: {e}"),
+    for (name, figure) in FIGURES {
+        if figures.is_empty() || figures.iter().any(|f| f == name) {
+            println!("{}", figure(scale).render());
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every function takes a [`Scale`] so the same code serves the full
 //! paper-scale sweep (`repro` binary) and quick smoke/criterion runs.
-//! Returned [`Table`]s print paper-style rows; EXPERIMENTS.md records
-//! the paper-vs-measured comparison.
+//! Returned [`Table`]s print paper-style rows; README's "Performance"
+//! section compares them with the paper's claims.
 
 use crate::datasets::Dataset;
 use crate::timing::{fmt_secs, time_avg_secs, time_stats_secs, Table};

@@ -651,8 +651,7 @@ impl Session {
     /// Test hook: [`Session::evaluate`] on a named engine, so the
     /// differential suites can compare the two engines on every request
     /// mode. A run whose labels are unsound still goes lazy. Not part
-    /// of the API; nothing outside tests and test-support benches
-    /// calls it.
+    /// of the API; nothing outside tests calls it.
     #[doc(hidden)]
     pub fn evaluate_forced(
         &self,

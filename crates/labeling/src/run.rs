@@ -72,7 +72,10 @@ impl EventBatch {
 /// Besides nodes and edges a run carries lazily filled caches of
 /// values derived from them — fingerprint, acyclicity, distinct-edge
 /// count and document rank — none of which is persisted or compared.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The adjacency and entry/exit are written with the run but never
+/// read back: decoding rebuilds them through [`Run::assemble`], so a
+/// file or frame cannot pair edges with adjacency that disagrees.
+#[derive(Debug, Clone, Serialize)]
 pub struct Run {
     nodes: Vec<RunNode>,
     edges: Vec<RunEdge>,
@@ -114,41 +117,28 @@ impl PartialEq for Run {
 
 impl Eq for Run {}
 
+impl Deserialize for Run {
+    fn from_value(value: &serde::Value) -> Result<Run, serde::DeError> {
+        let field = |name: &str| {
+            value
+                .get_field(name)
+                .ok_or_else(|| serde::DeError::missing("Run", name))
+        };
+        let nodes = Vec::<RunNode>::from_value(field("nodes")?)?;
+        let edges = Vec::<RunEdge>::from_value(field("edges")?)?;
+        Run::assemble(nodes, edges).map_err(serde::DeError::custom)
+    }
+}
+
 impl Run {
-    /// Assemble a run from nodes and edges (crate-internal; use
-    /// [`crate::RunBuilder`]).
+    /// Assemble a derived run (crate-internal; use
+    /// [`crate::RunBuilder`]): [`Run::assemble`] plus derivation's
+    /// unique entry and exit.
     pub(crate) fn from_parts(nodes: Vec<RunNode>, edges: Vec<RunEdge>) -> Run {
-        let n = nodes.len();
-        let mut out: Vec<Vec<(NodeId, Tag)>> = vec![Vec::new(); n];
-        let mut inc: Vec<Vec<(NodeId, Tag)>> = vec![Vec::new(); n];
-        for e in &edges {
-            out[e.src.index()].push((e.dst, e.tag));
-            inc[e.dst.index()].push((e.src, e.tag));
-        }
-        let entry = NodeId(
-            inc.iter()
-                .position(|v| v.is_empty())
-                .expect("run has a unique entry") as u32,
-        );
-        let exit = NodeId(
-            out.iter()
-                .rposition(|v| v.is_empty())
-                .expect("run has a unique exit") as u32,
-        );
-        debug_assert_eq!(inc.iter().filter(|v| v.is_empty()).count(), 1);
-        debug_assert_eq!(out.iter().filter(|v| v.is_empty()).count(), 1);
-        Run {
-            nodes,
-            edges,
-            out,
-            inc,
-            entry,
-            exit,
-            fingerprint: std::sync::OnceLock::new(),
-            acyclic: std::sync::OnceLock::new(),
-            distinct_edges: std::sync::OnceLock::new(),
-            doc_rank: std::sync::OnceLock::new(),
-        }
+        let run = Run::assemble(nodes, edges).expect("a derived run has an entry and an exit");
+        debug_assert_eq!(run.inc.iter().filter(|v| v.is_empty()).count(), 1);
+        debug_assert_eq!(run.out.iter().filter(|v| v.is_empty()).count(), 1);
+        run
     }
 
     /// Assemble a run from explicit nodes and edges under *relaxed*

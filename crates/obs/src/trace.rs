@@ -13,7 +13,7 @@
 //! Frames nest too (a server frame around a session frame): spans
 //! always record into the innermost open frame, and a span that is
 //! open when no frame is active records nowhere. Tracing can be
-//! disabled process-wide ([`set_enabled`]) for overhead guards; an
+//! disabled process-wide ([`set_enabled`]) to measure its cost; an
 //! inert span costs one relaxed atomic load.
 
 use std::cell::RefCell;
@@ -27,8 +27,8 @@ pub type Stages = Vec<(&'static str, u64)>;
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Enable or disable span recording process-wide (default: enabled).
-/// Used by the bench overhead guard; frames still open and close, they
-/// just collect nothing.
+/// Used by the `trace_cost` example and the tests; frames still open
+/// and close, they just collect nothing.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -246,9 +246,11 @@ pub fn choose_compose(n_nodes: usize, a_len: usize, b_len: usize) -> Kernel {
 /// Base relations at most this many times denser than their universe
 /// (`|R| ≤ factor · n`) take the condensation closure.
 ///
-/// Measured on the `repro -- relalg` sweep (see `BENCH_relalg.json`):
-/// the condensation pass does `O((E_cond + n) · n/64)` word work versus
-/// the semi-naive kernel's `O(|TC| · n/64)`, and since distinct
+/// Measured on the kernel sweep that the `relalg_kernel` bench of
+/// `crates/bench` runs (layered DAGs, deep chains, cyclic cores; the
+/// recorded sweep was last written at commit `3b2ced4`): the
+/// condensation pass does `O((E_cond + n) · n/64)` word work versus the
+/// semi-naive kernel's `O(|TC| · n/64)`, and since distinct
 /// condensation edges never exceed the base (`E_cond ≤ |E| ≤ |TC|`) it
 /// won every measured shape — deep chains 2.3–16× over the bit kernel,
 /// cyclic cores 2.7–15×, layered DAGs 1.2–2.7×, and still 1.4–2.2× on
@@ -266,7 +268,8 @@ pub const SCC_DENSITY_FACTOR: usize = 64;
 /// but the bit kernel's ORs discover up to 64 pairs at once and never
 /// re-sort, so whenever the closure is big enough to amortize the
 /// `n × ⌈n/64⌉` matrix allocations the dense kernels win (measured well
-/// below 512 nodes on non-trivial bases; see `BENCH_relalg.json`).
+/// below 512 nodes on non-trivial bases in the `relalg_kernel` bench's
+/// sweep, last recorded at commit `3b2ced4`).
 /// The guard below keeps near-empty closures on huge universes — where
 /// the pair fixpoint finishes in microseconds — off the dense path.
 /// Among the dense kernels, sparse-or-deep bases (at most

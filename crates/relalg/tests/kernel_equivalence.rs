@@ -327,11 +327,22 @@ proptest! {
 
     #[test]
     fn closures_agree_in_every_format(case in sized_pair(200)) {
-        let (n, r, _) = case;
+        let (n, r, other) = case;
         let referee = transitive_closure_pairs(&r);
         let csr = CsrRelation::from_pairs(&r, n);
         let cache = CondensationCache::new();
         let mut closures = vec![closure_csr(&csr), closure_csr_shared(&csr, &csr, &cache)];
+        // A base inside a larger graph, as each per-tag closure of a
+        // composite plan sits inside the run's whole adjacency; one
+        // cache serves two bases of the same whole.
+        let whole: NodePairSet = r.iter().chain(other.iter()).collect();
+        let whole = CsrRelation::from_pairs(&whole, n);
+        let shared = CondensationCache::new();
+        prop_assert_eq!(
+            closure_csr_shared(&CsrRelation::from_pairs(&other, n), &whole, &shared).into_sorted(),
+            transitive_closure_pairs(&other)
+        );
+        closures.push(closure_csr_shared(&csr, &whole, &shared));
         closures.extend(formats(&r, n).iter().map(|p| closure_in(p, n)));
         for closure in closures {
             prop_assert_eq!(closure.len(), referee.len());

@@ -9,12 +9,15 @@
 //! chosen by scanning seeds until every backend is the consistent-hash
 //! primary for at least one run.
 
+#[path = "support/faults.rs"]
+mod faults;
+
+use faults::{corrupt_artifacts, FaultMode, FaultProxy};
 use proptest::prelude::*;
 use rpq_core::Session;
 use rpq_labeling::{Run, RunBuilder};
 use rpq_router::ring::HashRing;
 use rpq_router::{Router, RouterConfig};
-use rpq_serve::faults::{corrupt_artifacts, FaultMode, FaultProxy};
 use rpq_serve::protocol::{QuerySpec, RunAddr, WireMode, WireRequest, WireResponse, WireResult};
 use rpq_serve::{RetryPolicy, ServeClient, ServeConfig, Server};
 use rpq_store::RunStore;

@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the serving tier's tests.
+//! Deterministic fault injection for the fleet's tests (test support,
+//! compiled into `router_faults` only).
 //!
 //! [`FaultProxy`] is a tiny TCP proxy that sits between a client (or
 //! the router) and a real backend and misbehaves *on command*: refuse

@@ -30,8 +30,8 @@
 //!   and `Subscribe` stands a query up over it, pushing only *newly
 //!   derived* answers as appends land;
 //! * [`client`] — [`ServeClient`], the blocking library client the
-//!   CLI's `rpq request` verb and the `servebench` load generator are
-//!   built on.
+//!   CLI's `rpq request` verb and the benchmark's `serve_*` workloads
+//!   are built on.
 //!
 //! [`Overloaded`]: protocol::WireResponse::Overloaded
 //!
@@ -78,7 +78,6 @@
 //! ```
 
 pub mod client;
-pub mod faults;
 pub mod front;
 pub mod protocol;
 pub mod retry;

@@ -2,20 +2,43 @@
 //! and bit-flipped frames fed to `rpq_serve::protocol::read_message`
 //! must fail cleanly — never panic, never allocate past [`MAX_FRAME`].
 //!
-//! Seeded from valid frames of every request and response shape, then
-//! mutated three ways (random buffers, strict prefixes, single bit
-//! flips) — the transport-level counterpart of the store's
-//! `codec_fuzz` suite (the payload bytes reuse that codec).
+//! Seeded from valid frames of every request and response shape, and
+//! from replication frames whose run's edge list disagrees with the
+//! adjacency written beside it, then mutated three ways (random
+//! buffers, strict prefixes, single bit flips) — the transport-level
+//! counterpart of the store's `codec_fuzz` suite (the payload bytes
+//! reuse that codec). A run that decodes is always one
+//! `Run::assemble` builds from its edges.
+
+#[path = "../../../tests/support/tamper.rs"]
+mod tamper;
 
 use proptest::prelude::*;
+use rpq_labeling::{Run, RunBuilder};
 use rpq_serve::protocol::{
     encode_frame, read_message, QuerySpec, RunAddr, WireMode, WireRequest, WireResponse,
     WireStatsReply, MAGIC, MAX_FRAME, VERSION,
 };
+use rpq_store::codec::to_bytes;
 
-/// One valid frame per protocol shape.
+/// How many frames [`seed_frames`] returns.
+const SEED_FRAMES: usize = 13;
+
+/// One valid frame per protocol shape, then `PushRun` / `RunData`
+/// frames whose run carries an extra edge in its edge list only: a
+/// back-edge that closes a cycle the written adjacency hides, and an
+/// edge to a node outside the run.
 fn seed_frames() -> Vec<Vec<u8>> {
-    vec![
+    let spec = rpq_workloads::paper_examples::fig2_spec();
+    let run = RunBuilder::new(&spec)
+        .seed(7)
+        .target_edges(30)
+        .build()
+        .unwrap();
+    let extras = [tamper::back_edge(&run), tamper::outside_edge(&run)];
+    let push = WireRequest::PushRun { run: run.clone() };
+    let data = WireResponse::RunData { epoch: 3, run };
+    let mut frames = vec![
         encode_frame(&WireRequest::Ping).unwrap(),
         encode_frame(&WireRequest::Stats).unwrap(),
         encode_frame(&WireRequest::ListRuns).unwrap(),
@@ -42,14 +65,35 @@ fn seed_frames() -> Vec<Vec<u8>> {
             message: "unbalanced".to_owned(),
         })
         .unwrap(),
-    ]
+    ];
+    for extra in extras {
+        frames.push(encode_frame(&tamper::with_extra_edge(&push, extra)).unwrap());
+        frames.push(encode_frame(&tamper::with_extra_edge(&data, extra)).unwrap());
+    }
+    assert_eq!(frames.len(), SEED_FRAMES);
+    frames
 }
 
-/// Feed `bytes` to both decoders; must return without panicking.
-/// Reports whether either decoded a message.
+/// A decoded run is the one its edges assemble into: same entry, exit
+/// and adjacency, whatever the frame wrote beside the edges.
+fn assert_assembled(run: &Run) {
+    let (nodes, edges) = run.clone().into_parts();
+    let assembled = Run::assemble(nodes, edges).expect("a decoded run assembles");
+    assert_eq!(to_bytes(&assembled), to_bytes(run));
+}
+
+/// Feed `bytes` to both decoders; must return without panicking, and
+/// any run either decodes must be assembled from its edges. Reports
+/// whether either decoded a message.
 fn decode_both(bytes: &[u8]) -> bool {
     let req = read_message::<WireRequest>(&mut &bytes[..]);
     let resp = read_message::<WireResponse>(&mut &bytes[..]);
+    if let Ok(Some(WireRequest::PushRun { run })) = &req {
+        assert_assembled(run);
+    }
+    if let Ok(Some(WireResponse::RunData { run, .. })) = &resp {
+        assert_assembled(run);
+    }
     matches!(req, Ok(Some(_))) || matches!(resp, Ok(Some(_)))
 }
 
@@ -73,7 +117,7 @@ proptest! {
 
     #[test]
     fn truncations_of_valid_frames_error(
-        frame_index in 0usize..9,
+        frame_index in 0..SEED_FRAMES,
         cut_seed in 0u64..10_000,
     ) {
         let frames = seed_frames();
@@ -89,7 +133,7 @@ proptest! {
 
     #[test]
     fn bit_flips_never_panic(
-        frame_index in 0usize..9,
+        frame_index in 0..SEED_FRAMES,
         flip_seed in 0u64..100_000,
     ) {
         let frames = seed_frames();
@@ -140,6 +184,24 @@ proptest! {
         } else {
             decode_both(&frame);
         }
+    }
+}
+
+#[test]
+fn replication_frames_decode_their_edges_or_are_refused() {
+    let frames = seed_frames();
+    let [.., push_back, data_back, push_outside, data_outside] = &frames[..] else {
+        unreachable!("seed frames end with the four replication frames");
+    };
+    for frame in [push_back, data_back] {
+        assert!(decode_both(frame), "a consistent cyclic run decodes");
+    }
+    for err in [
+        read_message::<WireRequest>(&mut &push_outside[..]).unwrap_err(),
+        read_message::<WireResponse>(&mut &data_outside[..]).unwrap_err(),
+    ] {
+        assert!(matches!(err, rpq_core::RpqError::Invalid(_)), "{err:?}");
+        assert!(err.to_string().contains("999"), "{err}");
     }
 }
 

@@ -8,11 +8,16 @@
 //! results are compared as their binary codec renderings (the same
 //! bytes the protocol ships).
 
+#[path = "../../../tests/support/tamper.rs"]
+mod tamper;
+
 use proptest::prelude::*;
 use rpq_core::{QueryOutcome, Session};
-use rpq_labeling::{Run, RunBuilder};
+use rpq_labeling::{Run, RunBuilder, RunEdge};
 use rpq_router::{Router, RouterConfig};
-use rpq_serve::protocol::{QuerySpec, RunAddr, WireMode, WireResponse, WireResult};
+use rpq_serve::protocol::{
+    encode_frame, read_message, QuerySpec, RunAddr, WireMode, WireRequest, WireResponse, WireResult,
+};
 use rpq_serve::{ServeClient, ServeConfig, Server};
 use rpq_store::RunStore;
 use std::net::SocketAddr;
@@ -391,6 +396,92 @@ fn overload_is_a_graceful_refusal_and_shutdown_drains() {
     assert!(report.requests >= 3);
     backend_handle.shutdown();
     backend_serving.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pushed run whose edge list names a node outside the run is
+/// refused as `invalid` when the frame decodes, before the store sees
+/// it; a cycle the written adjacency hides is rebuilt from the edges.
+/// Either way no worker dies: the server answers `ping` and composite
+/// queries on more connections than it has workers.
+#[test]
+fn pushed_runs_are_rebuilt_from_their_edges_and_no_worker_dies() {
+    let (dir, store) = one_run_store("bad_push", 4);
+    let workers = 2;
+    let server = Server::bind(
+        store,
+        &ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.shutdown_handle();
+    let serving = std::thread::spawn(move || server.run(None));
+
+    let spec = rpq_workloads::paper_examples::fig2_spec();
+    let run = RunBuilder::new(&spec)
+        .seed(7)
+        .target_edges(30)
+        .build()
+        .unwrap();
+    let push = |extra: RunEdge| -> WireResponse {
+        let frame = encode_frame(&tamper::with_extra_edge(
+            &WireRequest::PushRun { run: run.clone() },
+            extra,
+        ))
+        .unwrap();
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        std::io::Write::write_all(&mut conn, &frame).unwrap();
+        read_message(&mut conn).unwrap().expect("a reply")
+    };
+    match push(tamper::outside_edge(&run)) {
+        WireResponse::Error { kind, message } => assert_eq!(kind, "invalid", "{message}"),
+        other => panic!("expected an invalid refusal, got {other:?}"),
+    }
+    let back = tamper::back_edge(&run);
+    match push(back) {
+        WireResponse::Pushed { .. } => {}
+        other => panic!("a consistent cyclic run is stored, got {other:?}"),
+    }
+    let (nodes, mut edges) = run.clone().into_parts();
+    edges.push(back);
+    let cyclic = Run::assemble(nodes, edges).unwrap();
+    let mode = WireMode::AllPairs(vec![0, 1, 2, 3], vec![4, 5, 6, 7]);
+    let session = Session::from_spec(spec);
+    let query = "_* e _* a _*";
+    let local = session.evaluate(
+        &session.prepare(query).unwrap(),
+        &cyclic,
+        &mode.to_request(&cyclic).unwrap(),
+    );
+
+    let mut client = connect(addr);
+    client.ping().unwrap();
+    assert_eq!(client.stats().unwrap().store_runs, 2);
+    for _ in 0..=workers {
+        let mut client = connect(addr);
+        for index in [0, 1] {
+            let outcome = client
+                .query(QuerySpec {
+                    query: query.to_owned(),
+                    policy: String::new(),
+                    strategy: String::new(),
+                    run: RunAddr::Index(index),
+                    stages: false,
+                    mode: mode.clone(),
+                })
+                .unwrap();
+            assert_eq!(outcome.plan_kind, "composite");
+            if index == 1 {
+                assert_byte_identical(&local, &outcome.result);
+            }
+        }
+        client.ping().unwrap();
+    }
+    handle.shutdown();
+    serving.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

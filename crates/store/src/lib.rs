@@ -65,8 +65,8 @@
 //! Counters ([`RunStore::stats`]) distinguish *reloads* (artifact
 //! decoded from disk — the warm path) from *rebuilds* (artifact
 //! re-derived from the run because no valid file existed — the cold
-//! path); `repro -- batch` records the cold/warm gap in
-//! `BENCH_batch.json`.
+//! path). The benchmark's `serve_direct` workload times the warm path
+//! as `store.artifact_load_us` and `store.run_load_us`.
 
 pub mod codec;
 pub mod live;

@@ -3,6 +3,9 @@
 //! counters prove the indexes came back warm instead of being
 //! re-derived.
 
+#[path = "../../../tests/support/tamper.rs"]
+mod tamper;
+
 use rpq_core::{BatchOptions, QueryRequest, Session};
 use rpq_store::RunStore;
 use rpq_workloads::{paper_examples, runs};
@@ -111,5 +114,39 @@ fn single_run_queries_agree_between_loaded_and_original_runs() {
         let got = session.evaluate(&query, &loaded, &QueryRequest::all_pairs(all.clone(), all));
         assert_eq!(got.result, expected.result, "{id}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_run_file_with_an_edge_outside_the_run_is_refused_and_the_store_survives() {
+    let dir = scratch_dir("bad_file");
+    let spec = paper_examples::fig2_spec();
+    let corpus = runs::corpus(&spec, 2, 30, 5).unwrap();
+    let store = RunStore::create(&dir, std::sync::Arc::new(spec)).unwrap();
+    let good = store.ingest(&corpus[0]).unwrap().id;
+
+    // The second run with an edge to node 999 in its edge list only:
+    // the adjacency written beside it stays in range.
+    let bad = tamper::with_extra_edge(&corpus[1], tamper::outside_edge(&corpus[1]));
+    let path = dir.join("bad.json");
+    std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+    let err = store.ingest_json_file(&path).unwrap_err();
+    assert!(matches!(err, rpq_core::RpqError::Invalid(_)), "{err:?}");
+    assert_eq!(store.ids(), vec![good]);
+    drop(store);
+
+    // Every later command on the store still works.
+    let store = RunStore::open(&dir).unwrap();
+    assert_eq!(store.ids(), vec![good]);
+    let session = Session::new(store.spec_arc());
+    let query = session.prepare("_* e _* a _*").unwrap();
+    let outcome = session.evaluate_batch(
+        &query,
+        &store,
+        &QueryRequest::entry_exit(),
+        &BatchOptions::threads(2),
+    );
+    assert_eq!(outcome.n_err(), 0);
+    store.materialize_artifacts().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Run-simulation conveniences shared by benches, examples and tests,
 //! plus deterministic **graph corpora** (deep chains, wide DAGs, cyclic
 //! cores, multi-SCC tangles) for the closure-kernel differential tests
-//! and the `repro -- relalg` scc bench leg.
+//! and the `relalg_kernel` bench.
 
 use rpq_grammar::Specification;
 use rpq_labeling::{DeriveError, EventBatch, ForkFocus, NodeId, Run, RunBuilder, RunEdge, RunNode};
@@ -355,6 +355,7 @@ mod tests {
             ("dag", Box::new(|s| wide_dag_relation(97, 8, 2, s))),
             ("core", Box::new(|s| cyclic_core_relation(97, 9, s))),
             ("tangle", Box::new(|s| multi_scc_relation(97, 7, 30, s))),
+            ("random", Box::new(|s| random_relation(97, 200, s))),
         ];
         for (name, gen) in &gens {
             // Deterministic per seed, bounded to the universe.

@@ -182,6 +182,6 @@
 //! * [`crate::core::plan`] — the decoder and its bridge factorization;
 //! * [`crate::core::cost`] — the cost model steering decomposed plans;
 //! * `crates/bench` — every figure of the paper as a benchmark;
-//! * EXPERIMENTS.md — measured-vs-paper discussion.
+//! * README.md's "Performance" section — measured-vs-paper discussion.
 
 // This module is documentation-only.

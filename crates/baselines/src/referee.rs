@@ -42,11 +42,10 @@ impl<'a> Referee<'a> {
         masks
     }
 
-    /// Pairwise `u —R→ v`.
+    /// Pairwise `u —R→ v`. The diagonal needs no rule of its own:
+    /// `(u, u)` holds when the empty path or a cycle through `u` spells
+    /// a word of `R`, and the search from `(u, q0)` sees both.
     pub fn pairwise(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return self.dfa.accepts_epsilon();
-        }
         let masks = self.forward_states(u);
         let mut accepting = 0u64;
         for (q, &acc) in self.dfa.accepting().iter().enumerate() {
@@ -68,7 +67,6 @@ impl<'a> Referee<'a> {
         let mut l2sorted: Vec<NodeId> = l2.to_vec();
         l2sorted.sort_unstable();
         l2sorted.dedup();
-        let eps = self.dfa.accepts_epsilon();
         let mut out = Vec::new();
         let mut l1sorted: Vec<NodeId> = l1.to_vec();
         l1sorted.sort_unstable();
@@ -76,12 +74,7 @@ impl<'a> Referee<'a> {
         for &u in &l1sorted {
             let masks = self.forward_states(u);
             for &v in &l2sorted {
-                let hit = if u == v {
-                    eps
-                } else {
-                    masks[v.index()] & accepting != 0
-                };
-                if hit {
+                if masks[v.index()] & accepting != 0 {
                     out.push((u, v));
                 }
             }
@@ -138,6 +131,46 @@ mod tests {
         let plus = compile_minimal_dfa(&Regex::plus(Regex::Wildcard), spec.n_tags());
         let referee_pl = Referee::new(&run, &plus);
         assert!(!referee_pl.pairwise(run.entry(), run.entry()));
+    }
+
+    #[test]
+    fn a_cycle_through_a_node_puts_it_on_the_diagonal() {
+        let mut b = SpecificationBuilder::new();
+        b.atomic("x");
+        b.composite("S");
+        b.production("S", |w| {
+            let [a, x, y, z] = ["x"; 4].map(|m| w.node(m));
+            w.edge_named(a, x, "q");
+            w.edge_named(x, y, "p");
+            w.edge_named(y, z, "q");
+        });
+        b.start("S");
+        let spec = b.build().unwrap();
+        let dag = RunBuilder::new(&spec).build().unwrap();
+        let p = spec.tag_by_name("p").unwrap();
+        let [x, y] = [1, 2].map(NodeId);
+        // A back edge y -p-> x: x -p-> y -p-> x spells `p p`.
+        let cyclic = dag
+            .apply_events(&rpq_labeling::EventBatch {
+                nodes: Vec::new(),
+                edges: vec![rpq_labeling::RunEdge {
+                    src: y,
+                    dst: x,
+                    tag: p,
+                }],
+            })
+            .unwrap();
+        let pp = Regex::concat(vec![Regex::Sym(Symbol(p.0)), Regex::Sym(Symbol(p.0))]);
+        let dfa = compile_minimal_dfa(&pp, spec.n_tags());
+        assert!(!Referee::new(&dag, &dfa).pairwise(x, x));
+        let referee = Referee::new(&cyclic, &dfa);
+        assert!(referee.pairwise(x, x) && referee.pairwise(y, y));
+        assert!(!referee.pairwise(x, y));
+        let all: Vec<NodeId> = cyclic.node_ids().collect();
+        assert_eq!(
+            referee.all_pairs(&all, &all),
+            NodePairSet::from_pairs(vec![(x, x), (y, y)])
+        );
     }
 
     #[test]

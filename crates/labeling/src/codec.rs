@@ -38,7 +38,8 @@ pub fn encode(label: &Label) -> Bytes {
 
 /// Decode a label from bytes. Returns `None` on malformed input.
 pub fn decode(mut bytes: &[u8]) -> Option<Label> {
-    let mut entries = Vec::new();
+    // Every entry takes at least two bytes.
+    let mut entries = Vec::with_capacity(bytes.len() / 2);
     while bytes.has_remaining() {
         let head = get_varint(&mut bytes)?;
         if head & 1 == 0 {

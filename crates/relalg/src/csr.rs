@@ -9,10 +9,9 @@
 
 use crate::bits::BitRelation;
 use crate::index::TagIndex;
-use crate::relation::{pack_u32s, unpack_u32s, NodePairSet};
+use crate::relation::NodePairSet;
 use rpq_grammar::Tag;
 use rpq_labeling::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A relation in compressed-sparse-row form, forward and transposed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,12 +128,39 @@ impl CsrRelation {
         u.0 < self.n_nodes && self.neighbors_raw(u.0).binary_search(&v.0).is_ok()
     }
 
+    /// The four arrays — `offsets`, `targets`, `rev_offsets`,
+    /// `rev_targets` — as a run store persists them.
+    pub fn raw_parts(&self) -> [&[u32]; 4] {
+        [
+            &self.offsets,
+            &self.targets,
+            &self.rev_offsets,
+            &self.rev_targets,
+        ]
+    }
+
+    /// The inverse of [`CsrRelation::raw_parts`] over `n_nodes` nodes,
+    /// unchecked: loaders gate on [`CsrRelation::is_well_formed`]
+    /// before any kernel indexes into the result.
+    pub fn from_raw_parts(
+        n_nodes: u32,
+        [offsets, targets, rev_offsets, rev_targets]: [Vec<u32>; 4],
+    ) -> CsrRelation {
+        CsrRelation {
+            n_nodes,
+            offsets,
+            targets,
+            rev_offsets,
+            rev_targets,
+        }
+    }
+
     /// Structural invariants hold: offset arrays are monotonic,
     /// cover exactly the target arrays, every id is in-universe, and
     /// each adjacency row is sorted and duplicate-free. `from_pairs`
-    /// guarantees all of this; deserialized arenas (whose bytes bypass
-    /// the constructor) must be checked before the kernels index into
-    /// them. Linear in nodes + edges.
+    /// guarantees all of this; arenas loaded from a file (whose bytes
+    /// bypass the constructor) must be checked before the kernels index
+    /// into them. Linear in nodes + edges.
     pub fn is_well_formed(&self) -> bool {
         let n = self.n_nodes as usize;
         let dir_ok = |offsets: &[u32], targets: &[u32]| {
@@ -181,54 +207,15 @@ impl CsrRelation {
     }
 }
 
-// Persistence: the four index arrays are packed byte buffers, so a
-// run store decodes an arena at memcpy speed instead of paying an
-// enum construction per integer (which measured *slower* than
-// rebuilding the arena from its run). Deserialized arenas bypass
-// `from_pairs`, so loaders must gate on [`CsrRelation::is_well_formed`]
-// before any kernel indexes into them.
-impl Serialize for CsrRelation {
-    fn to_value(&self) -> serde::Value {
-        let arr = |v: &[u32]| pack_u32s(v.len(), v.iter().copied());
-        serde::Value::Map(vec![
-            (
-                "n_nodes".to_owned(),
-                serde::Value::UInt(self.n_nodes.into()),
-            ),
-            ("offsets".to_owned(), arr(&self.offsets)),
-            ("targets".to_owned(), arr(&self.targets)),
-            ("rev_offsets".to_owned(), arr(&self.rev_offsets)),
-            ("rev_targets".to_owned(), arr(&self.rev_targets)),
-        ])
-    }
-}
-
-impl Deserialize for CsrRelation {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |name: &str| {
-            value
-                .get_field(name)
-                .ok_or_else(|| serde::DeError::missing("CsrRelation", name))
-        };
-        Ok(CsrRelation {
-            n_nodes: u32::from_value(field("n_nodes")?)?,
-            offsets: unpack_u32s(field("offsets")?)?,
-            targets: unpack_u32s(field("targets")?)?,
-            rev_offsets: unpack_u32s(field("rev_offsets")?)?,
-            rev_targets: unpack_u32s(field("rev_targets")?)?,
-        })
-    }
-}
-
 /// The per-run CSR arena: one [`CsrRelation`] per edge tag plus the
 /// wildcard relation, mirroring [`TagIndex`] in CSR form. Sessions
 /// cache one per run beside the tag index so repeated composite
 /// evaluations never rebuild adjacency (see `rpq-core`'s `Session`).
 ///
-/// Serializable for the same reason as [`TagIndex`]: run stores
-/// persist the arena beside the run so a restarted process evaluates
-/// off warm adjacency instead of rebuilding it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Run stores persist the arena beside the run so a restarted process
+/// evaluates off warm adjacency instead of rebuilding it
+/// ([`CsrIndex::from_parts`], [`CsrRelation::from_raw_parts`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrIndex {
     n_nodes: usize,
     per_tag: Vec<CsrRelation>,
@@ -273,9 +260,24 @@ impl CsrIndex {
         }
     }
 
+    /// Assemble from per-tag relations and the wildcard relation,
+    /// unchecked: loaders gate on [`CsrIndex::is_well_formed`].
+    pub fn from_parts(n_nodes: usize, per_tag: Vec<CsrRelation>, all: CsrRelation) -> CsrIndex {
+        CsrIndex {
+            n_nodes,
+            per_tag,
+            all,
+        }
+    }
+
     /// Number of nodes in the run.
     pub fn n_nodes(&self) -> usize {
         self.n_nodes
+    }
+
+    /// Number of tags.
+    pub fn n_tags(&self) -> usize {
+        self.per_tag.len()
     }
 
     /// The CSR adjacency of one tag's edges.
@@ -347,13 +349,11 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_and_well_formedness() {
+    fn raw_parts_round_trip_and_well_formedness() {
         let p = pairs(&[(0, 3), (1, 3), (2, 0), (3, 1), (3, 2)]);
         let csr = CsrRelation::from_pairs(&p, 4);
         assert!(csr.is_well_formed());
-        let back =
-            <CsrRelation as serde::Deserialize>::from_value(&serde::Serialize::to_value(&csr))
-                .unwrap();
+        let back = CsrRelation::from_raw_parts(4, csr.raw_parts().map(<[u32]>::to_vec));
         assert_eq!(back, csr);
         assert!(back.is_well_formed());
 

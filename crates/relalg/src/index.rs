@@ -8,14 +8,12 @@
 use crate::relation::NodePairSet;
 use rpq_grammar::Tag;
 use rpq_labeling::{NodeId, Run};
-use serde::{Deserialize, Serialize};
 
 /// Inverted index from edge tags to edge endpoint pairs.
 ///
-/// Serializable so run stores can persist it next to the run it
-/// indexes and reload it warm after a restart (`rpq-store`); the
-/// pair-set invariants are re-established on deserialization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Run stores persist it next to the run it indexes and reload it warm
+/// after a restart (`rpq-store`, through [`TagIndex::from_parts`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagIndex {
     /// `per_tag[t]`: sorted pairs connected by a `t`-tagged edge.
     per_tag: Vec<NodePairSet>,
@@ -41,6 +39,17 @@ impl TagIndex {
             per_tag: buckets.into_iter().map(NodePairSet::from_pairs).collect(),
             all: NodePairSet::from_pairs(all),
             n_nodes: run.n_nodes(),
+        }
+    }
+
+    /// Assemble from per-tag pair sets and the wildcard set over
+    /// `n_nodes` nodes, unchecked: loaders gate on
+    /// [`TagIndex::is_well_formed`].
+    pub fn from_parts(per_tag: Vec<NodePairSet>, all: NodePairSet, n_nodes: usize) -> TagIndex {
+        TagIndex {
+            per_tag,
+            all,
+            n_nodes,
         }
     }
 
@@ -117,10 +126,10 @@ impl TagIndex {
         self.per_tag.len()
     }
 
-    /// Shape checks for deserialized indexes: the tag alphabet matches,
+    /// Shape checks for loaded indexes: the tag alphabet matches,
     /// every endpoint is inside the declared universe, and the cached
     /// wildcard relation is at least as large as the largest per-tag
-    /// relation (sortedness is already re-established on decode).
+    /// relation (each pair set is sorted by construction).
     /// Linear in the number of indexed pairs.
     pub fn is_well_formed(&self, n_tags: usize) -> bool {
         let in_universe = |s: &NodePairSet| {
@@ -189,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_the_index() {
+    fn from_parts_round_trip_and_well_formedness() {
         let mut b = SpecificationBuilder::new();
         b.atomic("t");
         b.composite("S");
@@ -213,8 +222,10 @@ mod tests {
             .build()
             .unwrap();
         let idx = TagIndex::build(&run, spec.n_tags());
-        let back = <TagIndex as serde::Deserialize>::from_value(&serde::Serialize::to_value(&idx))
-            .unwrap();
+        let per_tag = (0..idx.n_tags())
+            .map(|t| idx.edges(Tag(t as u32)).clone())
+            .collect();
+        let back = TagIndex::from_parts(per_tag, idx.all_edges().clone(), idx.n_nodes());
         assert_eq!(back, idx);
         assert!(back.is_well_formed(spec.n_tags()));
         assert!(!back.is_well_formed(spec.n_tags() + 1));

@@ -168,71 +168,6 @@ impl FromIterator<(NodeId, NodeId)> for NodePairSet {
     }
 }
 
-/// Pack dense `u32` data into the data model's byte buffer
-/// (little-endian) — an element-wise `Value::Seq` costs an enum
-/// construction per number on both ends, which makes decoding a
-/// persisted index *slower* than rebuilding it; the packed form
-/// decodes at memcpy speed. Shared with the CSR arena's impls.
-pub(crate) fn pack_u32s(n_values: usize, values: impl Iterator<Item = u32>) -> serde::Value {
-    let mut bytes = Vec::with_capacity(n_values * 4);
-    for v in values {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    serde::Value::Bytes(bytes)
-}
-
-/// Inverse of [`pack_u32s`]. Strictly requires the packed byte shape:
-/// accepting an element-wise sequence here would silently mis-decode a
-/// JSON round-trip of the packed form (JSON renders `Bytes` as an
-/// array of *byte* values, so an element-wise reading would yield one
-/// u32 per byte — four times too many, all wrong). Packed index types
-/// round-trip through the binary codec only; JSON is one-way display.
-pub(crate) fn unpack_u32s(value: &serde::Value) -> Result<Vec<u32>, serde::DeError> {
-    match value {
-        serde::Value::Bytes(bytes) => {
-            if bytes.len() % 4 != 0 {
-                return Err(serde::DeError::custom(
-                    "packed u32 buffer length is not a multiple of 4",
-                ));
-            }
-            Ok(bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect())
-        }
-        other => Err(serde::DeError::expected("packed byte buffer", other)),
-    }
-}
-
-// Persistence (run-store index files): a pair set serializes as its
-// pair list packed `u, v, u, v, …`; deserialization goes through
-// `from_pairs`, so a tampered or hand-written file can never violate
-// the sorted/deduplicated invariant the kernels rely on.
-impl serde::Serialize for NodePairSet {
-    fn to_value(&self) -> serde::Value {
-        pack_u32s(
-            self.pairs.len() * 2,
-            self.pairs.iter().flat_map(|&(u, v)| [u.0, v.0]),
-        )
-    }
-}
-
-impl serde::Deserialize for NodePairSet {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let flat = unpack_u32s(value)?;
-        if flat.len() % 2 != 0 {
-            return Err(serde::DeError::custom(
-                "pair buffer holds an odd number of node ids",
-            ));
-        }
-        Ok(NodePairSet::from_pairs(
-            flat.chunks_exact(2)
-                .map(|c| (NodeId(c[0]), NodeId(c[1])))
-                .collect(),
-        ))
-    }
-}
-
 /// The explicit pairs of a [`Relation`], in the format of the kernel
 /// that produced them: the pair kernel's sorted list, or the bit and
 /// condensation kernels' blocked rows. Operators accept either format

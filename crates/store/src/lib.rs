@@ -13,7 +13,7 @@
 //!   a store directory ([`RunStore::ingest`]);
 //! * **Artifacts** — each run's derived [`TagIndex`] and [`CsrIndex`]
 //!   are cached beside it (lazily on first use, or eagerly via
-//!   [`RunStore::materialize_artifacts`]) with a compact binary codec
+//!   [`RunStore::materialize_artifacts`]) in a typed binary layout
 //!   ([`codec`]), each file stamped with the fingerprint of the run it
 //!   was derived from, so a restarted process reloads warm indexes
 //!   instead of rebuilding them — and rebuilds, never trusts, a file
@@ -34,7 +34,7 @@
 //! spec.json               the workflow specification (JSON, human-readable)
 //! catalog.json            catalog manifest: version, next id, epoch, shard bits
 //! catalog/shard-XX.json   catalog rows, sharded by fingerprint prefix
-//! runs/run-<id>.bin       each run as ingested or last folded (binary codec)
+//! runs/run-<id>.bin       each run as ingested or last folded (typed layout, `codec`)
 //! runs/run-<id>.log       event batches appended since, one checksummed segment each
 //! index/tag-<id>.bin      cached TagIndex artifact, stamped with its run's fingerprint
 //! index/csr-<id>.bin      cached CsrIndex artifact, stamped likewise
@@ -76,7 +76,7 @@ pub use live::{Appended, LiveSnapshot, OpenRun};
 
 use rpq_core::{RpqError, RunRef, RunSource};
 use rpq_grammar::Specification;
-use rpq_labeling::Run;
+use rpq_labeling::{EventBatch, Run};
 use rpq_relalg::{CsrIndex, TagIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -754,7 +754,7 @@ impl RunStore {
             });
         }
         let id = RunId(state.catalog.next_id);
-        write_atomic(&self.run_path(id), &codec::to_bytes(run))?;
+        write_atomic(&self.run_path(id), &codec::encode_run(run))?;
         state.catalog.next_id += 1;
         state.catalog.entries.push(CatalogEntry {
             id: id.0,
@@ -801,9 +801,10 @@ impl RunStore {
 
     /// Leave the store warm and compact: for every run that is not
     /// currently open for appends, fold its event log into the base
-    /// file and persist whichever index artifact is missing or stamped
-    /// for another state of the run. Returns how many runs had
-    /// anything written.
+    /// file (a base an older build wrote in the generic codec is
+    /// rewritten in the typed layout too) and persist whichever index
+    /// artifact is missing or stamped for another state of the run.
+    /// Returns how many runs had anything written.
     ///
     /// The fold is the one place a run's files are rewritten, and it
     /// is explicit — no append ever triggers it. It is crash-safe by
@@ -821,15 +822,16 @@ impl RunStore {
             if open.get(&id).is_some_and(|run| run.strong_count() > 0) {
                 continue;
             }
-            let folded = self.log_path(id).exists();
+            let folded =
+                self.log_path(id).exists() || !has_prefix(&self.run_path(id), &codec::GRAPH_HEADER);
             if folded {
                 let run = self.run(id)?;
-                write_atomic(&self.run_path(id), &codec::to_bytes(run.as_ref()))?;
+                write_atomic(&self.run_path(id), &codec::encode_run(&run))?;
                 let _ = std::fs::remove_file(self.log_path(id));
             }
             let key = self.catalog_key(id)?;
             let (tag_path, csr_path) = (self.tag_path(id), self.csr_path(id));
-            let stale = |path: &Path| !is_stamped(path, key);
+            let stale = |path: &Path| !has_prefix(path, &stamp(key));
             let mut wrote = folded;
             if stale(&tag_path) || stale(&csr_path) {
                 // artifacts() persists only what it rebuilt; a pair
@@ -837,10 +839,10 @@ impl RunStore {
                 // stale, and "materialized" must mean "on disk".
                 let (tag, csr) = self.artifacts(id)?;
                 if stale(&tag_path) {
-                    write_atomic(&tag_path, &stamped(key, tag.as_ref()))?;
+                    write_atomic(&tag_path, &stamped(key, codec::encode_tag(&tag)))?;
                 }
                 if stale(&csr_path) {
-                    write_atomic(&csr_path, &stamped(key, csr.as_ref()))?;
+                    write_atomic(&csr_path, &stamped(key, codec::encode_csr(&csr)))?;
                 }
                 wrote = true;
             }
@@ -1050,23 +1052,28 @@ impl RunStore {
         let path = self.run_path(id);
         let bytes = std::fs::read(&path)
             .map_err(|e| RpqError::io(format!("cannot read stored run {path:?}"), e))?;
-        let mut run: Run = codec::from_bytes(&bytes)
+        let EventBatch {
+            mut nodes,
+            mut edges,
+        } = codec::decode_graph(&bytes)
             .map_err(|e| RpqError::invalid(format!("corrupt stored run {path:?}: {e}")))?;
         let mut applied = 0;
-        if (run.n_nodes() as u64, run.n_edges() as u64) != (key.2, key.3) {
-            let (mut nodes, mut edges) = run.into_parts();
-            let mut segments = log::segments(&log);
-            while (nodes.len() as u64, edges.len() as u64) != (key.2, key.3) {
-                let Some((batch, end)) = segments.next() else {
-                    break;
-                };
-                nodes.extend(batch.nodes);
-                edges.extend(batch.edges);
-                applied = end;
-            }
-            run = Run::assemble(nodes, edges)
-                .map_err(|e| RpqError::invalid(format!("corrupt event log {log_path:?}: {e}")))?;
+        let mut segments = log::segments(&log);
+        while (nodes.len() as u64, edges.len() as u64) != (key.2, key.3) {
+            let Some((batch, end)) = segments.next() else {
+                break;
+            };
+            nodes.extend(batch.nodes);
+            edges.extend(batch.edges);
+            applied = end;
         }
+        let run = Run::assemble(nodes, edges).map_err(|e| {
+            RpqError::invalid(if applied == 0 {
+                format!("corrupt stored run {path:?}: {e}")
+            } else {
+                format!("corrupt event log {log_path:?}: {e}")
+            })
+        })?;
         let replayed = fp_key(&run);
         if replayed != key {
             return Err(RpqError::invalid(format!(
@@ -1124,7 +1131,9 @@ impl RunStore {
         let n_tags = self.spec.n_tags();
         let mut key = self.catalog_key(id)?;
 
-        let tag = match decode_stamped::<TagIndex>(&self.tag_path(id), key) {
+        let tag = match decode_stamped(&self.tag_path(id), key, |b| {
+            codec::decode_tag(b, key.2, n_tags)
+        }) {
             Some(index) if index.is_well_formed(n_tags) => {
                 self.tag_reloads.fetch_add(1, Ordering::Relaxed);
                 Arc::new(index)
@@ -1135,13 +1144,15 @@ impl RunStore {
                 // have grown since the row was read.
                 key = fp_key(&run);
                 let index = TagIndex::build(&run, n_tags);
-                write_atomic(&self.tag_path(id), &stamped(key, &index))?;
+                write_atomic(&self.tag_path(id), &stamped(key, codec::encode_tag(&index)))?;
                 self.tag_rebuilds.fetch_add(1, Ordering::Relaxed);
                 Arc::new(index)
             }
         };
 
-        let csr = match decode_stamped::<CsrIndex>(&self.csr_path(id), key) {
+        let csr = match decode_stamped(&self.csr_path(id), key, |b| {
+            codec::decode_csr(b, key.2, n_tags)
+        }) {
             Some(csr)
                 if csr.is_well_formed(n_tags)
                     && csr.n_nodes() == tag.n_nodes()
@@ -1152,7 +1163,7 @@ impl RunStore {
             }
             _ => {
                 let csr = CsrIndex::build(&tag);
-                write_atomic(&self.csr_path(id), &stamped(key, &csr))?;
+                write_atomic(&self.csr_path(id), &stamped(key, codec::encode_csr(&csr)))?;
                 self.csr_rebuilds.fetch_add(1, Ordering::Relaxed);
                 Arc::new(csr)
             }
@@ -1276,29 +1287,33 @@ fn stamp(key: FpKey) -> [u8; 36] {
     out
 }
 
-/// An artifact file's bytes: its stamp, then the codec payload.
-fn stamped<T: Serialize>(key: FpKey, artifact: &T) -> Vec<u8> {
+/// An artifact file's bytes: its stamp, then the typed payload.
+fn stamped(key: FpKey, payload: Vec<u8>) -> Vec<u8> {
     let mut out = stamp(key).to_vec();
-    out.extend_from_slice(&codec::to_bytes(artifact));
+    out.extend_from_slice(&payload);
     out
 }
 
-/// Does the file at `path` carry the stamp of `key`? (Reads the header
-/// only.)
-fn is_stamped(path: &Path, key: FpKey) -> bool {
+/// Does the file at `path` begin with `prefix`? (Reads that much only.)
+fn has_prefix(path: &Path, prefix: &[u8]) -> bool {
     use std::io::Read;
-    let mut header = [0; 36];
+    let mut header = vec![0; prefix.len()];
     std::fs::File::open(path)
         .and_then(|mut file| file.read_exact(&mut header))
-        .is_ok_and(|()| header == stamp(key))
+        .is_ok_and(|()| header == prefix)
 }
 
 /// Decode one artifact file if it is stamped for `key`; any failure
 /// (missing, unstamped, stamped for another run state, truncated,
-/// tampered) falls back to `None` so the caller rebuilds.
-fn decode_stamped<T: Deserialize>(path: &Path, key: FpKey) -> Option<T> {
+/// tampered, or in an older layout) falls back to `None` so the caller
+/// rebuilds.
+fn decode_stamped<T>(
+    path: &Path,
+    key: FpKey,
+    decode: impl FnOnce(&[u8]) -> Result<T, codec::CodecError>,
+) -> Option<T> {
     let bytes = std::fs::read(path).ok()?;
-    codec::from_bytes(bytes.strip_prefix(&stamp(key))?).ok()
+    decode(bytes.strip_prefix(&stamp(key))?).ok()
 }
 
 /// 64-bit FNV-1a: the checksum of event-log segments.

@@ -51,7 +51,8 @@ use std::time::Duration;
 /// Default churn threshold: a batch whose genuinely new edges exceed
 /// this percentage of the already-indexed edge count triggers a full
 /// artifact rebuild instead of the delta path (`0` forces a rebuild on
-/// every non-duplicate append — the benchmark's referee mode). The
+/// every non-duplicate append; tests set it through
+/// [`OpenRun::set_churn_percent`]). The
 /// same rule decides whether [`OpenRun::reach`] catches its closure up
 /// or recomputes it.
 pub const DEFAULT_CHURN_PERCENT: u32 = 25;
@@ -185,7 +186,11 @@ impl OpenRun {
         &self.store
     }
 
-    /// Override the churn threshold (see [`DEFAULT_CHURN_PERCENT`]).
+    /// Test hook: override the churn threshold (see
+    /// [`DEFAULT_CHURN_PERCENT`]), so the differential suites can drive
+    /// both maintenance paths. Not part of the API; the store picks the
+    /// path itself and nothing outside tests calls it.
+    #[doc(hidden)]
     pub fn set_churn_percent(&self, percent: u32) {
         self.churn_percent.store(percent, Ordering::Relaxed);
     }
@@ -591,7 +596,7 @@ mod tests {
         open.append_events(&last).unwrap();
         let written = store.stats().since(before).append_bytes;
 
-        let encoded = crate::codec::to_bytes(&last).len() as u64;
+        let encoded = crate::codec::encode_batch(&last).len() as u64;
         assert!(written > encoded, "{written} vs {encoded}");
         assert!(written < 2 * encoded + 1024, "{written} vs {encoded}");
         assert_eq!(
@@ -740,7 +745,7 @@ mod tests {
         assert!(!store.log_path(id).exists());
         assert_eq!(
             std::fs::read(store.run_path(id)).unwrap(),
-            crate::codec::to_bytes(&grown)
+            crate::codec::encode_run(&grown)
         );
         assert_eq!(store.materialize_artifacts().unwrap(), 0);
         drop(store);

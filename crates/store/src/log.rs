@@ -7,8 +7,15 @@
 //! ```text
 //! payload length   u32 little-endian
 //! checksum         u64 little-endian, FNV-1a of the payload
-//! payload          codec::to_bytes(batch)
+//! payload          the batch as a typed graph file (`RPQB` 2, kind 'G')
 //! ```
+//!
+//! The payload has the layout of a run base ([`codec`](crate::codec)):
+//! a header with the node and edge counts, the batch's nodes and edges,
+//! and its own checksum. Logs written by older builds hold generic
+//! codec payloads (`RPQB` 1); [`segments`] reads either, by the
+//! payload's version byte, and the next fold rewrites the run without
+//! them.
 //!
 //! The log carries no commit marker of its own. The run's catalog row
 //! is the commit record: a reader applies segments until the replayed
@@ -29,7 +36,7 @@ const HEADER: usize = 12;
 
 /// One batch as a log segment.
 pub(crate) fn frame(batch: &EventBatch) -> Vec<u8> {
-    let payload = codec::to_bytes(batch);
+    let payload = codec::encode_batch(batch);
     let len = u32::try_from(payload.len()).expect("an event batch encodes to under 4 GiB");
     let mut out = Vec::with_capacity(HEADER + payload.len());
     out.extend_from_slice(&len.to_le_bytes());
@@ -52,7 +59,7 @@ pub(crate) fn segments(bytes: &[u8]) -> impl Iterator<Item = (EventBatch, u64)> 
         if fnv1a(payload) != checksum {
             return None;
         }
-        let batch = codec::from_bytes(payload).ok()?;
+        let batch = codec::decode_graph(payload).ok()?;
         pos = start + len;
         Some((batch, pos as u64))
     })

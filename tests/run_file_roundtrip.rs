@@ -81,13 +81,17 @@ fn a_run_file_is_rebuilt_from_its_edges_not_its_stored_adjacency() {
     let QueryResult::Pairs(got) = session.evaluate(&query, &decoded, &request).result else {
         panic!("all-pairs answers pairs");
     };
-    // The referee's diagonal rule assumes a DAG: on the cyclic run,
-    // compare it off the diagonal only.
-    let off_diagonal = |pairs: &NodePairSet| -> Vec<(NodeId, NodeId)> {
-        pairs.iter().filter(|(u, v)| u != v).collect()
-    };
+    // The full pair set, diagonal included: `_* e _*` does not accept
+    // the empty word, so every `(u, u)` answer is a cycle through `u`
+    // that reads an `e`.
     let referee = rpq::baselines::Referee::new(&cyclic, query.dfa()).all_pairs(&all, &all);
-    assert_eq!(off_diagonal(&got), off_diagonal(&referee));
+    assert_eq!(got, referee);
+    assert_eq!(got.len(), 729);
+    assert!(!query.dfa().accepts_epsilon());
+    assert!(
+        got.iter().any(|(u, v)| u == v),
+        "the cycle puts no node on the diagonal"
+    );
     let out = out.unwrap();
     assert!(out.contains(&format!("matches: {}\n", got.len())), "{out}");
 

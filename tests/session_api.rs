@@ -454,20 +454,8 @@ fn pairwise_is_evaluate_pairwise() {
             let want =
                 via_evaluate.evaluate(&qe, r, &QueryRequest::AllPairs(all.clone(), all.clone()));
             assert_eq!(Some(&got), want.as_pairs(), "{text}: all_pairs vs evaluate");
-            // The referee's diagonal rule assumes a DAG: on the cyclic
-            // run, compare it off the diagonal only.
-            let off_diagonal = |pairs: &NodePairSet| -> Vec<(NodeId, NodeId)> {
-                pairs
-                    .iter()
-                    .filter(|(u, v)| r.is_acyclic() || u != v)
-                    .collect()
-            };
             let referee = Referee::new(r, qp.dfa()).all_pairs(&all, &all);
-            assert_eq!(
-                off_diagonal(&got),
-                off_diagonal(&referee),
-                "{text}: all_pairs vs referee"
-            );
+            assert_eq!(got, referee, "{text}: all_pairs vs referee");
             let nodes: Vec<NodeId> = r.node_ids().step_by(9).collect();
             for &u in &nodes {
                 for &v in &nodes {
